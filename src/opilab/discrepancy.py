@@ -184,12 +184,6 @@ def expected_discrepancy_all(code: MdsCode, lists: InputLists,
     return exact
 
 
-def expected_discrepancy_uniform(code: MdsCode, lists: InputLists, t: int,
-                                 profile: SatisfactionProfile | None = None,
-                                 budget: int | None = None) -> QuadExt:
-    return expected_discrepancy_all(code, lists, profile, budget)[t]
-
-
 # ---------- symmetric-difference counts ----------
 
 def count_sym_diff(k_list, t: int, m: int, budget: int | None = None) -> int:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .codes import binomial_moment, binomial_weights, profile_moment
 from .errors import DomainError, IdentityViolationError
 
 Poly = tuple[Fraction, ...]  # ascending powers
@@ -61,10 +62,6 @@ def poly_eval(c: Poly, x) -> Fraction:
     for v in reversed(c):
         acc = acc * x + v
     return acc
-
-
-def poly_degree(c: Poly) -> int:
-    return len(c) - 1
 
 
 def poly_derivative(c: Poly) -> Poly:
@@ -124,20 +121,16 @@ class KravchukFamily:
         return self.coeffs[ell][-1]
 
 
-def binomial_weight(m: int, rho: Fraction, x: int) -> Fraction:
-    rho = Fraction(rho)
-    return math.comb(m, x) * rho**x * (1 - rho) ** (m - x)
-
-
 def inner_product(m: int, rho: Fraction, a: Poly, b: Poly) -> Fraction:
     return sum(
-        binomial_weight(m, rho, x) * poly_eval(a, Fraction(x)) * poly_eval(b, Fraction(x))
-        for x in range(m + 1)
+        w * poly_eval(a, x) * poly_eval(b, x)
+        for x, w in enumerate(binomial_weights(m, rho))
     )
 
 
 def kravchuk_coeffs(m: int, rho: Fraction, ell: int) -> Poly:
-    """Coefficient vector of the degree-ell family member."""
+    """Coefficient vector of the degree-ell family member by the closed-form
+    sum; an independent route to the coefficients `build_family` stores."""
     r_sq = (1 - Fraction(rho)) / Fraction(rho)
     out: Poly = ()
     a = Fraction(1)
@@ -152,15 +145,47 @@ def kravchuk_coeffs(m: int, rho: Fraction, ell: int) -> Poly:
     return out
 
 
-@lru_cache(maxsize=None)
+def _recurrence_coeffs(m: int, rho: Fraction, ell_max: int) -> tuple[Poly, ...]:
+    """K_0..K_ell_max by the three-term recurrence of the generating function
+    (1+z)^(m-x) (1-r^2 z)^x, r^2 = A/B = (1-rho)/rho:
+
+        (l+1) K_{l+1} = (m - (1+r^2)x - (1-r^2)l) K_l - r^2 (m-l+1) K_{l-1}.
+
+    It runs on the integer polynomials H_l = l! B^l K_l, for which
+    H_{l+1} = (mB - (B-A)l - (B+A)x) H_l - A B l (m-l+1) H_{l-1}; each
+    coefficient becomes a Fraction once, by one division by l! B^l.
+    """
+    a, b = rho.denominator - rho.numerator, rho.numerator
+    prev: list[int] = []
+    cur = [1]
+    scale = 1  # l! B^l
+    out = [(Fraction(1),)]
+    for ell in range(ell_max):
+        nxt = [(m * b - (b - a) * ell) * v for v in cur] + [0]
+        for i, v in enumerate(cur):
+            nxt[i + 1] -= (a + b) * v
+        tail = a * b * ell * (m - ell + 1)
+        for i, v in enumerate(prev):
+            nxt[i] -= tail * v
+        prev, cur = cur, nxt
+        scale *= (ell + 1) * b
+        out.append(tuple(Fraction(v, scale) for v in cur))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
 def build_family(m: int, rho: Fraction, ell_max: int) -> KravchukFamily:
+    """K_0..K_ell_max for Bin(m, rho), built by the integer three-term
+    recurrence.  The closed form `kravchuk_coeffs` and `gram_schmidt_family`
+    are the cross-check routes; for m <= 16 orthogonality is asserted on
+    construction."""
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise DomainError("rho must lie in (0, 1)")
     if ell_max > m:
         raise DomainError(f"degree cutoff {ell_max} exceeds m={m}")
     r_sq = (1 - rho) / rho
-    coeffs = tuple(kravchuk_coeffs(m, rho, ell) for ell in range(ell_max + 1))
+    coeffs = _recurrence_coeffs(m, rho, ell_max)
     norms = tuple(math.comb(m, ell) * r_sq**ell for ell in range(ell_max + 1))
     fam = KravchukFamily(m, rho, ell_max, coeffs, norms)
     if m <= 16:
@@ -169,9 +194,12 @@ def build_family(m: int, rho: Fraction, ell_max: int) -> KravchukFamily:
 
 
 def _assert_orthogonality(fam: KravchukFamily):
+    weights = binomial_weights(fam.m, fam.rho)
+    values = [[poly_eval(c, x) for x in range(fam.m + 1)] for c in fam.coeffs]
     for r in range(fam.degree_max + 1):
+        weighted = [w * v for w, v in zip(weights, values[r])]
         for s in range(r, fam.degree_max + 1):
-            ip = inner_product(fam.m, fam.rho, fam.coeffs[r], fam.coeffs[s])
+            ip = sum(w * v for w, v in zip(weighted, values[s]))
             want = fam.norms[r] if r == s else Fraction(0)
             if ip != want:
                 raise IdentityViolationError(
@@ -184,8 +212,7 @@ def gram_schmidt_family(m: int, rho: Fraction, ell_max: int) -> list[Poly]:
     rho = Fraction(rho)
     # Exact binomial moments up to order 2*ell_max.
     mom = [Fraction(0)] * (2 * ell_max + 1)
-    for x in range(m + 1):
-        w = binomial_weight(m, rho, x)
+    for x, w in enumerate(binomial_weights(m, rho)):
         xp = Fraction(1)
         for j in range(2 * ell_max + 1):
             mom[j] += w * xp
@@ -229,7 +256,9 @@ def family_from_json(text: str) -> KravchukFamily:
 def three_term_step(fam: KravchukFamily, ell: int) -> Poly:
     """K_{l+1} from K_l, K_{l-1} via (l+1)K_{l+1} = (m-2x)K_l - (m-l+1)K_{l-1}.
 
-    The recursion in this form is specific to the balanced family.
+    This is the r^2 = 1 case of the general recurrence that `build_family`
+    runs in integers; here it is applied to the stored Fraction
+    coefficients, as a check on them, for the balanced family only.
     """
     if fam.rho != HALF:
         raise DomainError("the stated recursion holds for rho = 1/2 only")
@@ -362,17 +391,29 @@ def _certified_brackets(fam: KravchukFamily, ell: int):
 
 
 def _bisect(ints: list[int], lo: Fraction, hi: Fraction, precision: Fraction) -> Fraction:
-    slo = _sign_at(ints, lo.numerator, lo.denominator)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        sm = _sign_at(ints, mid.numerator, mid.denominator)
+    """Bisect a certified bracket; returns the midpoint of the final bracket
+    (or an exact root hit on the way).
+
+    lo and hi are kept as integer numerators over one shared denominator,
+    which doubles at each step.
+    """
+    den = math.lcm(lo.denominator, hi.denominator)
+    lo_n = lo.numerator * (den // lo.denominator)
+    hi_n = hi.numerator * (den // hi.denominator)
+    precision = Fraction(precision)
+    p_num, p_den = precision.numerator, precision.denominator
+    slo = _sign_at(ints, lo_n, den)
+    while (hi_n - lo_n) * p_den > p_num * den:
+        mid_n = lo_n + hi_n
+        den *= 2
+        sm = _sign_at(ints, mid_n, den)
         if sm == 0:
-            return mid
+            return Fraction(mid_n, den)
         if sm == slo:
-            lo = mid
+            lo_n, hi_n = mid_n, 2 * hi_n
         else:
-            hi = mid
-    return (lo + hi) / 2
+            lo_n, hi_n = 2 * lo_n, mid_n
+    return Fraction(lo_n + hi_n, 2 * den)
 
 
 def isolate_roots(fam: KravchukFamily, ell: int,
@@ -431,9 +472,6 @@ class PrincipalRepresentation:
     def moment(self, j: int) -> Fraction:
         return sum(w * z**j for z, w in zip(self.support, self.masses))
 
-    def cdf(self, z) -> Fraction:
-        return sum(w for zk, w in zip(self.support, self.masses) if zk <= z)
-
 
 def principal_representation(m: int, rho: Fraction, ell: int,
                              precision: Fraction = DEFAULT_ROOT_PRECISION) -> PrincipalRepresentation:
@@ -458,8 +496,6 @@ def interlacing_check(rep: PrincipalRepresentation, profile, atom_slack: Fractio
     representation; the j = 0 and j = ell edges use cumulative 0 and 1.
     Requires the profile moments to match Bin(m, rho) up to order 2*ell-1.
     """
-    from .codes import binomial_moment, profile_moment
-
     if atom_slack is None:
         atom_slack = 4 * DEFAULT_ROOT_PRECISION
     for j in range(rep.order + 1):

@@ -473,6 +473,10 @@ def _improved_curve_value(two_mu: float, kind: str) -> float:
 
 def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
     """Columnar data behind the four figures; returns (header, rows)."""
+    if grid_size < 1:
+        raise DomainError(f"grid size must be at least 1, got {grid_size}")
+    if rho is not None and not 0.0 < rho < 1.0:
+        raise DomainError(f"rho must lie in (0, 1), got {rho}")
     if figure_id == 1:
         header = ["two_mu", "scl", "green", "avg", "best"]
         rows = []

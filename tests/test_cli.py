@@ -165,6 +165,24 @@ def test_curve_figure3_requires_rho(tmp_path, capsys):
     assert header == "rho,two_mu,scl_rho,improved,delta_star,tau_star,gamma_star"
 
 
+@pytest.mark.parametrize("rho", ["0", "1"])
+def test_curve_rho_outside_unit_interval_is_domain_error(tmp_path, capsys, rho):
+    out = tmp_path / "f4.csv"
+    code, _ = run_cli(
+        ["curve", "--figure", "4", "--grid", "5", "--rho", rho, "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_curve_empty_grid_is_domain_error(tmp_path, capsys, grid):
+    out = tmp_path / "f1.csv"
+    code, _ = run_cli(["curve", "--figure", "1", "--grid", grid, "--out", str(out)], capsys)
+    assert code == 2
+    assert not out.exists()
+
+
 def test_verify_all_runs_quickly(capsys):
     import time
 

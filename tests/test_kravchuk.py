@@ -16,6 +16,7 @@ from opilab.kravchuk import (
     interlacing_check,
     isolate_roots,
     kkt_optimum,
+    kravchuk_coeffs,
     largest_root,
     monic_scaled,
     poly_add,
@@ -92,6 +93,58 @@ def test_gram_schmidt_route_agrees():
         monic = gram_schmidt_family(8, rho, 4)
         for ell in range(5):
             assert poly_scale(monic[ell], fam.leading(ell)) == fam.coeffs[ell]
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
+                                 Fraction(5, 6)])
+def test_recurrence_matches_closed_form(rho):
+    # r^2 = A/B = (1-rho)/rho covers A = B, A > B (1/3, 2/5, 3/7) and A < B (5/6).
+    for m in range(17):
+        fam = build_family(m, rho, m)
+        for ell in range(m + 1):
+            assert fam.coeffs[ell] == kravchuk_coeffs(m, rho, ell)
+
+
+def test_recurrence_matches_closed_form_mid_size():
+    rho = Fraction(1, 3)
+    assert build_family(40, rho, 12).coeffs[12] == kravchuk_coeffs(40, rho, 12)
+
+
+def _fraction_bisect(ints, lo, hi, precision):
+    """The bisection on Fraction midpoints that the integer kernel replaced."""
+    from opilab.kravchuk import _sign_at
+
+    slo = _sign_at(ints, lo.numerator, lo.denominator)
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        sm = _sign_at(ints, mid.numerator, mid.denominator)
+        if sm == 0:
+            return mid
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3)])
+def test_integer_bisect_matches_fraction_bisect(monkeypatch, rho):
+    from opilab import kravchuk
+
+    cases = [(m, 3 * m // 10, precision)
+             for m in (10, 20, 30) for precision in (Fraction(1, 10**9), Fraction(1, 10**12))]
+    cases.append((12, 5, Fraction(1, 7)))  # coarse; at rho = 1/2 a midpoint hits the root 6
+    got = []
+    for m, ell, precision in cases:
+        fam = build_family(m, rho, ell)
+        got.append((largest_root(fam, ell, precision), smallest_root(fam, ell, precision),
+                    isolate_roots(fam, ell, precision)))
+    monkeypatch.setattr(kravchuk, "_bisect", _fraction_bisect)
+    for (m, ell, precision), (big, small, roots) in zip(cases, got):
+        fam = build_family(m, rho, ell)
+        assert big == largest_root(fam, ell, precision)
+        assert small == smallest_root(fam, ell, precision)
+        assert roots == isolate_roots(fam, ell, precision)
 
 
 def test_three_term_step_matches_stored():
