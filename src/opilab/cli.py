@@ -138,6 +138,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_leakage(args) -> int:
+    # Weight 0 is the zero codeword's constant 1, not a dual sum.
+    if not 1 <= args.t <= args.m:
+        raise DomainError(f"--t must lie in [1, m] = [1, {args.m}], got {args.t}")
     code = _build_code(args)
     lists = _load_lists(args)
     if lists is None:

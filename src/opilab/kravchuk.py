@@ -346,14 +346,14 @@ def _jacobi_estimates(m: int, rho: Fraction, ell: int) -> list[float]:
     return [float(v) for v in np.linalg.eigvalsh(mat)]
 
 
-def _certified_brackets(fam: KravchukFamily, ell: int):
-    """ell disjoint sign-change brackets inside (0, m), certified exactly.
+def _certified_brackets(fam: KravchukFamily, ell: int, ints: list[int]):
+    """ell disjoint sign-change brackets inside (0, m), certified exactly;
+    ints is the integer-scaled degree-ell member.
 
     Returns a list of (lo, hi, exact_root_or_None); an exact entry means a
     probe point happened to be a root.
     """
     m = fam.m
-    ints = _int_scaled(fam.coeffs[ell])
 
     def cuts_from_points(points: list[Fraction]):
         pts = sorted(set(points))
@@ -416,29 +416,27 @@ def _bisect(ints: list[int], lo: Fraction, hi: Fraction, precision: Fraction) ->
     return Fraction(lo_n + hi_n, 2 * den)
 
 
-def isolate_roots(fam: KravchukFamily, ell: int,
-                  precision: Fraction = DEFAULT_ROOT_PRECISION) -> list[Fraction]:
-    """All ell roots of the degree-ell member, each within +-precision."""
+def _roots(fam: KravchukFamily, ell: int, precision: Fraction, pick: slice) -> list[Fraction]:
+    """The roots of the degree-ell member at positions `pick` of the
+    ascending order, each within +-precision; only those are bisected."""
     if ell < 1 or ell > fam.degree_max:
         raise DomainError("ell out of range for this family")
     ints = _int_scaled(fam.coeffs[ell])
-    brackets = _certified_brackets(fam, ell)
-    if len(brackets) != ell:
-        raise IdentityViolationError(f"found {len(brackets)} brackets, wanted {ell}")
-    roots = []
-    for lo, hi, exact in brackets:
-        roots.append(exact if exact is not None else _bisect(ints, lo, hi, precision))
-    return roots
+    return [
+        exact if exact is not None else _bisect(ints, lo, hi, precision)
+        for lo, hi, exact in _certified_brackets(fam, ell, ints)[pick]
+    ]
+
+
+def isolate_roots(fam: KravchukFamily, ell: int,
+                  precision: Fraction = DEFAULT_ROOT_PRECISION) -> list[Fraction]:
+    """All ell roots of the degree-ell member, each within +-precision."""
+    return _roots(fam, ell, precision, slice(None))
 
 
 def largest_root(fam: KravchukFamily, ell: int,
                  precision: Fraction = DEFAULT_ROOT_PRECISION) -> Fraction:
-    if ell < 1 or ell > fam.degree_max:
-        raise DomainError("ell out of range for this family")
-    ints = _int_scaled(fam.coeffs[ell])
-    brackets = _certified_brackets(fam, ell)
-    lo, hi, exact = brackets[-1]
-    return exact if exact is not None else _bisect(ints, lo, hi, precision)
+    return _roots(fam, ell, precision, slice(-1, None))[0]
 
 
 def smallest_root(fam: KravchukFamily, ell: int,
@@ -446,9 +444,7 @@ def smallest_root(fam: KravchukFamily, ell: int,
     if fam.rho == HALF:
         # K_l(x) = (-1)^l K_l(m-x) pairs the extreme roots.
         return fam.m - largest_root(fam, ell, precision)
-    ints = _int_scaled(fam.coeffs[ell])
-    lo, hi, exact = _certified_brackets(fam, ell)[0]
-    return exact if exact is not None else _bisect(ints, lo, hi, precision)
+    return _roots(fam, ell, precision, slice(0, 1))[0]
 
 
 # ---------- principal representation and interlacing ----------

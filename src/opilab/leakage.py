@@ -17,6 +17,7 @@ import numpy as np
 
 from .codes import InputLists, MdsCode, dual_codewords, enumeration_budget
 from .errors import BudgetExceededError, DomainError
+from .rates import binary_entropy, scan_max
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -211,8 +212,6 @@ def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
         a1 = 4 * mu - 1
         if not 0 < lambda_target <= min(a1, 2 * mu):
             raise DomainError("lambda target outside the feasible region")
-        from .rates import binary_entropy
-
         rate = (
             binary_entropy(2 * mu)
             - a1 * binary_entropy(lambda_target / a1)
@@ -349,8 +348,6 @@ def llr_rate_threshold(m: int = 4096, grid: int = 160) -> float:
     """Rate at which the balanced random-bucket split stops decaying,
     rebuilt from finite-m coverage counts (via log binomials) rather than
     the closed-form exponents."""
-    from .rates import golden_section_max
-
     def exponent(mu: float) -> float:
         n = round(2 * mu * m) // 2 * 2  # even n keeps b = 2n - m even
         b = 2 * n - m
@@ -378,11 +375,7 @@ def llr_rate_threshold(m: int = 4096, grid: int = 160) -> float:
 
         lam_hi = min(b / m, 2 * mu) - 2.0 / m
         lams = [lam_hi * (i + 1) / grid for i in range(grid)]
-        vals = [split_rate(l) for l in lams]
-        i = min(range(len(vals)), key=vals.__getitem__)
-        lo = lams[max(i - 1, 0)]
-        hi = lams[min(i + 1, grid - 1)]
-        _, neg = golden_section_max(lambda l: -split_rate(l), lo, hi, tol=1e-6)
+        _, neg = scan_max(lambda l: -split_rate(l), lams, tol=1e-6)
         return -neg
 
     lo, hi = 0.26, 0.49

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, IdentityViolationError
 
 LOG2 = math.log(2.0)
 LOG_2_OVER_PI = math.log(2.0 / math.pi)
@@ -132,6 +132,51 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
     return x, f(x)
 
 
+def scan_max(f, xs, tol: float = 1e-10):
+    """(x, f(x)) maximizing f: the best of the sorted scan points xs, refined
+    by golden section between its neighbours; the scan point is kept when
+    golden section ends below it.  Minimizers pass -f."""
+    best_i, best_v = 0, f(xs[0])
+    for i in range(1, len(xs)):
+        v = f(xs[i])
+        if v > best_v:
+            best_i, best_v = i, v
+    x, v = golden_section_max(f, xs[max(best_i - 1, 0)], xs[min(best_i + 1, len(xs) - 1)], tol)
+    if v < best_v:
+        return xs[best_i], best_v
+    return x, v
+
+
+def scan_first_true(pred, xs, tol: float):
+    """Bracket (a, b), b - a <= tol, where pred turns True on the sorted scan
+    points xs: pred(a) is False and pred(b) True.  (xs[0], xs[0]) when pred
+    already holds at xs[0]; None when it holds nowhere.
+
+    pred must be a single False -> True step on the scan; a later flip back
+    to False raises IdentityViolationError.
+    """
+    flags = [pred(x) for x in xs]
+    if not any(flags):
+        return None
+    first = flags.index(True)
+    if not all(flags[first:]):
+        k = flags.index(False, first)
+        raise IdentityViolationError(
+            f"predicate turns False again at scan index {k} (x={xs[k]!r}) "
+            f"after turning True at index {first}"
+        )
+    if first == 0:
+        return xs[0], xs[0]
+    a, b = xs[first - 1], xs[first]
+    while b - a > tol:
+        mid = (a + b) / 2.0
+        if pred(mid):
+            b = mid
+        else:
+            a = mid
+    return a, b
+
+
 def pair_count_exponent_biased(mu: float, delta: float, tau: float, rho: float):
     """Exponential rate of the weighted pair count for general list density.
 
@@ -170,18 +215,9 @@ def pair_count_exponent_biased(mu: float, delta: float, tau: float, rho: float):
         return base + objective(gamma_lo), gamma_lo, True
 
     grid = 256
-    best_i, best_v = 0, objective(gamma_lo)
-    for i in range(1, grid + 1):
-        g = gamma_lo + (gamma_hi - gamma_lo) * i / grid
-        v = objective(g)
-        if v > best_v:
-            best_i, best_v = i, v
-    lo = gamma_lo + (gamma_hi - gamma_lo) * max(best_i - 1, 0) / grid
-    hi = gamma_lo + (gamma_hi - gamma_lo) * min(best_i + 1, grid) / grid
-    g_star, v_star = golden_section_max(objective, lo, hi)
-    if v_star < best_v:
-        g_star = gamma_lo + (gamma_hi - gamma_lo) * best_i / grid
-        v_star = best_v
+    g_star, v_star = scan_max(
+        objective, [gamma_lo + (gamma_hi - gamma_lo) * i / grid for i in range(grid + 1)]
+    )
     at_end = abs(g_star - gamma_lo) < 1e-9 or abs(g_star - gamma_hi) < 1e-9
     return base + v_star, g_star, at_end
 
@@ -223,17 +259,16 @@ def _total_exponent(mu: float, delta: float, rho: float, kind: str) -> float:
     raise DomainError(f"unknown bound kind {kind!r}")
 
 
-def feasible(mu: float, delta: float, rho: float, bound_kind: str,
-             margin: float = FEAS_MARGIN) -> bool:
+def feasible(mu: float, delta: float, rho: float, bound_kind: str) -> bool:
     """True iff the exponent sum for the given bound sits strictly below
-    -margin, i.e. the correction terms decay exponentially."""
+    -FEAS_MARGIN, i.e. the correction terms decay exponentially."""
     if bound_kind not in BOUND_KINDS:
         raise DomainError(f"unknown bound kind {bound_kind!r}")
     if bound_kind != "biased" and abs(rho - 0.5) > 1e-12:
         raise DomainError(f"bound kind {bound_kind!r} is for rho = 1/2")
     if delta < -_EDGE_EPS or delta > delta_cap(mu, rho, bound_kind) + _EDGE_EPS:
         raise DomainError(f"delta={delta} outside [0, cap]")
-    return _total_exponent(mu, max(delta, 0.0), rho, bound_kind) < -margin
+    return _total_exponent(mu, max(delta, 0.0), rho, bound_kind) < -FEAS_MARGIN
 
 
 def delta_cap(mu: float, rho: float, bound_kind: str) -> float:
@@ -241,43 +276,28 @@ def delta_cap(mu: float, rho: float, bound_kind: str) -> float:
     return max(cap, 0.0)
 
 
-def delta_max(mu: float, rho: float, bound_kind: str, scan: int = 256,
-              tol: float = 1e-6) -> float:
-    """Largest feasible delta in [0, cap]; 0 when no positive delta works.
+def delta_max(mu: float, rho: float, bound_kind: str) -> float:
+    """Largest feasible delta in [0, cap], to 1e-6; 0 when no positive delta
+    works.
 
-    Feasibility must form a prefix interval in delta on the scan grid (the
+    Feasibility must form a prefix interval in delta on a 256-step scan (the
     pair-count exponent increases with delta); any violation aborts.
     """
     cap = delta_cap(mu, rho, bound_kind)
     if cap <= 0.0:
         return 0.0
-    flags = [feasible(mu, cap * i / scan, rho, bound_kind) for i in range(scan + 1)]
-    if not flags[0]:
-        if any(flags):
-            raise _scan_violation(mu, rho, bound_kind, flags)
-        return 0.0
-    if all(flags):
-        return cap
-    first_bad = flags.index(False)
-    if any(flags[first_bad:]):
-        raise _scan_violation(mu, rho, bound_kind, flags)
-    lo = cap * (first_bad - 1) / scan
-    hi = cap * first_bad / scan
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if feasible(mu, mid, rho, bound_kind):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _scan_violation(mu, rho, kind, flags):
-    from .errors import IdentityViolationError
-
-    return IdentityViolationError(
-        f"feasibility is not an interval in delta at mu={mu} rho={rho} kind={kind}: {flags}"
-    )
+    scan = 256
+    try:
+        bracket = scan_first_true(
+            lambda d: not feasible(mu, d, rho, bound_kind),
+            [cap * i / scan for i in range(scan + 1)], 1e-6,
+        )
+    except IdentityViolationError as exc:
+        raise IdentityViolationError(
+            f"feasibility is not an interval in delta at mu={mu} rho={rho} "
+            f"kind={bound_kind}: {exc}"
+        ) from exc
+    return cap if bracket is None else bracket[0]
 
 
 @dataclass(frozen=True)
@@ -296,42 +316,14 @@ def _mu_cap(rho: float, bound_kind: str) -> float:
     return 0.5
 
 
-def _bisect_threshold(pred, lo: float, hi: float, tol: float) -> float | None:
-    """Smallest point where pred flips to True on [lo, hi]; None if never.
-
-    Asserts a single False->True transition on a coarse scan first.
-    """
-    grid = 128
-    flags = [pred(lo + (hi - lo) * i / grid) for i in range(grid + 1)]
-    if not any(flags):
-        return None
-    first = flags.index(True)
-    if not all(flags[first:]):
-        from .errors import IdentityViolationError
-
-        raise IdentityViolationError("threshold predicate is not monotone in mu")
-    if first == 0:
-        return lo
-    a = lo + (hi - lo) * (first - 1) / grid
-    b = lo + (hi - lo) * first / grid
-    while b - a > tol:
-        mid = (a + b) / 2.0
-        if pred(mid):
-            b = mid
-        else:
-            a = mid
-    return b
-
-
-def thresholds(rho: float, bound_kind: str, tol: float = 1e-4) -> ThresholdResult:
+def thresholds(rho: float, bound_kind: str) -> ThresholdResult:
     """Improvement threshold (smallest rate with a feasible delta > 0) and
     saturation threshold (smallest rate feasible at delta = cap), as rates
-    2*mu, each located by bisection."""
+    2*mu, each located to 1e-4 by bisection after a 128-step scan."""
     if bound_kind not in BOUND_KINDS:
         raise DomainError(f"unknown bound kind {bound_kind!r}")
-    mu_hi = _mu_cap(rho, bound_kind)
-    if mu_hi <= 0.0:
-        return ThresholdResult(bound_kind, rho, None, None, {}, "no finite threshold")
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho={rho} outside (0, 1)")
 
     def pred0(mu: float) -> bool:
         return feasible(mu, 0.0, rho, bound_kind)
@@ -339,10 +331,16 @@ def thresholds(rho: float, bound_kind: str, tol: float = 1e-4) -> ThresholdResul
     def pred1(mu: float) -> bool:
         return feasible(mu, delta_cap(mu, rho, bound_kind), rho, bound_kind)
 
+    grid = 128
     lo = 1e-6
-    hi = mu_hi - 1e-6  # stay off the degenerate mu = cap endpoint
-    mu0 = _bisect_threshold(pred0, lo, hi, tol / 2.0)
-    mu1 = _bisect_threshold(pred1, lo, hi, tol / 2.0)
+    hi = _mu_cap(rho, bound_kind) - 1e-6  # stay off the degenerate mu = cap endpoint
+    mus = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
+
+    def threshold(pred) -> float | None:
+        bracket = scan_first_true(pred, mus, 5e-5)
+        return None if bracket is None else bracket[1]
+
+    mu0, mu1 = threshold(pred0), threshold(pred1)
     if mu0 is None and mu1 is None:
         return ThresholdResult(bound_kind, rho, None, None, {}, "no finite threshold")
     witness = {}
@@ -394,12 +392,10 @@ def f_bar(rho: float) -> float:
     return sinc ** (2.0 * (4.0 * mb - 1.0)) * tau_derivative_factor(rho, x_cap(rho, mb))
 
 
-def f_bar_max(lo: float = 0.5, hi: float = 0.67, scan: int = 512):
-    """(rho_star, f_bar(rho_star)) over [lo, hi]."""
-    best_i = max(range(scan + 1), key=lambda i: f_bar(lo + (hi - lo) * i / scan))
-    a = lo + (hi - lo) * max(best_i - 1, 0) / scan
-    b = lo + (hi - lo) * min(best_i + 1, scan) / scan
-    return golden_section_max(f_bar, a, b)
+def f_bar_max():
+    """(rho_star, f_bar(rho_star)) over [0.5, 0.67]."""
+    lo, hi, scan = 0.5, 0.67, 512
+    return scan_max(f_bar, [lo + (hi - lo) * i / scan for i in range(scan + 1)])
 
 
 def tau_star_analysis(rho: float, grid: int = 400) -> dict:
@@ -423,7 +419,7 @@ def tau_star_analysis(rho: float, grid: int = 400) -> dict:
     return report
 
 
-def improvement_possible(rho: float, scan: int = 400, margin: float = FEAS_MARGIN) -> bool:
+def improvement_possible(rho: float) -> bool:
     """Whether the biased bound admits any mu with a feasible delta > 0.
 
     At delta = 0 the inner maximization is pinned at gamma = 0, so the
@@ -435,18 +431,15 @@ def improvement_possible(rho: float, scan: int = 400, margin: float = FEAS_MARGI
         value, _, _ = pair_count_exponent_biased(mu, 0.0, 0.0, rho)
         return value + dual_sum_exponent_biased(mu, 0.0, rho)
 
+    scan = 400
     mus = [mu_hi * (i + 1) / (scan + 2) for i in range(scan + 1)]
-    vals = [expo(mu) for mu in mus]
-    i = min(range(len(vals)), key=vals.__getitem__)
-    lo = mus[max(i - 1, 0)]
-    hi = mus[min(i + 1, len(mus) - 1)]
-    _, neg = golden_section_max(lambda mu: -expo(mu), lo, hi)
-    return min(vals[i], -neg) < -margin
+    _, neg = scan_max(lambda mu: -expo(mu), mus)
+    return -neg < -FEAS_MARGIN
 
 
-def improvement_density_boundary(tol: float = 5e-4) -> float:
+def improvement_density_boundary() -> float:
     """Largest list density at which the biased bound still improves on the
-    baseline curve, located by bisection of improvement_possible."""
+    baseline curve, located to 5e-4 by bisection of improvement_possible."""
     lo, hi = 0.5, 0.9
     if not improvement_possible(lo):
         raise DomainError("no improvement even at rho = 1/2")
@@ -454,7 +447,7 @@ def improvement_density_boundary(tol: float = 5e-4) -> float:
         hi += 0.05
         if hi >= 0.99:
             raise DomainError("improvement persists to rho ~ 1")
-    while hi - lo > tol:
+    while hi - lo > 5e-4:
         mid = (lo + hi) / 2.0
         if improvement_possible(mid):
             lo = mid
@@ -538,7 +531,7 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
     raise DomainError(f"unknown figure id {figure_id}")
 
 
-def _tau_argmax(mu: float, delta: float, rho: float, scan: int = 64) -> float:
+def _tau_argmax(mu: float, delta: float, rho: float) -> float:
     def total(tau: float) -> float:
         value, _, _ = pair_count_exponent_biased(mu, delta, tau, rho)
         return value + dual_sum_exponent_biased(mu, tau, rho)
@@ -546,12 +539,6 @@ def _tau_argmax(mu: float, delta: float, rho: float, scan: int = 64) -> float:
     hi = min(delta, (1.0 - 2.0 * mu) / 2.0 - 1e-9)
     if hi <= 0.0:
         return 0.0
-    taus = [hi * i / scan for i in range(scan + 1)]
-    vals = [total(t) for t in taus]
-    i = max(range(len(vals)), key=vals.__getitem__)
-    if i == 0:
-        return 0.0
-    lo = taus[max(i - 1, 0)]
-    up = taus[min(i + 1, scan)]
-    t_star, _ = golden_section_max(total, lo, up)
+    scan = 64
+    t_star, _ = scan_max(total, [hi * i / scan for i in range(scan + 1)])
     return t_star

@@ -152,6 +152,21 @@ def test_leakage_below_dual_distance(capsys):
     assert obj["lhs_abs"] < 1e-9 and obj["bound"] == 0.0
 
 
+@pytest.mark.parametrize("t", ["0", "-1", "9", "20"])
+def test_leakage_weight_outside_one_to_m_is_domain_error(capsys, t):
+    code, out = run_cli(
+        ["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", t], capsys
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_thresholds_rho_outside_unit_interval_is_domain_error(capsys):
+    code, out = run_cli(["thresholds", "--rho", "1.5", "--bound", "biased"], capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_curve_figure3_requires_rho(tmp_path, capsys):
     code, _ = run_cli(["curve", "--figure", "3", "--grid", "5"], capsys)
     assert code == 2

@@ -159,6 +159,15 @@ def test_three_term_step_rejects_general_rho():
         three_term_step(fam, 1)
 
 
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3)])
+@pytest.mark.parametrize("root_fn", [largest_root, smallest_root, isolate_roots])
+@pytest.mark.parametrize("ell", [0, 4, -1])
+def test_root_degree_out_of_range_is_domain_error(rho, root_fn, ell):
+    fam = build_family(9, rho, 3)
+    with pytest.raises(DomainError):
+        root_fn(fam, ell)
+
+
 def test_reflection_symmetry():
     # K_l(x) - (-1)^l K_l(m-x) vanishes identically for rho = 1/2.
     m = 8

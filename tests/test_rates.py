@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from opilab.errors import DomainError
+from opilab.errors import DomainError, IdentityViolationError
 from opilab.rates import (
     FEAS_MARGIN,
     binary_entropy,
@@ -21,6 +21,8 @@ from opilab.rates import (
     lambda_star,
     pair_count_exponent,
     pair_count_exponent_biased,
+    scan_first_true,
+    scan_max,
     semicircle_law,
     stationarity_residual,
     tau_derivative_factor,
@@ -204,6 +206,54 @@ def test_thresholds_avg():
 def test_thresholds_green():
     res = thresholds(0.5, "green")
     assert res.two_mu1 == pytest.approx(0.78, abs=1e-3)
+
+
+@pytest.mark.parametrize("rho, kind, two_mu0, two_mu1", [
+    (0.5, "green", 0.7003776164550781, 0.7795398974609375),
+    (0.5, "avg", 0.6264033029785155, 0.7525014313964844),
+    (0.5, "best", 0.6223749987792969, 0.7495107207031251),
+    (0.6, "biased", 0.6473620444335939, 0.7462873310546876),
+])
+def test_thresholds_exact_values(rho, kind, two_mu0, two_mu1):
+    # bit-for-bit the values of the hand-written scan-and-bisect loops that
+    # scan_first_true replaced
+    res = thresholds(rho, kind)
+    assert res.two_mu0 == two_mu0
+    assert res.two_mu1 == two_mu1
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_thresholds_rho_outside_unit_interval(rho):
+    with pytest.raises(DomainError):
+        thresholds(rho, "biased")
+
+
+def test_scan_max_concave_matches_closed_form():
+    xs = [i / 16 for i in range(17)]
+    x, v = scan_max(lambda t: -(t - 0.3137) ** 2, xs, tol=1e-10)
+    assert x == pytest.approx(0.3137, abs=1e-10)
+    assert v == -(x - 0.3137) ** 2
+
+
+def test_scan_max_keeps_left_endpoint_of_decreasing_f():
+    xs = [0.25 * i / 64 for i in range(65)]
+    x, v = scan_max(lambda t: -t, xs)
+    assert x == xs[0]
+    assert v == 0.0
+
+
+def test_scan_first_true_edges():
+    xs = [i / 8 for i in range(9)]
+    assert scan_first_true(lambda x: False, xs, 1e-6) is None
+    assert scan_first_true(lambda x: x >= -1.0, xs, 1e-6) == (xs[0], xs[0])
+    a, b = scan_first_true(lambda x: x > 0.3, xs, 1e-9)
+    assert a <= 0.3 < b and b - a <= 1e-9
+
+
+def test_scan_first_true_rejects_a_flip_back():
+    xs = [i / 8 for i in range(9)]
+    with pytest.raises(IdentityViolationError, match="scan index 5"):
+        scan_first_true(lambda x: 0.2 < x < 0.6, xs, 1e-6)
 
 
 def test_threshold_result_invariants():
