@@ -20,7 +20,7 @@ from .errors import BudgetExceededError, DomainError, IdentityViolationError
 
 
 def _emit_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if out:
         Path(out).write_text(text)
@@ -37,6 +37,15 @@ def _load_lists(args) -> codes.InputLists | None:
     if getattr(args, "lists", None):
         return codes.lists_from_json(Path(args.lists).read_text())
     return None
+
+
+def _list_size(args) -> int:
+    """--size for random list draws, p // 2 (at least 1) when not given."""
+    if args.size is None:
+        return max(1, args.p // 2)
+    if not 1 <= args.size <= args.p - 1:
+        raise DomainError(f"--size must lie in [1, p-1] = [1, {args.p - 1}], got {args.size}")
+    return args.size
 
 
 def _build_code(args) -> codes.MdsCode:
@@ -88,15 +97,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.search < 0:
+        raise DomainError(f"--search must be at least 0, got {args.search}")
     code = _build_code(args)
+    size = _list_size(args)
     lists = _load_lists(args)
     if args.search:
         worst = None
         for trial in range(args.search):
-            trial_lists = codes.random_lists(
-                args.p, args.m, args.size or max(1, args.p // 2),
-                args.seed * 1_000_003 + trial,
-            )
+            trial_lists = codes.random_lists(args.p, args.m, size,
+                                             args.seed * 1_000_003 + trial)
             prof = codes.brute_force_opi(code, trial_lists, args.budget)
             if worst is None or prof.s_max < worst[0]:
                 worst = (prof.s_max, trial, trial_lists)
@@ -142,12 +152,14 @@ def cmd_leakage(args) -> int:
     if not 1 <= args.t <= args.m:
         raise DomainError(f"--t must lie in [1, m] = [1, {args.m}], got {args.t}")
     code = _build_code(args)
+    size = _list_size(args)
     lists = _load_lists(args)
     if lists is None:
-        lists = codes.random_lists(args.p, args.m, args.size or max(1, args.p // 2),
-                                   args.seed)
+        lists = codes.random_lists(args.p, args.m, size, args.seed)
     if lists.p != args.p or lists.m != args.m:
         raise DomainError("lists file does not match --p/--m")
+    if lists.rho == 1:
+        raise DomainError("the split bound needs list density below 1")
     fam = leakage.make_buckets(args.buckets, args.m, args.n,
                                lambda_target=args.lambda_target, seed=args.seed,
                                eps=args.eps, budget=args.budget)
@@ -155,38 +167,28 @@ def cmd_leakage(args) -> int:
 
     eq = expected_discrepancy_fourier(code, lists, args.budget)
     t = args.t
-    if t < code.d_perp:
-        lhs = abs(eq[t])
-        _emit_json(
-            {
-                "p": args.p, "m": args.m, "n": args.n, "t": t,
-                "lhs_abs": lhs,
-                "bound": 0.0,
-                "ratio": 0.0 if lhs < 1e-12 else float("inf"),
-                "note": "below the dual distance the dual sum is exactly zero",
-                "bucket_kind": args.buckets,
-                "lambda": fam.lambda_target,
-                "J": fam.J,
-                "certified": fam.certification.get("mode", "analytic"),
-            },
-            args.out,
-        )
-        return 0 if lhs < 1e-9 else 1
-    bound = leakage.bucket_split_bound(code, lists, fam, t)
     lhs = abs(eq[t])
-    _emit_json(
-        {
-            "p": args.p, "m": args.m, "n": args.n, "t": t,
-            "lhs_abs": lhs,
-            "bound": bound,
-            "ratio": lhs / bound if bound else float("inf"),
-            "bucket_kind": args.buckets,
-            "lambda": fam.lambda_target,
-            "J": fam.J,
-            "certified": fam.certification.get("mode", "analytic"),
-        },
-        args.out,
-    )
+    report = {
+        "p": args.p, "m": args.m, "n": args.n, "t": t,
+        "lhs_abs": lhs,
+        "bucket_kind": args.buckets,
+        "lambda": fam.lambda_target,
+        "J": fam.J,
+        "certified": fam.certification.get("mode", "analytic"),
+    }
+    if t < code.d_perp:
+        if lhs >= 1e-9:
+            raise IdentityViolationError(
+                f"dual sum {lhs} at weight {t} is nonzero below the dual distance "
+                f"{code.d_perp}",
+                instance=codes.lists_to_json(lists),
+            )
+        report.update(bound=0.0, ratio=0.0,
+                      note="below the dual distance the dual sum is exactly zero")
+    else:
+        bound = leakage.bucket_split_bound(code, lists, fam, t)
+        report.update(bound=bound, ratio=lhs / bound)
+    _emit_json(report, args.out)
     return 0
 
 

@@ -296,16 +296,45 @@ def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction,
 
 
 def weighted_triple_count(k: int, kp: int, s: int, m: int, rho: Fraction) -> QuadExt:
-    """(k+1) N(k+1,k';s) + beta k N(k,k';s) + (m-k+1) N(k-1,k';s); the k-1
-    term is vacuous at k = 0."""
+    """(k+1) N(k+1,k';s) + beta k N(k,k';s) + (m-k+1) N(k-1,k';s)."""
     if not 0 <= k < m:
         raise DomainError("need 0 <= k < m")
     beta = beta_of(rho)
-    acc = _pair_count(k + 1, kp, s, m, beta) * Fraction(k + 1)
-    acc = acc + beta * _pair_count(k, kp, s, m, beta) * Fraction(k)
-    if k >= 1:
-        acc = acc + _pair_count(k - 1, kp, s, m, beta) * Fraction(m - k + 1)
-    return acc
+    return _triple_count(k, m, beta, lambda j: _pair_count(j, kp, s, m, beta))
+
+
+def _triple_count(k: int, m: int, beta: QuadExt, pair) -> QuadExt:
+    """The triple count from pair(j) = N(j,k';s); pair(-1) is zero, so the
+    k-1 term is vacuous at k = 0."""
+    return (pair(k + 1) * Fraction(k + 1) + beta * pair(k) * Fraction(k)
+            + pair(k - 1) * Fraction(m - k + 1))
+
+
+def _window_counts(m: int, rho: Fraction, window: range, t_hi: int):
+    """N(k,k';t) for k in the window widened by one on each side, k' in the
+    window and t <= t_hi, each computed once, and the triple counts of the
+    window pairs built from them; both keyed by (k, k', t)."""
+    beta = beta_of(rho)
+    if window[0] < 0 or window[-1] >= m:
+        raise DomainError("need 0 <= k < m")
+    ts = range(t_hi + 1)
+    pairs = {
+        (k, kp, t): _pair_count(k, kp, t, m, beta)
+        for k in range(window[0] - 1, window[-1] + 2) for kp in window for t in ts
+    }
+    triples = {
+        (k, kp, t): _triple_count(k, m, beta, lambda j: pairs[j, kp, t])
+        for k in window for kp in window for t in ts
+    }
+    return pairs, triples
+
+
+def _to_mp(qe: QuadExt, r_f):
+    """a + b r as an mpmath float, given r as one."""
+    return (
+        mpmath.mpf(qe.a.numerator) / qe.a.denominator
+        + (mpmath.mpf(qe.b.numerator) / qe.b.denominator) * r_f
+    )
 
 
 # ---------- the sampled-satisfaction expansion ----------
@@ -353,22 +382,6 @@ def make_sampler(ell: int, sigma: int | None = None, weight_mode: str = "canonic
     return SamplerSpec(ell, sigma, weight_mode, rational_weights)
 
 
-def _window_tables(m: int, rho: Fraction, spec: SamplerSpec, u: dict):
-    """T0[t] = sum u_k u_k' N(k,k';t) and T1[t] likewise with the triple
-    count, over the weight window."""
-    beta = beta_of(rho)
-    t_hi = min(m, 2 * spec.ell + 1)
-    T0 = [QuadExt.of(0, 0, beta.r_sq) for _ in range(m + 1)]
-    T1 = [QuadExt.of(0, 0, beta.r_sq) for _ in range(m + 1)]
-    for k in spec.window:
-        for kp in spec.window:
-            w = u[k] * u[kp]
-            for t in range(t_hi + 1):
-                T0[t] = T0[t] + _pair_count(k, kp, t, m, beta) * w
-                T1[t] = T1[t] + weighted_triple_count(k, kp, t, m, rho) * w
-    return T0, T1
-
-
 def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: SamplerSpec,
                                   profile: SatisfactionProfile | None = None,
                                   budget: int | None = None,
@@ -376,7 +389,9 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
     """E[s] under the squared-window-combination sampler, computed two ways.
 
     Route one enumerates solutions directly; route two expands through the
-    weighted counts and the uniform expected discrepancies.  Agreement is
+    weighted counts and the uniform expected discrepancies.  Both modes run
+    the same routes: rational_test in Q(r) with its rational weights, and
+    canonical in mpmath floats with weights C(m,k)^(-1/2).  Agreement is
     exact (cross-multiplied in Q(r)) in rational_test mode and 1e-9
     relative in canonical mode.
     """
@@ -386,87 +401,67 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
     if spec.ell >= m:
         raise DomainError("window cutoff must stay below the code length")
     exact_eq = expected_discrepancy_all(code, lists, profile, budget)
-
-    if spec.weight_mode == "rational_test":
-        u = {k: spec.rational_weights[i] for i, k in enumerate(spec.window)}
-        wvals = [
-            sum(
-                (discrepancy_from_count(m, rho, s, k) * u[k] for k in spec.window),
-                zero(rho),
-            )
-            for s in range(m + 1)
-        ]
-        direct_num = zero(rho)
-        direct_den = zero(rho)
-        for s, cnt in enumerate(profile.histogram):
-            if cnt:
-                sq = wvals[s] * wvals[s] * Fraction(cnt)
-                direct_num = direct_num + sq * Fraction(s, m)
-                direct_den = direct_den + sq
-        T0, T1 = _window_tables(m, rho, spec, u)
-        exp_den = sum((exact_eq[t] * T0[t] for t in range(m + 1)), zero(rho))
-        exp_num1 = sum((exact_eq[t] * T1[t] for t in range(m + 1)), zero(rho))
-        exp_snum = rho * exp_den + sqrt_rho_one_minus_rho(rho) * exp_num1 * Fraction(1, m)
-        total = Fraction(profile.total)
-        # real_equals: exact, and tolerant of the non-unique representation
-        # when r_sq happens to be a rational square (exactly balanced lists)
-        if not direct_num.real_equals(exp_snum * total) or not direct_den.real_equals(
-            exp_den * total
-        ):
-            raise IdentityViolationError(
-                "direct and expanded sampled satisfaction disagree",
-                instance=lists_to_json(lists),
-            )
-        value = direct_num.to_float() / direct_den.to_float()
-        return {
-            "value": value,
-            "mode": "rational_test",
-            "exact_pair": (direct_num, direct_den),
-            "max_rel_residual": 0.0,
-        }
+    t_hi = min(m, 2 * spec.ell + 1)
+    pairs, triples = _window_counts(m, rho, spec.window, t_hi)
+    exact = spec.weight_mode == "rational_test"
 
     with mpmath.workdps(precision_digits):
         rho_f = mpmath.mpf(rho.numerator) / rho.denominator
-        sq = mpmath.sqrt(rho_f * (1 - rho_f))
         r_f = mpmath.sqrt((1 - rho_f) / rho_f)
 
-        def to_mp(qe: QuadExt):
-            return (
-                mpmath.mpf(qe.a.numerator) / qe.a.denominator
-                + (mpmath.mpf(qe.b.numerator) / qe.b.denominator) * r_f
-            )
+        def conv(qe: QuadExt):
+            return qe if exact else _to_mp(qe, r_f)
 
-        u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in spec.window}
+        if exact:
+            u = dict(zip(spec.window, spec.rational_weights))
+            rho_v, sq, zero_v = rho, sqrt_rho_one_minus_rho(rho), zero(rho)
+        else:
+            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in spec.window}
+            rho_v, sq, zero_v = rho_f, mpmath.sqrt(rho_f * (1 - rho_f)), mpmath.mpf(0)
         wvals = [
-            sum(to_mp(discrepancy_from_count(m, rho, s, k)) * u[k] for k in spec.window)
+            sum((conv(discrepancy_from_count(m, rho, s, k)) * u[k] for k in spec.window),
+                zero_v)
             for s in range(m + 1)
         ]
-        direct_num = mpmath.mpf(0)
-        direct_den = mpmath.mpf(0)
+        direct_num = direct_den = zero_v
         for s, cnt in enumerate(profile.histogram):
             if cnt:
                 term = wvals[s] ** 2 * cnt
-                direct_num += term * mpmath.mpf(s) / m
+                direct_num += term * s / m
                 direct_den += term
-        eq_mp = [to_mp(v) for v in exact_eq]
-        t_hi = min(m, 2 * spec.ell + 1)
-        beta = beta_of(rho)
-        exp_den = mpmath.mpf(0)
-        exp_num1 = mpmath.mpf(0)
+        exp_den = exp_num1 = zero_v
+        # t outer, k and k' inner: canonical residuals depend on this order
         for t in range(t_hi + 1):
-            if not eq_mp[t]:
+            if exact_eq[t].is_zero():
                 continue
-            T0 = mpmath.mpf(0)
-            T1 = mpmath.mpf(0)
+            T0 = T1 = zero_v
             for k in spec.window:
                 for kp in spec.window:
                     w = u[k] * u[kp]
-                    T0 += to_mp(_pair_count(k, kp, t, m, beta)) * w
-                    T1 += to_mp(weighted_triple_count(k, kp, t, m, rho)) * w
-            exp_den += eq_mp[t] * T0
-            exp_num1 += eq_mp[t] * T1
-        exp_snum = rho_f * exp_den + sq * exp_num1 / m
+                    T0 += conv(pairs[k, kp, t]) * w
+                    T1 += conv(triples[k, kp, t]) * w
+            eq_t = conv(exact_eq[t])
+            exp_den += eq_t * T0
+            exp_num1 += eq_t * T1
+        exp_snum = rho_v * exp_den + sq * exp_num1 / m
         total = profile.total
+
+        if exact:
+            # real_equals: exact, and tolerant of the non-unique representation
+            # when r_sq happens to be a rational square (exactly balanced lists)
+            if not direct_num.real_equals(exp_snum * total) or not direct_den.real_equals(
+                exp_den * total
+            ):
+                raise IdentityViolationError(
+                    "direct and expanded sampled satisfaction disagree",
+                    instance=lists_to_json(lists),
+                )
+            return {
+                "value": direct_num.to_float() / direct_den.to_float(),
+                "mode": "rational_test",
+                "exact_pair": (direct_num, direct_den),
+                "max_rel_residual": 0.0,
+            }
         res1 = abs(direct_num / total - exp_snum) / max(1, abs(exp_snum))
         res2 = abs(direct_den / total - exp_den) / max(1, abs(exp_den))
         residual = float(max(res1, res2))
@@ -510,12 +505,12 @@ def leading_term_sums(m: int, ell: int, sigma: int, rho: Fraction,
     if not 0 <= sigma <= ell <= m:
         raise DomainError("need 0 <= sigma <= ell <= m")
     rho = Fraction(rho)
-    beta = beta_of(rho)
     window = range(ell - sigma, ell + 1)
+    pairs, triples = _window_counts(m, rho, window, 0)
     den = Fraction(0)
     for k in window:
         for kp in window:
-            n0 = _pair_count(k, kp, 0, m, beta)
+            n0 = pairs[k, kp, 0]
             if k == kp:
                 if n0.b != 0:
                     raise IdentityViolationError("diagonal weight-zero count left Q")
@@ -523,18 +518,15 @@ def leading_term_sums(m: int, ell: int, sigma: int, rho: Fraction,
             elif not n0.is_zero():
                 raise IdentityViolationError("off-diagonal weight-zero count nonzero")
     with mpmath.workdps(precision_digits):
-        r_f = mpmath.sqrt(mpmath.mpf(beta.r_sq.numerator) / beta.r_sq.denominator)
+        r_sq = (1 - rho) / rho
+        r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
         num = mpmath.mpf(0)
         for k in window:
             for kp in window:
-                n1 = weighted_triple_count(k, kp, 0, m, rho)
-                if n1.is_zero():
-                    continue
-                val = (
-                    mpmath.mpf(n1.a.numerator) / n1.a.denominator
-                    + (mpmath.mpf(n1.b.numerator) / n1.b.denominator) * r_f
-                )
-                num += val / mpmath.sqrt(mpmath.binomial(m, k) * mpmath.binomial(m, kp))
+                n1 = triples[k, kp, 0]
+                if not n1.is_zero():
+                    num += _to_mp(n1, r_f) / mpmath.sqrt(
+                        mpmath.binomial(m, k) * mpmath.binomial(m, kp))
         return den, num
 
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from . import codes, discrepancy, kravchuk, leakage
-from .errors import OpilabError
+from .errors import IdentityViolationError
 
 SUITES = ("kravchuk", "moments", "discrepancy", "fourier", "leakage", "all")
 
@@ -25,17 +25,18 @@ def _record(identity, instance, mode, residual, ok):
         "identity": identity,
         "instance": instance,
         "mode": mode,
-        "max_abs_residual": float(residual),
+        "max_abs_residual": None if residual is None else float(residual),
         "status": "pass" if ok else "fail",
     }
 
 
 def _guard(records, identity, instance, mode, fn):
-    """Run fn() -> (residual, ok); identity violations become failures."""
+    """Run fn() -> (residual, ok); identity violations become failures with
+    no residual.  Domain and budget errors propagate."""
     try:
         residual, ok = fn()
-    except OpilabError as exc:
-        records.append(_record(identity, instance, mode, math.inf, False))
+    except IdentityViolationError as exc:
+        records.append(_record(identity, instance, mode, None, False))
         records[-1]["error"] = str(exc)
         return
     records.append(_record(identity, instance, mode, residual, ok))
@@ -278,7 +279,7 @@ def suite_leakage(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
                     worst = 0.0
                     for t in range(code.d_perp, m + 1):
                         bound = leakage.bucket_split_bound(code, lists, fam, t)
-                        worst = max(worst, abs(eq[t]) / bound if bound else math.inf)
+                        worst = max(worst, abs(eq[t]) / bound)
                     return worst, worst <= 1.0 + 1e-9
 
                 _guard(records, "bucket_split_bound_dominates", desc, "float", split)

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from opilab import verify
 from opilab.cli import main
+from opilab.errors import IdentityViolationError
 
 
 def run_cli(args, capsys):
@@ -244,3 +247,60 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["two_mu1"] == pytest.approx(0.7526, abs=5e-4)
+
+
+def test_verify_budget_limit_is_usage_error(monkeypatch, capsys):
+    # the split-bound checks enumerate p^(m-n) = 121 dual codewords
+    monkeypatch.setenv("OPILAB_BUDGET", "120")
+    code = main(["verify", "--suite", "leakage"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exceeds budget" in captured.err
+
+
+def test_verify_identity_violation_record_has_null_residual():
+    def disagree():
+        raise IdentityViolationError("routes disagree")
+
+    records = []
+    verify._guard(records, "some_identity", {"m": 6}, "exact", disagree)
+    assert records == [{"identity": "some_identity", "instance": {"m": 6}, "mode": "exact",
+                        "max_abs_residual": None, "status": "fail",
+                        "error": "routes disagree"}]
+    json.dumps(records, allow_nan=False)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_leakage_nonzero_dual_sum_below_dual_distance_is_violation(monkeypatch, capsys):
+    from opilab import discrepancy
+
+    monkeypatch.setattr(discrepancy, "expected_discrepancy_fourier",
+                        lambda code, lists, budget=None: np.full(code.m + 1, 0.5 + 0j))
+    code, out = run_cli(["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "3"], capsys)
+    assert code == 1
+    obj = json.loads(out, parse_constant=_reject_constant)
+    assert obj["status"] == "identity_violation"
+    assert "below the dual distance" in obj["message"]
+    assert obj["instance"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--p", "7", "--m", "6", "--n", "3", "--search", "2", "--size", "0"],
+    ["oracle", "--p", "7", "--m", "6", "--n", "3", "--search", "2", "--size", "9"],
+    ["oracle", "--p", "7", "--m", "6", "--n", "3", "--search", "2", "--size", "-3"],
+    ["oracle", "--p", "7", "--m", "4", "--n", "2", "--search", "-1"],
+    ["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "8", "--size", "11"],
+    ["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "8", "--lists", "FULL_LISTS"],
+])
+def test_size_search_and_density_outside_domain_is_usage_error(tmp_path, capsys, argv):
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"p": 11, "sets": [list(range(11))] * 8}))  # density 1
+    code = main([str(full) if a == "FULL_LISTS" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

@@ -13,6 +13,7 @@ from opilab.codes import (
     random_lists,
 )
 from opilab.discrepancy import (
+    _window_counts,
     count_rate_report,
     count_sym_diff,
     count_sym_diff_zero_closed,
@@ -35,6 +36,7 @@ from opilab.discrepancy import (
     window_domination_report,
 )
 
+from opilab.errors import DomainError
 from opilab.kravchuk import HALF, build_family, kkt_optimum, smallest_root
 from opilab.quadext import QuadExt, beta_of, r_sq_of, sqrt_rho_one_minus_rho, zero
 
@@ -414,3 +416,70 @@ def test_count_rate_report():
 def test_count_rate_identity_small():
     rep = count_rate_report(40, 0.3, 0.1)
     assert rep["argmax_at_floor"]
+
+
+@pytest.mark.parametrize("m, rho, window, t_hi", [
+    (6, HALF, range(0, 3), 5),            # window at 0: the k - 1 = -1 edge, beta = 0
+    (7, Fraction(3, 8), range(0, 2), 3),  # biased, window at 0
+    (8, Fraction(3, 8), range(2, 5), 8),  # biased, window top at m - 4, t up to m
+    (9, Fraction(2, 7), range(6, 9), 9),  # window top at m - 1: k + 1 = m
+])
+def test_window_counts_match_single_point_counts(m, rho, window, t_hi):
+    pairs, triples = _window_counts(m, rho, window, t_hi)
+    widened = range(window[0] - 1, window[-1] + 2)
+    assert set(pairs) == {(k, kp, t) for k in widened for kp in window for t in range(t_hi + 1)}
+    assert set(triples) == {(k, kp, t) for k in window for kp in window
+                            for t in range(t_hi + 1)}
+    for (k, kp, t), val in pairs.items():
+        assert val == weighted_pair_count(k, kp, t, m, rho)
+    for (k, kp, t), val in triples.items():
+        assert val == weighted_triple_count(k, kp, t, m, rho)
+
+
+@pytest.mark.parametrize("mode", ["rational_test", "canonical"])
+@pytest.mark.parametrize("ell, sigma", [(3, 2), (4, 4), (2, 0)])
+def test_sampled_satisfaction_computes_each_pair_count_once(monkeypatch, mode, ell, sigma):
+    from opilab import discrepancy
+
+    calls = []
+    original = discrepancy._pair_count
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(discrepancy, "_pair_count", counting)
+    code, lists = rs_instance(p=11, m=8, n=5, seed=3, size=4)
+    spec = make_sampler(ell, sigma, weight_mode=mode)
+    expected_sampled_satisfaction(code, lists, spec)
+    width, t_hi = sigma + 1, min(code.m, 2 * ell + 1)
+    assert len(calls) <= (width + 2) * width * (t_hi + 1)
+    assert len(set(calls)) == len(calls)
+
+
+# Recorded as strings before the two weight modes shared one expansion body.
+@pytest.mark.parametrize("p, m, n, seed, size, rational, canonical, pinned", [
+    (7, 6, 3, 23, 2, (3, 1, (Fraction(2), Fraction(1))), (2, 1), (
+        "(6175127/600 + 1023071/375*sqrt(5/2))",
+        "(12598733/500 + -132398/125*sqrt(5/2))",
+        "0.6124065328610783", "1.31218693102944e-61")),
+    (11, 8, 5, 3, 4, (4, 2, None), (3, 2), (
+        "(29173320369435/2458624 + 4067156376173/614656*sqrt(7/4))",
+        "(7661487089157/307328 + 3447296655/76832*sqrt(7/4))",
+        "0.7524941281701397", "2.75237833061977e-61")),
+])
+def test_sampled_satisfaction_pinned_strings(p, m, n, seed, size, rational, canonical, pinned):
+    code, lists = rs_instance(p, m, n, seed, size)
+    exact = expected_sampled_satisfaction(
+        code, lists, make_sampler(*rational[:2], weight_mode="rational_test",
+                                  rational_weights=rational[2]))
+    floats = expected_sampled_satisfaction(
+        code, lists, make_sampler(*canonical, weight_mode="canonical"))
+    got = (*(repr(v) for v in exact["exact_pair"]), repr(floats["value"]),
+           repr(floats["max_rel_residual"]))
+    assert got == pinned
+
+
+def test_leading_term_sums_window_at_code_length_is_domain_error():
+    with pytest.raises(DomainError):
+        leading_term_sums(7, 7, 2, Fraction(1, 3))
