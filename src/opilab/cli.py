@@ -15,7 +15,7 @@ import sys
 
 from pathlib import Path
 
-from . import codes, leakage, rates, verify
+from . import codes, discrepancy, leakage, rates, verify
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
 
 
@@ -163,9 +163,7 @@ def cmd_leakage(args) -> int:
     fam = leakage.make_buckets(args.buckets, args.m, args.n,
                                lambda_target=args.lambda_target, seed=args.seed,
                                eps=args.eps, budget=args.budget)
-    from .discrepancy import expected_discrepancy_fourier
-
-    eq = expected_discrepancy_fourier(code, lists, args.budget)
+    eq = discrepancy.expected_discrepancy_fourier(code, lists, args.budget)
     t = args.t
     lhs = abs(eq[t])
     report = {
@@ -192,12 +190,19 @@ def cmd_leakage(args) -> int:
     return 0
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=None,
-                    help="enumeration cap (default 1e7; env OPILAB_BUDGET)")
-    sp.add_argument("--precision", type=int, default=60,
-                    help="digits for extended-precision paths")
+_SHARED_FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--budget": {"type": int, "default": None,
+                 "help": "enumeration cap (default 1e7; env OPILAB_BUDGET)"},
+    "--precision": {"type": int, "default": 60,
+                    "help": "digits for extended-precision paths"},
+}
+
+
+def _add_common(sp, *flags):
+    """--out, plus those of the shared flags that the subcommand reads."""
+    for flag in flags:
+        sp.add_argument(flag, **_SHARED_FLAGS[flag])
     sp.add_argument("--out", type=str, default=None)
 
 
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, "--seed", "--precision")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("oracle", help="brute-force satisfaction oracle")
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--size", type=int, default=None, help="list size for random draws")
     sp.add_argument("--search", type=int, default=0,
                     help="sample N list families and report the worst")
-    _add_common(sp)
+    _add_common(sp, "--seed", "--budget")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("leakage", help="dual-sum split bound on an instance")
@@ -255,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=str, default=None)
     sp.add_argument("--lists", type=str, default=None)
     sp.add_argument("--size", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, "--seed", "--budget")
     sp.set_defaults(func=cmd_leakage)
     return parser
 

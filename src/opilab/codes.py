@@ -9,6 +9,7 @@ numpy for speed but their results do not depend on the chunking.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -133,8 +134,6 @@ def _mds_check(B, p: int, exhaustive_cutoff: int = 12, samples: int = 200, seed:
     Exhaustive up to `exhaustive_cutoff` rows, seeded random sampling above.
     """
     m, n = len(B), len(B[0])
-    import itertools
-
     if m <= exhaustive_cutoff:
         rowsets = itertools.combinations(range(m), n)
     else:
@@ -199,6 +198,11 @@ def make_rs_code(ctx: FieldCtx, m: int, n: int, eval_points=None) -> MdsCode:
     Defaults to consecutive points 0..m-1; any distinct choice is as good.
     """
     p = ctx.p
+    # The shape comes first: the default points 0..m-1 wrap mod p when m > p.
+    if not 1 <= n <= m:
+        raise DomainError(f"need 1 <= n <= m, got n={n} m={m}")
+    if m > p:
+        raise DomainError(f"m={m} exceeds field size p={p}")
     if eval_points is None:
         eval_points = list(range(m))
     pts = [a % p for a in eval_points]
@@ -206,10 +210,6 @@ def make_rs_code(ctx: FieldCtx, m: int, n: int, eval_points=None) -> MdsCode:
         raise DomainError(f"need {m} evaluation points, got {len(pts)}")
     if len(set(pts)) != m:
         raise DomainError("duplicate evaluation points")
-    if not 1 <= n <= m:
-        raise DomainError(f"need 1 <= n <= m, got n={n} m={m}")
-    if m > p:
-        raise DomainError(f"m={m} exceeds field size p={p}")
     B = [[pow(a, j, p) for j in range(n)] for a in pts]
     return make_code(ctx, B, eval_points=pts)
 
@@ -274,22 +274,6 @@ def code_from_json(text: str) -> MdsCode:
                         obj["eval_points"])
 
 
-def _digit_block(p: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Columns start..stop of the lexicographic enumeration of F_p^n."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((n, stop - start), dtype=np.int64)
-    for row in range(n):
-        out[row] = (idx // p ** (n - 1 - row)) % p
-    return out
-
-
-def _index_to_vector(p: int, n: int, idx: int) -> tuple[int, ...]:
-    digits = []
-    for row in range(n):
-        digits.append(idx // p ** (n - 1 - row) % p)
-    return tuple(digits)
-
-
 @dataclass(frozen=True)
 class SatisfactionProfile:
     """Exact histogram of the satisfied-constraint count over all solutions."""
@@ -323,7 +307,7 @@ def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None)
     best_count, best_idx = -1, -1
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        X = _digit_block(p, n, start, stop)
+        X = np.array(np.unravel_index(np.arange(start, stop), (p,) * n))
         vals = (Bmat @ X) % p
         sat = member[np.arange(m)[:, None], vals].sum(axis=0)
         hist += np.bincount(sat, minlength=m + 1)
@@ -334,7 +318,7 @@ def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None)
     return SatisfactionProfile(
         m=m, p=p, n=n,
         histogram=tuple(int(v) for v in hist),
-        best_x=_index_to_vector(p, n, best_idx),
+        best_x=tuple(int(v) for v in np.unravel_index(best_idx, (p,) * n)),
         s_max=Fraction(best_count, m),
     )
 
@@ -352,7 +336,7 @@ def dual_codewords(code: MdsCode, budget: int | None = None):
         return
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        C = _digit_block(p, k, start, stop)
+        C = np.array(np.unravel_index(np.arange(start, stop), (p,) * k))
         yield (D.T @ C) % p
 
 
@@ -366,14 +350,32 @@ def enumerate_dual_by_weight(code: MdsCode, t: int, budget: int | None = None):
     return out
 
 
-def min_dual_weight(code: MdsCode, budget: int | None = None) -> int:
-    best = code.m + 1
+def dual_weight_sums(code: MdsCode, table: np.ndarray, budget: int | None = None,
+                     weight: int | None = None) -> np.ndarray:
+    """out[t] = sum over weight-t dual codewords y of prod_i table[i, y_i],
+    t = 0..m, for an m x p coordinate table.  With `weight`, only the
+    codewords of that weight are multiplied and every other entry is 0."""
+    m = code.m
+    if weight is not None and not 0 <= weight <= m:
+        raise DomainError(f"weight must lie in [0, m] = [0, {m}], got {weight}")
+    rows = np.arange(m)[:, None]
+    out = np.zeros(m + 1, dtype=np.complex128)
     for Y in dual_codewords(code, budget):
         w = (Y != 0).sum(axis=0)
-        nz = w[w > 0]
-        if nz.size:
-            best = min(best, int(nz.min()))
-    return best
+        if weight is not None:
+            Y, w = Y[:, w == weight], w[w == weight]
+        prod = np.prod(table[rows, Y], axis=0)
+        out += np.bincount(w, weights=prod.real, minlength=m + 1) + 1j * np.bincount(
+            w, weights=prod.imag, minlength=m + 1
+        )
+    return out
+
+
+def min_dual_weight(code: MdsCode, budget: int | None = None) -> int:
+    """Smallest nonzero dual weight, m + 1 when the dual code is {0}."""
+    counts = dual_weight_sums(code, np.ones((code.m, code.p)), budget).real
+    weights = np.flatnonzero(counts[1:]) + 1
+    return int(weights[0]) if weights.size else code.m + 1
 
 
 def binomial_moment(m: int, rho: Fraction, j: int) -> Fraction:

@@ -12,6 +12,7 @@ Q(r), so those paths run in high-precision floats instead.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,14 +25,19 @@ from .codes import (
     MdsCode,
     SatisfactionProfile,
     brute_force_opi,
-    dual_codewords,
+    dual_weight_sums,
     enumeration_budget,
     lists_to_json,
 )
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
+from .leakage import spectrum_table
 from .quadext import QuadExt, beta_abs_of, beta_of, r_of, sqrt_rho_one_minus_rho, zero
+from .rates import pair_count_exponent
 
 TWO_ROUTE_TOL = 1e-9
+# Floor on the canonical route's mpmath digits; below it the two routes can
+# disagree past TWO_ROUTE_TOL on a correct instance.
+MIN_PRECISION_DIGITS = 10
 
 
 def _comb0(n: int, k: int) -> int:
@@ -133,22 +139,10 @@ def expected_discrepancy_fourier(code: MdsCode, lists: InputLists,
                                  budget: int | None = None) -> np.ndarray:
     """E[q_t] for every t as the dual-code sum of products of normalized
     indicator Fourier coefficients (complex arithmetic)."""
-    from .leakage import indicator_spectrum
-
-    p, m = code.p, code.m
     scale = 1.0 / math.sqrt(float(lists.rho) * float(1 - lists.rho))
-    ghat = np.ones((m, p), dtype=np.complex128)
-    for i, s in enumerate(lists.sets):
-        spec = indicator_spectrum(s, p)
-        ghat[i, 1:] = spec.coeffs[1:] * scale  # ghat at 0 set to 1: skips the factor
-    out = np.zeros(m + 1, dtype=np.complex128)
-    for Y in dual_codewords(code, budget):
-        w = (Y != 0).sum(axis=0)
-        prod = np.prod(ghat[np.arange(m)[:, None], Y], axis=0)
-        out += np.bincount(w, weights=prod.real, minlength=m + 1) + 1j * np.bincount(
-            w, weights=prod.imag, minlength=m + 1
-        )
-    return out
+    ghat = spectrum_table(lists.sets, code.p) * scale
+    ghat[:, 0] = 1.0  # ghat at 0 set to 1: skips the factor
+    return dual_weight_sums(code, ghat, budget)
 
 
 def expected_discrepancy_all(code: MdsCode, lists: InputLists,
@@ -206,8 +200,6 @@ def count_sym_diff(k_list, t: int, m: int, budget: int | None = None) -> int:
                 mask |= 1 << i
             masks.append(mask)
         masks_per_k.append(masks)
-
-    from collections import Counter
 
     masks_per_k.sort(key=len)
     tail = Counter(masks_per_k[-1])
@@ -404,6 +396,9 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
     t_hi = min(m, 2 * spec.ell + 1)
     pairs, triples = _window_counts(m, rho, spec.window, t_hi)
     exact = spec.weight_mode == "rational_test"
+    if not exact and precision_digits < MIN_PRECISION_DIGITS:
+        raise DomainError(f"precision must be at least {MIN_PRECISION_DIGITS} digits, "
+                          f"got {precision_digits}")
 
     with mpmath.workdps(precision_digits):
         rho_f = mpmath.mpf(rho.numerator) / rho.denominator
@@ -566,8 +561,6 @@ def count_rate_report(m: int, mu: float, delta: float, slack: float | None = Non
     exactly on the grid, locates the maximizing even weight, and compares
     the rate with the limiting exponent within the default slack 5 log(m)/m.
     """
-    from .rates import pair_count_exponent
-
     ell = math.floor((mu + delta) * m)
     if slack is None:
         slack = 5.0 * math.log(m) / m

@@ -12,10 +12,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .codes import InputLists, MdsCode, dual_codewords, enumeration_budget
+from .codes import (InputLists, MdsCode, dual_codewords, dual_weight_sums,
+                    enumeration_budget)
 from .errors import BudgetExceededError, DomainError
 from .rates import binary_entropy, scan_max
 
@@ -49,6 +51,11 @@ def indicator_spectrum(subset, p: int) -> IndicatorSpectrum:
     if abs((np.abs(coeffs) ** 2).sum() - rho) > 1e-10:
         raise DomainError("Parseval mass mismatch")
     return spec
+
+
+def spectrum_table(sets, p: int) -> np.ndarray:
+    """m x p table whose row i is the indicator DFT of sets[i]."""
+    return np.array([indicator_spectrum(s, p).coeffs for s in sets])
 
 
 def arc_bound(rho: Fraction, p: int) -> float:
@@ -153,8 +160,6 @@ def certify_buckets(buckets, m: int, t: int, target: int,
                     seed: int = 0) -> dict:
     """min over |D| = t of max_j |D cap B_j|, exhaustive when C(m,t) is
     affordable, otherwise a sampled audit (reported as such)."""
-    from itertools import combinations
-
     n_sets = math.comb(m, t)
     masks = [sum(1 << i for i in b) for b in buckets]
     if n_sets <= min(enumeration_budget(budget), 10**6):
@@ -282,18 +287,12 @@ def bucket_split_bound(code: MdsCode, lists: InputLists, buckets: BucketFamily,
 def per_transcript_sum(code: MdsCode, lists: InputLists, t: int,
                        budget: int | None = None) -> complex:
     """sum over weight-t dual codewords of prod_i spectrum_i(y_i), the
-    quantity shared with the leakage-resilience literature."""
-    p, m = code.p, code.m
-    table = np.empty((m, p), dtype=np.complex128)
-    for i, s in enumerate(lists.sets):
-        table[i] = indicator_spectrum(s, p).coeffs
-    acc = 0j
-    for Y in dual_codewords(code, budget):
-        w = (Y != 0).sum(axis=0)
-        sel = Y[:, w == t]
-        if sel.shape[1]:
-            acc += np.prod(table[np.arange(m)[:, None], sel], axis=0).sum()
-    return complex(acc)
+    quantity shared with the leakage-resilience literature (0 for t
+    outside [0, m]: the sum is empty)."""
+    if not 0 <= t <= code.m:
+        return 0j
+    table = spectrum_table(lists.sets, code.p)
+    return complex(dual_weight_sums(code, table, budget, weight=t)[t])
 
 
 def tv_proxy(code: MdsCode, plus_sets, minus_sets, budget: int | None = None) -> float:
@@ -304,8 +303,8 @@ def tv_proxy(code: MdsCode, plus_sets, minus_sets, budget: int | None = None) ->
         raise DomainError("need one set pair per coordinate")
     if 2**m > enumeration_budget(budget) or 2**m > 2**16:
         raise BudgetExceededError("transcript enumeration capped at m <= 16")
-    plus = [indicator_spectrum(s, p).coeffs for s in plus_sets]
-    minus = [indicator_spectrum(s, p).coeffs for s in minus_sets]
+    plus = spectrum_table(plus_sets, p)
+    minus = spectrum_table(minus_sets, p)
     acc = np.zeros(2**m, dtype=np.complex128)
     for Y in dual_codewords(code, budget):
         w = (Y != 0).sum(axis=0)
@@ -327,13 +326,9 @@ def parseval_split_identity(code: MdsCode, lists: InputLists, coords,
     coords = sorted(coords)
     if len(coords) != code.dual_dim:
         raise DomainError("need exactly m - n coordinates")
-    p, m = code.p, code.m
-    table = np.empty((m, p), dtype=np.float64)
-    for i, s in enumerate(lists.sets):
-        table[i] = np.abs(indicator_spectrum(s, p).coeffs) ** 2
-    lhs = 0.0
-    for Y in dual_codewords(code, budget):
-        lhs += np.prod(table[np.array(coords)[:, None], Y[coords, :]], axis=0).sum()
+    table = np.ones((code.m, code.p))
+    table[coords] = np.abs(spectrum_table(lists.sets, code.p)[coords]) ** 2
+    lhs = float(dual_weight_sums(code, table, budget).sum().real)
     rhs = float(lists.rho) ** len(coords)
     return lhs, rhs
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from . import codes, discrepancy, kravchuk, leakage
 from .errors import IdentityViolationError
@@ -42,11 +43,19 @@ def _guard(records, identity, instance, mode, fn):
     records.append(_record(identity, instance, mode, residual, ok))
 
 
-def _instance(p, m, n, size, seed):
-    code = codes.make_rs_code(codes.FieldCtx(p), m, n)
+def _code(p, m, n, default):
+    """The Reed-Solomon code of shape (p, m, n), each flag left as None
+    taken from `default`; a given 0 or negative value is rejected."""
+    given = {"p": p, "m": m, "n": n}
+    p, m, n = (default[k] if v is None else v for k, v in given.items())
+    return codes.make_rs_code(codes.FieldCtx(p), m, n)
+
+
+def _instance(code, size, seed):
+    p, m, n = code.p, code.m, code.n
     lists = codes.random_lists(p, m, size, seed)
     desc = {"p": p, "m": m, "n": n, "sets": [list(s) for s in lists.sets]}
-    return code, lists, desc
+    return lists, desc
 
 
 def suite_kravchuk(seed: int = 0) -> list[dict]:
@@ -115,14 +124,13 @@ def suite_kravchuk(seed: int = 0) -> list[dict]:
 
 
 def suite_moments(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
-    p = p or _DEFAULT_INSTANCE["p"]
-    m = m or _DEFAULT_INSTANCE["m"]
-    n = n or _DEFAULT_INSTANCE["n"]
+    code = _code(p, m, n, _DEFAULT_INSTANCE)
+    p, m, n = code.p, code.m, code.n
     records = []
     rng = random.Random(seed)
     for trial in range(3):
         size = rng.randint(1, p - 1)
-        code, lists, desc = _instance(p, m, n, size, rng.randrange(2**32))
+        lists, desc = _instance(code, size, rng.randrange(2**32))
         prof = codes.brute_force_opi(code, lists)
 
         def match(code=code, lists=lists, prof=prof):
@@ -148,14 +156,13 @@ def suite_moments(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
 
 def suite_discrepancy(p=None, m=None, n=None, seed: int = 0,
                       precision: int = 60) -> list[dict]:
-    p = p or _DEFAULT_INSTANCE["p"]
-    m = m or _DEFAULT_INSTANCE["m"]
-    n = n or _DEFAULT_INSTANCE["n"]
+    code = _code(p, m, n, _DEFAULT_INSTANCE)
+    p, m, n = code.p, code.m, code.n
     records = []
     rng = random.Random(seed)
     for trial in range(2):
         size = rng.randint(1, p - 1)
-        code, lists, desc = _instance(p, m, n, size, rng.randrange(2**32))
+        lists, desc = _instance(code, size, rng.randrange(2**32))
         prof = codes.brute_force_opi(code, lists)
         rho = lists.rho
 
@@ -219,14 +226,13 @@ def suite_discrepancy(p=None, m=None, n=None, seed: int = 0,
 
 
 def suite_fourier(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
-    p = p or _DEFAULT_INSTANCE["p"]
-    m = m or _DEFAULT_INSTANCE["m"]
-    n = n or _DEFAULT_INSTANCE["n"]
+    code = _code(p, m, n, _DEFAULT_INSTANCE)
+    p, m, n = code.p, code.m, code.n
     records = []
     rng = random.Random(seed)
     for trial in range(3):
         size = rng.randint(1, p - 1)
-        code, lists, desc = _instance(p, m, n, size, rng.randrange(2**32))
+        lists, desc = _instance(code, size, rng.randrange(2**32))
         prof = codes.brute_force_opi(code, lists)
 
         def two_routes(code=code, lists=lists, prof=prof):
@@ -238,11 +244,11 @@ def suite_fourier(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
 
         def scaling(code=code, lists=lists):
             fq = discrepancy.expected_discrepancy_fourier(code, lists)
+            ts = codes.dual_weight_sums(code, leakage.spectrum_table(lists.sets, p))
             rho = float(lists.rho)
             worst = 0.0
             for t in range(m + 1):
-                ts = leakage.per_transcript_sum(code, lists, t)
-                scaled = rho ** (t / 2 - m) * (1 - rho) ** (-t / 2) * ts
+                scaled = rho ** (t / 2 - m) * (1 - rho) ** (-t / 2) * ts[t]
                 worst = max(worst, abs(scaled - fq[t]) / max(1.0, abs(fq[t])))
             return worst, worst < 1e-9
 
@@ -251,12 +257,10 @@ def suite_fourier(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
 
 
 def suite_leakage(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
-    p = p or _LEAKAGE_INSTANCE["p"]
-    m = m or _LEAKAGE_INSTANCE["m"]
-    n = n or _LEAKAGE_INSTANCE["n"]
+    code = _code(p, m, n, _LEAKAGE_INSTANCE)
+    p, m, n = code.p, code.m, code.n
     records = []
     rng = random.Random(seed)
-    code = codes.make_rs_code(codes.FieldCtx(p), m, n)
 
     def arc(code=code):
         rep = leakage.arc_extremal_check(p, Fraction(max(1, p // 2), p), trials=200,
@@ -296,8 +300,6 @@ def suite_leakage(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
 
     def coverage():
         mm, nn = 10, 7
-        from itertools import combinations
-
         bucket = set(range(2 * nn - mm))
         for lam in (0.2, 0.4):
             want = sum(

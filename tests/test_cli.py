@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opilab import verify
+from opilab import codes, verify
 from opilab.cli import main
 from opilab.errors import IdentityViolationError
 
@@ -304,3 +304,70 @@ def test_size_search_and_density_outside_domain_is_usage_error(tmp_path, capsys,
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("suite", ["moments", "discrepancy", "fourier", "leakage"])
+@pytest.mark.parametrize("flag", ["--p", "--m", "--n"])
+def test_verify_zero_instance_flag_is_usage_error(capsys, suite, flag):
+    # 0 used to fall back silently to the suite's default instance
+    code = main(["verify", "--suite", suite, flag, "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_oracle_names_a_length_above_the_field_size(capsys):
+    code = main(["oracle", "--p", "5", "--m", "7", "--n", "3", "--search", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: m=7 exceeds field size p=5\n"
+
+
+@pytest.mark.parametrize("precision, want", [(0, 2), (8, 2), (10, 0)])
+def test_verify_precision_below_ten_digits_is_usage_error(capsys, precision, want):
+    code = main(["verify", "--suite", "discrepancy", "--precision", str(precision)])
+    captured = capsys.readouterr()
+    assert code == want
+    if want == 2:
+        assert captured.out == ""
+        assert captured.err == f"error: precision must be at least 10 digits, got {precision}\n"
+    else:
+        assert json.loads(captured.out)["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--rho", "0.5", "--bound", "best", "--seed", "1"],
+    ["thresholds", "--rho", "0.5", "--bound", "best", "--budget", "10"],
+    ["thresholds", "--rho", "0.5", "--bound", "best", "--precision", "30"],
+    ["curve", "--figure", "1", "--grid", "5", "--seed", "1"],
+    ["curve", "--figure", "1", "--grid", "5", "--budget", "10"],
+    ["curve", "--figure", "1", "--grid", "5", "--precision", "30"],
+    ["oracle", "--p", "7", "--m", "6", "--n", "3", "--search", "1", "--precision", "30"],
+    ["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "7", "--precision", "30"],
+    ["verify", "--suite", "moments", "--budget", "10"],
+])
+def test_flag_the_subcommand_never_reads_is_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fourier_suite_makes_three_dual_passes_per_instance(monkeypatch):
+    # the dual-route check and transcript_scaling's two routes, where the
+    # scaling check used to make m + 1 more passes, one per weight
+    passes = []
+    original = codes.dual_codewords
+
+    def counting(code, budget=None):
+        passes.append(code.m)
+        return original(code, budget)
+
+    monkeypatch.setattr(codes, "dual_codewords", counting)
+    records = verify.suite_fourier(seed=3)
+    assert [r["status"] for r in records] == ["pass"] * 6
+    assert len(passes) == 3 * 3

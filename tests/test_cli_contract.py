@@ -1,16 +1,22 @@
-"""Property test of the command-line contract on small integer flags,
-in range and out of it: the exit code is 0, 1 or 2; stdout is strict JSON,
-or empty on exit 2; and exit 1 comes only with an identity-violation
-payload.  Runs in process and starts no subprocess."""
+"""Property test of the command-line contract on small flags, in range and
+out of it: the exit code is 0, 1 or 2; stdout is strict JSON (or the
+`wrote N rows` line of `curve`), or empty on exit 2; exit 1 comes only with
+an identity-violation payload, or from `verify` with `"passed": false`.
+Runs in process and starts no subprocess."""
 
 import io
 import json
+import os
+import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opilab.cli import main
+from opilab.rates import BOUND_KINDS
 
 
 def _reject_constant(name):
@@ -20,6 +26,42 @@ def _reject_constant(name):
 def _mostly(lo, hi, wide_lo, wide_hi):
     """Integers in [lo, hi] half of the time, else in the wider range."""
     return st.integers(lo, hi) | st.integers(wide_lo, wide_hi)
+
+
+def _rho():
+    """Densities inside (0, 1) half of the time, else on or past its ends."""
+    return (st.floats(0.01, 0.99)
+            | st.sampled_from([0.0, 1.0, -0.5, 1.5, 0.5])
+            | st.floats(-1.0, 2.0))
+
+
+def _run_and_check(argv, allow_argparse_exit=False):
+    """Run `opilab <argv>` and assert the contract.  An argparse exit (e.g.
+    on `--rho -1e-68`) passes only under `allow_argparse_exit`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert allow_argparse_exit, (argv, exc.code, err.getvalue())
+            assert exc.code == 2, (argv, exc.code)
+            assert out.getvalue() == "" and "error: " in err.getvalue(), (argv, err.getvalue())
+            return
+    assert code in (0, 1, 2), (argv, code)
+    text = out.getvalue()
+    if code == 2:
+        assert text == "", (argv, text)
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        return
+    if argv[0] == "curve" and code == 0:
+        assert re.fullmatch(r"wrote \d+ rows to .+\n", text), (argv, text)
+        return
+    obj = json.loads(text, parse_constant=_reject_constant)
+    if code == 1:
+        if argv[0] == "verify":
+            assert obj["passed"] is False, (argv, obj)
+        else:
+            assert obj["status"] == "identity_violation", (argv, obj)
 
 
 @st.composite
@@ -43,15 +85,46 @@ def oracle_or_leakage_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(oracle_or_leakage_argv())
 def test_cli_exit_code_and_stdout_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), (argv, code)
-    text = out.getvalue()
-    if code == 2:
-        assert text == "", (argv, text)
-        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
-        return
-    obj = json.loads(text, parse_constant=_reject_constant)
-    if code == 1:
-        assert obj["status"] == "identity_violation", (argv, obj)
+    _run_and_check(argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BOUND_KINDS), _rho())
+def test_thresholds_contract(bound, rho):
+    _run_and_check(["thresholds", "--rho", repr(rho), "--bound", bound],
+                   allow_argparse_exit=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(-2, 4), st.none() | _rho())
+def test_curve_contract(figure, grid, rho):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["curve", "--figure", str(figure), "--grid", str(grid),
+                "--out", os.path.join(tmp, "figure.csv")]
+        if rho is not None:
+            argv += ["--rho", repr(rho)]
+        _run_and_check(argv, allow_argparse_exit=True)
+
+
+@st.composite
+def verify_argv(draw):
+    argv = ["verify",
+            "--suite", draw(st.sampled_from(["moments", "discrepancy", "fourier", "leakage"])),
+            "--seed", str(draw(st.integers(0, 3))),
+            "--precision", str(draw(_mostly(10, 70, -1, 70)))]
+    shape = {"--p": st.sampled_from([5, 7]) | st.integers(-1, 8),
+             "--m": _mostly(4, 7, -1, 8),
+             "--n": _mostly(1, 4, -1, 8)}
+    for flag, values in shape.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(verify_argv())
+def test_verify_contract(argv):
+    # verify reads its enumeration cap from the environment only
+    with mock.patch.dict(os.environ, {"OPILAB_BUDGET": "5000"}):
+        _run_and_check(argv)

@@ -1,6 +1,8 @@
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from opilab.codes import (
@@ -9,6 +11,8 @@ from opilab.codes import (
     brute_force_opi,
     code_from_json,
     code_to_json,
+    dual_codewords,
+    dual_weight_sums,
     enumerate_dual_by_weight,
     is_prime,
     lists_from_json,
@@ -49,6 +53,60 @@ def test_dimension_and_length_bounds():
         make_rs_code(FieldCtx(5), 4, 5)
     with pytest.raises(DomainError):
         make_rs_code(FieldCtx(5), 6, 2)
+
+
+def test_shape_is_checked_before_the_evaluation_points():
+    # the default points 0..6 wrap mod 5, but the error names m > p
+    with pytest.raises(DomainError, match="m=7 exceeds field size p=5"):
+        make_rs_code(FieldCtx(5), 7, 3)
+    with pytest.raises(DomainError, match="need 1 <= n <= m"):
+        make_rs_code(FieldCtx(5), 3, 0, [0, 0, 1])
+
+
+def test_dual_codewords_follow_the_lexicographic_coefficient_order():
+    code = make_rs_code(FieldCtx(5), 5, 2)
+    got = np.concatenate(list(dual_codewords(code)), axis=1)
+    basis = np.array(code.dual_basis)
+    coeffs = itertools.product(range(5), repeat=code.dual_dim)
+    want = np.array([np.array(c) @ basis % 5 for c in coeffs]).T
+    assert np.array_equal(got, want)
+
+
+def _python_weight_sums(code, table):
+    out = [0j] * (code.m + 1)
+    for t in range(code.m + 1):
+        for y in enumerate_dual_by_weight(code, t):
+            term = 1 + 0j
+            for i, v in enumerate(y):
+                term *= table[i, v]
+            out[t] += term
+    return out
+
+
+@pytest.mark.parametrize("p, m, n", [(7, 6, 3), (5, 4, 1), (5, 4, 4)])
+def test_dual_weight_sums_match_a_product_over_listed_codewords(p, m, n):
+    code = make_rs_code(FieldCtx(p), m, n)
+    rng = np.random.default_rng(p * 100 + m * 10 + n)
+    table = rng.normal(size=(m, p)) + 1j * rng.normal(size=(m, p))
+    want = _python_weight_sums(code, table)
+    whole = dual_weight_sums(code, table)
+    assert whole.shape == (m + 1,)
+    for t in range(m + 1):
+        assert abs(whole[t] - want[t]) <= 1e-12 * max(1.0, abs(want[t]))
+        one = dual_weight_sums(code, table, weight=t)
+        assert abs(one[t] - want[t]) <= 1e-12 * max(1.0, abs(want[t]))
+        assert np.count_nonzero(np.delete(one, t)) == 0
+    if n == m:  # only the zero codeword: the product of column 0
+        assert abs(whole[0] - np.prod(table[:, 0])) <= 1e-12
+        assert min_dual_weight(code) == m + 1
+
+
+def test_dual_weight_sums_reject_a_weight_outside_the_length():
+    code = make_rs_code(FieldCtx(5), 4, 2)
+    table = np.ones((4, 5))
+    for weight in (-1, 5):
+        with pytest.raises(DomainError):
+            dual_weight_sums(code, table, weight=weight)
 
 
 def test_dual_min_distance_is_n_plus_1():

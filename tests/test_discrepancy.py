@@ -326,6 +326,17 @@ def test_sampled_satisfaction_canonical_mode():
     assert out["max_rel_residual"] < 1e-9
 
 
+def test_canonical_mode_rejects_too_few_digits():
+    code, lists = rs_instance(seed=29)
+    canonical = make_sampler(2, 1, weight_mode="canonical")
+    with pytest.raises(DomainError, match="at least 10 digits, got 9"):
+        expected_sampled_satisfaction(code, lists, canonical, precision_digits=9)
+    # the rational mode runs in Q(r) and never reads the digits
+    rational = make_sampler(2, 1, weight_mode="rational_test")
+    out = expected_sampled_satisfaction(code, lists, rational, precision_digits=0)
+    assert out["max_rel_residual"] == 0.0
+
+
 def test_canonical_mode_matches_tridiagonal_form():
     # below half the dual distance on balanced lists, E[s] is
     # 1/2 + <w, A w> / (2m <w, w>) with unit window weights w

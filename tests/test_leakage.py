@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from opilab.codes import FieldCtx, make_rs_code, random_lists
+from opilab.codes import FieldCtx, dual_weight_sums, make_rs_code, random_lists
 from opilab.discrepancy import expected_discrepancy_fourier
 from opilab.errors import BudgetExceededError, DomainError
 from opilab.leakage import (
@@ -20,6 +20,7 @@ from opilab.leakage import (
     make_buckets,
     parseval_split_identity,
     per_transcript_sum,
+    spectrum_table,
     tv_proxy,
 )
 
@@ -179,6 +180,24 @@ def test_near_balanced_transcript_factor():
             continue
         ratio = abs(eq[t]) / (2**m * ts)
         assert (1 - 2 / p) ** m <= ratio <= (1 + 2 / p) ** m
+
+
+def test_spectrum_table_rows_are_indicator_spectra():
+    sets = [[0, 3], [], [1, 2, 4], list(range(5))]
+    table = spectrum_table(sets, 5)
+    assert table.shape == (4, 5) and table.dtype == np.complex128
+    for row, s in zip(table, sets):
+        assert np.array_equal(row, indicator_spectrum(s, 5).coeffs)
+
+
+def test_per_transcript_sum_is_one_entry_of_the_weight_sums():
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    lists = random_lists(7, 6, 3, 5)
+    sums = dual_weight_sums(code, spectrum_table(lists.sets, 7))
+    for t in range(code.m + 1):
+        assert abs(per_transcript_sum(code, lists, t) - sums[t]) < 1e-15
+    for t in (-1, code.m + 1):  # no dual codeword has that weight
+        assert per_transcript_sum(code, lists, t) == 0j
 
 
 def test_parseval_split_identity():
