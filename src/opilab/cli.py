@@ -21,9 +21,9 @@ from .errors import BudgetExceededError, DomainError, IdentityViolationError
 
 def _emit_json(obj, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    sys.stdout.write(text)
     if out:
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _write_csv(header, rows, out: str) -> None:
@@ -269,18 +269,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except IdentityViolationError as exc:
-        _emit_json(
-            {
-                "status": "identity_violation",
-                "message": str(exc),
-                "instance": getattr(exc, "instance", None),
-            },
-            getattr(args, "out", None),
-        )
-        return 1
-    except (DomainError, BudgetExceededError, FileNotFoundError, ValueError) as exc:
+        try:
+            return args.func(args)
+        except IdentityViolationError as exc:
+            _emit_json(
+                {
+                    "status": "identity_violation",
+                    "message": str(exc),
+                    "instance": getattr(exc, "instance", None),
+                },
+                getattr(args, "out", None),
+            )
+            return 1
+    except (DomainError, BudgetExceededError, OSError, ValueError) as exc:
+        # an unwritable --out on the violation payload lands here too
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -228,6 +228,8 @@ class InputLists:
 
 
 def make_lists(p: int, sets) -> InputLists:
+    if not sets:
+        raise DomainError("need at least one constraint set")
     canon = []
     size = None
     for s in sets:
@@ -256,22 +258,13 @@ def lists_to_json(lists: InputLists) -> str:
 
 
 def lists_from_json(text: str) -> InputLists:
+    """InputLists from the file format {"p": int, "sets": [[int]]}."""
     obj = json.loads(text)
-    return make_lists(int(obj["p"]), obj["sets"])
-
-
-def code_to_json(code: MdsCode) -> str:
-    if code.eval_points is None:
-        raise DomainError("only Reed-Solomon codes have a JSON form")
-    return json.dumps(
-        {"p": code.p, "m": code.m, "n": code.n, "eval_points": list(code.eval_points)}
-    )
-
-
-def code_from_json(text: str) -> MdsCode:
-    obj = json.loads(text)
-    return make_rs_code(FieldCtx(int(obj["p"])), int(obj["m"]), int(obj["n"]),
-                        obj["eval_points"])
+    if not (isinstance(obj, dict) and isinstance(obj.get("p"), int)
+            and isinstance(obj.get("sets"), list)
+            and all(isinstance(s, list) for s in obj["sets"])):
+        raise DomainError('lists must be a JSON object {"p": int, "sets": [[int]]}')
+    return make_lists(obj["p"], obj["sets"])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath
@@ -30,6 +31,7 @@ from .codes import (
     lists_to_json,
 )
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
+from .kravchuk import HALF, build_family
 from .leakage import spectrum_table
 from .quadext import QuadExt, beta_abs_of, beta_of, r_of, sqrt_rho_one_minus_rho, zero
 from .rates import pair_count_exponent
@@ -100,19 +102,31 @@ def elementary_symmetric_newton(values: list[QuadExt], k: int) -> QuadExt:
     return e[k]
 
 
-def discrepancy_from_count(m: int, rho: Fraction, sat: int, k: int) -> QuadExt:
-    """q_k of any solution satisfying exactly `sat` constraints.
+@lru_cache(maxsize=256)
+def discrepancy_table(m: int, rho: Fraction) -> tuple[tuple[QuadExt, ...], ...]:
+    """q[k][s], k, s = 0..m: q_k of any solution satisfying exactly s
+    constraints.
 
     With a common list density the multiset of indicator values depends on
-    the solution only through its satisfied count, so
-    q_k = r^k sum_a C(sat,a) C(m-sat,k-a) (-rho/(1-rho))^(k-a).
+    the solution only through its satisfied count, and
+    sum_k q_k z^k = (1 + r z)^s (1 - z/r)^(m-s), so q_k = r^k K_k(m - s) in
+    the Kravchuk family at the complementary density 1 - rho.
     """
+    r = r_of(rho)
+    values = build_family(m, 1 - rho, m).values
+    return tuple(tuple(r_k * v for v in reversed(row))
+                 for r_k, row in zip((r**k for k in range(m + 1)), values))
+
+
+def discrepancy_from_count(m: int, rho: Fraction, sat: int, k: int) -> QuadExt:
+    """q_k of any solution satisfying exactly `sat` constraints, read from
+    `discrepancy_table`; zero for k outside 0..m, as no k-subset exists."""
     rho = Fraction(rho)
-    c = -rho / (1 - rho)
-    val = Fraction(0)
-    for a in range(max(0, k - (m - sat)), min(sat, k) + 1):
-        val += math.comb(sat, a) * math.comb(m - sat, k - a) * c ** (k - a)
-    return r_of(rho) ** k * val
+    if not 0 <= sat <= m:
+        raise DomainError(f"satisfied count {sat} outside [0, {m}]")
+    if not 0 <= k <= m:
+        return zero(rho)
+    return discrepancy_table(m, rho)[k][sat]
 
 
 # ---------- expected discrepancy, two routes ----------
@@ -126,11 +140,11 @@ def expected_discrepancy_exact(code: MdsCode, lists: InputLists,
     m, rho = code.m, lists.rho
     scale = Fraction(1, profile.total)
     out = []
-    for t in range(m + 1):
+    for row in discrepancy_table(m, rho):
         acc = zero(rho)
         for s, cnt in enumerate(profile.histogram):
             if cnt:
-                acc = acc + discrepancy_from_count(m, rho, s, t) * Fraction(cnt)
+                acc = acc + row[s] * Fraction(cnt)
         out.append(acc * scale)
     return out
 
@@ -209,21 +223,17 @@ def count_sym_diff(k_list, t: int, m: int, budget: int | None = None) -> int:
     return sum(tail[a ^ target] for a in acc if (a ^ target) in tail)
 
 
-def kravchuk_value(m: int, k: int, t: int) -> int:
-    """Integer value sum_j (-1)^j C(t,j) C(m-t,k-j) of the balanced family."""
-    return sum((-1) ** j * _comb0(t, j) * _comb0(m - t, k - j) for j in range(k + 1))
-
-
 def count_sym_diff_zero_closed(k_list, m: int) -> int:
     """Closed form for t = 0: 2^-m sum_t C(m,t) prod K_{k_i}(t); zero when
     the k_i sum is odd."""
     if sum(k_list) % 2 == 1:
         return 0
+    values = build_family(m, HALF, m).values
     acc = Fraction(0)
     for t in range(m + 1):
         prod = Fraction(math.comb(m, t))
         for k in k_list:
-            prod *= kravchuk_value(m, k, t)
+            prod *= values[k][t] if 0 <= k <= m else 0
         acc += prod
     acc /= Fraction(2) ** m
     if acc.denominator != 1:
@@ -413,11 +423,9 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
         else:
             u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in spec.window}
             rho_v, sq, zero_v = rho_f, mpmath.sqrt(rho_f * (1 - rho_f)), mpmath.mpf(0)
-        wvals = [
-            sum((conv(discrepancy_from_count(m, rho, s, k)) * u[k] for k in spec.window),
-                zero_v)
-            for s in range(m + 1)
-        ]
+        q = discrepancy_table(m, rho)
+        wvals = [sum((conv(q[k][s]) * u[k] for k in spec.window), zero_v)
+                 for s in range(m + 1)]
         direct_num = direct_den = zero_v
         for s, cnt in enumerate(profile.histogram):
             if cnt:

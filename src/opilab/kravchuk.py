@@ -8,11 +8,10 @@ exact sign evaluation before bisection).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -117,6 +116,12 @@ class KravchukFamily:
     def evaluate(self, ell: int, x) -> Fraction:
         return poly_eval(self.coeffs[ell], x)
 
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        """values[l][x] = K_l(x) at the integer points x = 0..m, built from
+        the coefficients on first read and kept with the family."""
+        return tuple(tuple(poly_eval(c, x) for x in range(self.m + 1)) for c in self.coeffs)
+
     def leading(self, ell: int) -> Fraction:
         return self.coeffs[ell][-1]
 
@@ -195,7 +200,7 @@ def build_family(m: int, rho: Fraction, ell_max: int) -> KravchukFamily:
 
 def _assert_orthogonality(fam: KravchukFamily):
     weights = binomial_weights(fam.m, fam.rho)
-    values = [[poly_eval(c, x) for x in range(fam.m + 1)] for c in fam.coeffs]
+    values = fam.values
     for r in range(fam.degree_max + 1):
         weighted = [w * v for w, v in zip(weights, values[r])]
         for s in range(r, fam.degree_max + 1):
@@ -231,24 +236,6 @@ def gram_schmidt_family(m: int, rho: Fraction, ell_max: int) -> list[Poly]:
             mono = poly_add(mono, poly_scale(q, -ip(mono, q) / ip(q, q)))
         basis.append(mono)
     return basis
-
-
-def family_to_json(fam: KravchukFamily) -> str:
-    return json.dumps({
-        "m": fam.m,
-        "rho": [fam.rho.numerator, fam.rho.denominator],
-        "degree_max": fam.degree_max,
-        "coeffs": [[[c.numerator, c.denominator] for c in poly] for poly in fam.coeffs],
-    })
-
-
-def family_from_json(text: str) -> KravchukFamily:
-    obj = json.loads(text)
-    fam = build_family(obj["m"], Fraction(*obj["rho"]), obj["degree_max"])
-    stored = tuple(tuple(Fraction(*c) for c in poly) for poly in obj["coeffs"])
-    if stored != fam.coeffs:
-        raise IdentityViolationError("serialized coefficients do not rebuild")
-    return fam
 
 
 # ---------- recursions and the tridiagonal identity ----------
@@ -572,30 +559,22 @@ def kkt_optimum(m: int, ell: int,
         raise IdentityViolationError("basis expansion left a nonzero residual")
     # The tilted mean is scale invariant; normalize the top weight to 1.
     top = u[ell]
-    u = [v / top for v in u]
-    num = Fraction(0)
-    den = Fraction(0)
-    for t in range(m + 1):
-        xt = poly_eval(quot, Fraction(t))
-        w = math.comb(m, t) * xt * xt
-        num += t * w
-        den += w
-    expected = num / den
+    u = tuple(v / top for v in u)
+    expected = tilted_mean(m, u)
     if abs(expected - z) > Fraction(1, 10**6) * m:
         raise IdentityViolationError("tilted mean strays from the isolated root")
-    return tuple(u), expected
+    return u, expected
 
 
 def tilted_mean(m: int, u) -> Fraction:
-    """sum t C(m,t) X_u(t)^2 / sum C(m,t) X_u(t)^2 for X_u = sum u_k K_k."""
-    fam = build_family(m, HALF, len(u) - 1)
-    poly: Poly = ()
-    for k, uk in enumerate(u):
-        poly = poly_add(poly, poly_scale(fam.coeffs[k], uk))
+    """sum t C(m,t) X_u(t)^2 / sum C(m,t) X_u(t)^2 for X_u = sum u_k K_k,
+    read from the balanced family's value table."""
+    u = [Fraction(v) for v in u]
+    values = build_family(m, HALF, len(u) - 1).values
     num = Fraction(0)
     den = Fraction(0)
     for t in range(m + 1):
-        xt = poly_eval(poly, Fraction(t))
+        xt = sum(uk * row[t] for uk, row in zip(u, values))
         w = math.comb(m, t) * xt * xt
         num += t * w
         den += w

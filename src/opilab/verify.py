@@ -73,7 +73,7 @@ def suite_kravchuk(seed: int = 0) -> list[dict]:
                         math.comb(m - x, ell - i) * math.comb(x, i) * (-1) ** i
                         for i in range(ell + 1)
                     )
-                    if fam.evaluate(ell, Fraction(x)) != series:
+                    if fam.values[ell][x] != series:
                         return 1.0, False
             return 0.0, True
 
@@ -168,15 +168,14 @@ def suite_discrepancy(p=None, m=None, n=None, seed: int = 0,
 
         def pair_products(code=code, lists=lists, prof=prof, rho=rho):
             eq = discrepancy.expected_discrepancy_exact(code, lists, prof)
+            q = discrepancy.discrepancy_table(m, rho)
             scale = Fraction(1, prof.total)
             for k in range(min(m, 4)):
                 for kp in range(k, min(m, 4)):
                     lhs = discrepancy.zero(rho)
                     for s, cnt in enumerate(prof.histogram):
                         if cnt:
-                            lhs = lhs + discrepancy.discrepancy_from_count(
-                                m, rho, s, k
-                            ) * discrepancy.discrepancy_from_count(m, rho, s, kp) * Fraction(cnt)
+                            lhs = lhs + q[k][s] * q[kp][s] * Fraction(cnt)
                     lhs = lhs * scale
                     rhs = discrepancy.zero(rho)
                     for t in range(m + 1):
@@ -329,7 +328,5 @@ def run_suite(name: str, p=None, m=None, n=None, seed: int = 0,
     if name in ("fourier", "all"):
         out.extend(suite_fourier(p, m, n, seed))
     if name in ("leakage", "all"):
-        out.extend(suite_leakage(None if name == "all" else p,
-                                 None if name == "all" else m,
-                                 None if name == "all" else n, seed))
+        out.extend(suite_leakage(p, m, n, seed))
     return out

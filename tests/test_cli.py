@@ -371,3 +371,38 @@ def test_fourier_suite_makes_three_dual_passes_per_instance(monkeypatch):
     records = verify.suite_fourier(seed=3)
     assert [r["status"] for r in records] == ["pass"] * 6
     assert len(passes) == 3 * 3
+
+
+def test_verify_all_runs_leakage_at_the_given_shape():
+    records = verify.run_suite("all", p=5, m=4, n=3)
+    leakage = verify.run_suite("leakage", p=5, m=4, n=3)
+    assert records[-len(leakage):] == leakage
+    shaped = [r for r in leakage if "p" in r["instance"]]
+    assert shaped and all(r["instance"]["p"] == 5 for r in shaped)
+
+
+def _assert_usage_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_lists_path_naming_a_directory_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(["oracle", "--p", "7", "--m", "6", "--n", "3",
+                         "--lists", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("content", ['{"p": 7}', '{"sets": [[0, 1]]}', "[[0, 1]]",
+                                     '{"p": 7, "sets": 3}', '{"p": 7, "sets": []}'])
+def test_lists_file_without_p_and_sets_is_usage_error(tmp_path, capsys, content):
+    lists = tmp_path / "lists.json"
+    lists.write_text(content)
+    _assert_usage_error(["leakage", "--p", "7", "--m", "6", "--n", "3", "--t", "4",
+                         "--lists", str(lists)], capsys)
+
+
+def test_out_into_a_missing_directory_leaves_stdout_empty(tmp_path, capsys):
+    _assert_usage_error(["thresholds", "--rho", "0.5", "--bound", "best",
+                         "--out", str(tmp_path / "missing" / "x.json")], capsys)

@@ -64,11 +64,22 @@ def _run_and_check(argv, allow_argparse_exit=False):
             assert obj["status"] == "identity_violation", (argv, obj)
 
 
+_LISTS_TEXT = {
+    "missing": None,  # the path is never written
+    "no_sets": json.dumps({"p": 7}),
+    "not_json": "p = 7, sets = [[0]]",
+}
+
+
 @st.composite
 def oracle_or_leakage_argv(draw):
+    """An oracle or leakage argv in which "{tmp}" stands for a fresh
+    temporary directory, and the files (name -> text) to write there."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]) | st.integers(-1, 13))
+    m = draw(_mostly(2, 8, -1, 8))
     argv = [
-        "--p", str(draw(st.sampled_from([2, 3, 5, 7, 11, 13]) | st.integers(-1, 13))),
-        "--m", str(draw(_mostly(2, 8, -1, 8))),
+        "--p", str(p),
+        "--m", str(m),
         "--n", str(draw(_mostly(1, 7, -1, 9))),
         "--seed", str(draw(st.integers(0, 3))),
         "--budget", "5000",  # keeps every enumeration small
@@ -76,16 +87,34 @@ def oracle_or_leakage_argv(draw):
     size = draw(st.none() | _mostly(1, 12, -2, 14))
     if size is not None:
         argv += ["--size", str(size)]
+    files = {}
+    kind = draw(st.none() | st.sampled_from(["missing", "directory", "no_sets", "not_json",
+                                             "valid"]))
+    if kind == "directory":
+        argv += ["--lists", "{tmp}"]
+    elif kind is not None:
+        argv += ["--lists", "{tmp}/lists.json"]
+        text = (json.dumps({"p": p, "sets": [[0]] * m}) if kind == "valid"
+                else _LISTS_TEXT[kind])
+        if text is not None:
+            files["lists.json"] = text
     if draw(st.booleans()):
-        return ["oracle", *argv, "--search", str(draw(_mostly(1, 3, -2, 3)))]
+        argv += ["--out", "{tmp}/missing/out.json"]
+    if draw(st.booleans()):
+        return ["oracle", *argv, "--search", str(draw(_mostly(1, 3, -2, 3)))], files
     return ["leakage", *argv, "--t", str(draw(_mostly(1, 8, -1, 9))),
-            "--buckets", draw(st.sampled_from(["single", "cyclic", "random"]))]
+            "--buckets", draw(st.sampled_from(["single", "cyclic", "random"]))], files
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_or_leakage_argv())
-def test_cli_exit_code_and_stdout_contract(argv):
-    _run_and_check(argv)
+def test_cli_exit_code_and_stdout_contract(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        _run_and_check([a.format(tmp=tmp) for a in argv])
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,6 +19,7 @@ from opilab.discrepancy import (
     count_sym_diff_zero_closed,
     discrepancy_by_subsets,
     discrepancy_from_count,
+    discrepancy_table,
     elementary_symmetric_newton,
     expected_discrepancy_all,
     expected_discrepancy_exact,
@@ -38,7 +39,7 @@ from opilab.discrepancy import (
 
 from opilab.errors import DomainError
 from opilab.kravchuk import HALF, build_family, kkt_optimum, smallest_root
-from opilab.quadext import QuadExt, beta_of, r_sq_of, sqrt_rho_one_minus_rho, zero
+from opilab.quadext import QuadExt, beta_of, r_of, r_sq_of, sqrt_rho_one_minus_rho, zero
 
 import mpmath
 
@@ -119,6 +120,39 @@ def test_qk_three_routes_agree():
         assert direct == newton == collapsed
 
 
+def closed_form_sum(m, rho, sat, k):
+    """The binomial-sum route to q_k / r^k at satisfied count `sat`:
+    sum_a C(sat,a) C(m-sat,k-a) (-rho/(1-rho))^(k-a); zero for k > m."""
+    c = -rho / (1 - rho)
+    val = Fraction(0)
+    for a in range(max(0, k - (m - sat)), min(sat, k) + 1):
+        val += math.comb(sat, a) * math.comb(m - sat, k - a) * c ** (k - a)
+    return val
+
+
+def test_count_table_matches_closed_form():
+    for p in (5, 7, 11, 13):
+        for size in range(1, p):
+            rho = Fraction(size, p)
+            r_pow = [r_of(rho) ** k for k in range(15)]
+            for m in range(1, 13):
+                table = discrepancy_table(m, rho)
+                for s in range(m + 1):
+                    for k in range(m + 3):
+                        want = r_pow[k] * closed_form_sum(m, rho, s, k)
+                        got = discrepancy_from_count(m, rho, s, k)
+                        assert got == want and repr(got) == repr(want), (m, rho, s, k)
+                        if k <= m:
+                            assert table[k][s] is got
+
+
+def test_count_outside_zero_to_m_is_domain_error():
+    with pytest.raises(DomainError):
+        discrepancy_from_count(4, HALF, 5, 1)
+    with pytest.raises(DomainError):
+        discrepancy_from_count(4, HALF, -1, 1)
+
+
 def test_expected_discrepancy_structure():
     code, lists = rs_instance(seed=5)
     eq = expected_discrepancy_all(code, lists)
@@ -138,6 +172,26 @@ def test_count_sym_diff_basics():
     assert count_sym_diff_zero_closed([2, 3], m) == 0
     assert count_sym_diff([3, 2], 7, m) == 0  # t > k + k'
     assert count_sym_diff([2, 2], 3, m) == 0  # parity mismatch
+
+
+def balanced_kravchuk_sum(m, k, t):
+    """sum_j (-1)^j C(t,j) C(m-t,k-j), the balanced family's closed form."""
+    def comb0(n, j):
+        return math.comb(n, j) if 0 <= j <= n else 0
+    return sum((-1) ** j * comb0(t, j) * comb0(m - t, k - j) for j in range(k + 1))
+
+
+def test_count_closed_form_matches_kravchuk_sum():
+    for m in (1, 4, 7, 10):
+        for ks in ([0, 0], [1, 1], [2, 2, 2], [1, 3, 4], [m, m], [m + 1, 1], [m + 2, 2]):
+            want = Fraction(0)
+            for t in range(m + 1):
+                prod = Fraction(math.comb(m, t))
+                for k in ks:
+                    prod *= balanced_kravchuk_sum(m, k, t)
+                want += prod
+            want /= 2**m
+            assert count_sym_diff_zero_closed(ks, m) == want, (m, ks)
 
 
 def test_count_closed_form_matches_enumeration():

@@ -9,8 +9,6 @@ from opilab.kravchuk import (
     HALF,
     build_family,
     char_poly_identity_check,
-    family_from_json,
-    family_to_json,
     gram_schmidt_family,
     inner_product,
     interlacing_check,
@@ -319,9 +317,28 @@ def test_kkt_is_a_minimum():
         assert tilted_mean(m, [Fraction(v) for v in trial]) >= value - Fraction(1, 10**6) * m
 
 
-def test_family_json_roundtrip():
-    fam = build_family(7, Fraction(2, 5), 3)
-    assert family_from_json(family_to_json(fam)) is not None
+def test_kkt_value_is_the_tilted_mean_of_its_weights():
+    for m in range(2, 15):
+        for ell in range(m):
+            u, value = kkt_optimum(m, ell)
+            assert value == tilted_mean(m, u)
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(5, 7)])
+def test_value_table_matches_coefficients(rho):
+    for m in (1, 5, 9, 20):
+        fam = build_family(m, rho, m)
+        assert len(fam.values) == m + 1
+        for ell, c in enumerate(fam.coeffs):
+            assert fam.values[ell] == tuple(poly_eval(c, x) for x in range(m + 1))
+
+
+def test_value_table_is_not_built_unless_read():
+    # m > 16 skips the orthogonality check, the one reader at construction
+    fam = build_family.__wrapped__(40, Fraction(3, 10), 12)
+    assert "values" not in vars(fam)
+    assert fam.values[12][40] == fam.evaluate(12, 40)
+    assert "values" in vars(fam)
 
 
 def test_degree_cutoff_validation():
