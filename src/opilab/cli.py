@@ -99,9 +99,10 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     if args.search < 0:
         raise DomainError(f"--search must be at least 0, got {args.search}")
+    if args.search and args.lists:
+        raise DomainError("--search draws its own lists; drop --lists")
     code = _build_code(args)
     size = _list_size(args)
-    lists = _load_lists(args)
     if args.search:
         worst = None
         for trial in range(args.search):
@@ -126,6 +127,7 @@ def cmd_oracle(args) -> int:
             args.out,
         )
         return 0
+    lists = _load_lists(args)
     if lists is None:
         raise DomainError("oracle needs --lists (or --search N)")
     if lists.p != args.p or lists.m != args.m:

@@ -339,29 +339,35 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _coverage_log_tails(m: int, n: int) -> np.ndarray:
+    """tails[k] = log sum_{k' >= k} C(b, k') C(2(m-n), d_perp - k') for
+    k = 0..b, with b = 2n - m and d_perp = n + 1: the log coverage count at
+    k guaranteed hits, for every k at once by one reversed cumulative
+    log-sum-exp."""
+    b, d_perp = 2 * n - m, n + 1
+    terms = np.array([_log_comb(b, k) + _log_comb(2 * (m - n), d_perp - k)
+                      for k in range(b + 1)])
+    return np.logaddexp.accumulate(terms[::-1])[::-1]
+
+
 def llr_rate_threshold(m: int = 4096, grid: int = 160) -> float:
     """Rate at which the balanced random-bucket split stops decaying,
     rebuilt from finite-m coverage counts (via log binomials) rather than
-    the closed-form exponents."""
+    the closed-form exponents.  Each mu reads every coverage tail from one
+    _coverage_log_tails table."""
     def exponent(mu: float) -> float:
         n = round(2 * mu * m) // 2 * 2  # even n keeps b = 2n - m even
         b = 2 * n - m
         if b <= 0:
             return math.inf
         d_perp = n + 1
+        tails = _coverage_log_tails(m, n).tolist()
 
         def split_rate(lam: float) -> float:
             hits = math.ceil(lam * m)
-            # log of the coverage count, by log-sum-exp over the tail
-            terms = [
-                _log_comb(b, k) + _log_comb(2 * (m - n), d_perp - k)
-                for k in range(hits, b + 1)
-            ]
-            peak = max(terms, default=-math.inf)
-            if peak == -math.inf:
+            if hits > b:  # no set meets the bucket that often
                 return math.inf
-            log_cov = peak + math.log(sum(math.exp(t - peak) for t in terms))
-            log_j = _log_comb(m, d_perp) - log_cov
+            log_j = _log_comb(m, d_perp) - tails[hits]
             return (
                 log_j / m
                 + (1.0 - n / m) * math.log(2.0)

@@ -19,6 +19,7 @@ FEAS_MARGIN = 1e-9
 BOUND_KINDS = ("green", "avg", "best", "biased")
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EDGE_EPS = 1e-12  # tolerated float spill at domain boundaries
+_ULP = 2.0 ** -52
 
 
 def binary_entropy(x: float) -> float:
@@ -180,11 +181,27 @@ def scan_first_true(pred, xs, tol: float):
 def pair_count_exponent_biased(mu: float, delta: float, tau: float, rho: float):
     """Exponential rate of the weighted pair count for general list density.
 
-    Returns (value, gamma_star, at_endpoint); the inner concave maximization
-    over gamma is solved by a 256-point scan refined by golden section and
-    can be cross-checked against the stationarity relation
-    1 = (|beta|/2) ((1-y)/y) sqrt(x/(1-x)).
+    Returns (value, gamma_star, at_endpoint).  The inner maximization over
+    gamma is strictly concave, so gamma_star is the one root of its
+    derivative log((A-g)/g) + (1/2) log(x/(1-x)) + log(|beta|/2), with
+    A = 2(mu+tau) and x = (delta - tau - g/2)/(1 - 2mu - 2tau), found by
+    Newton steps kept inside the gamma bracket (bisection when a step
+    leaves it).  stationarity_residual checks the root.
     """
+    return _biased_exponent(mu, delta, tau, rho, _stationary_gamma)
+
+
+def _pair_count_exponent_biased_scan(mu: float, delta: float, tau: float, rho: float):
+    """pair_count_exponent_biased with gamma_star from a 256-step scan refined
+    by golden section: the independent second route of the inner solve, and
+    the route of the printed argmaxes (thresholds' witness gamma, figure 3's
+    gamma_star), whose committed values it reproduces bit for bit."""
+    return _biased_exponent(mu, delta, tau, rho, _scanned_gamma)
+
+
+def _biased_exponent(mu: float, delta: float, tau: float, rho: float, argmax):
+    """(value, gamma_star, at_endpoint) with gamma_star = argmax(objective,
+    slope, gamma_lo, gamma_hi) on a non-pinned bracket."""
     if not 0.0 < rho < 1.0:
         raise DomainError("rho outside (0, 1)")
     if tau < -_EDGE_EPS or tau > delta + _EDGE_EPS:
@@ -195,35 +212,71 @@ def pair_count_exponent_biased(mu: float, delta: float, tau: float, rho: float):
         raise DomainError("need mu + tau < 1/2")
     base = 2.0 * (mu + tau) * LOG2 - binary_entropy(mu + delta)
     beta_abs = abs(1.0 - 2.0 * rho) / math.sqrt(rho * (1.0 - rho))
+    log_half_beta = math.log(beta_abs / 2.0) if beta_abs > 0.0 else -math.inf
+    a, d = 2.0 * (mu + tau), delta - tau
     # Both entropy arguments must land in [0, 1], which confines gamma to
     # [2(delta - tau - w), 2(delta - tau)] intersected with [0, 2(mu + tau)];
     # the interval is never empty since delta + mu <= 1.
-    gamma_lo = max(0.0, 2.0 * (delta - tau - w))
-    gamma_hi = min(2.0 * (mu + tau), 2.0 * (delta - tau))
+    gamma_lo = max(0.0, 2.0 * (d - w))
+    gamma_hi = min(a, 2.0 * d)
 
     def objective(g: float) -> float:
-        v = 2.0 * (mu + tau) * binary_entropy(_edge_ratio(g, 2.0 * (mu + tau)))
-        v += w * binary_entropy(_edge_ratio(delta - tau - g / 2.0, w))
+        v = a * binary_entropy(_edge_ratio(g, a))
+        v += w * binary_entropy(_edge_ratio(d - g / 2.0, w))
         if g > 0.0:
             if beta_abs == 0.0:
                 return -math.inf
-            v += g * math.log(beta_abs / 2.0)
+            v += g * log_half_beta
         return v
+
+    def slope(g: float) -> tuple[float, float]:
+        """(objective'(g), objective''(g)) for g strictly inside the bracket,
+        where d - g/2 = w x and w - d + g/2 = w (1 - x) are both positive."""
+        free, filled = d - g / 2.0, w - d + g / 2.0
+        first = math.log((a - g) / g) + 0.5 * math.log(free / filled) + log_half_beta
+        return first, -a / (g * (a - g)) - w / (4.0 * free * filled)
 
     if gamma_hi <= gamma_lo + _EDGE_EPS or (beta_abs == 0.0 and gamma_lo <= 0.0):
         # gamma pinned: empty interior, or zero bias weight kills any g > 0.
         return base + objective(gamma_lo), gamma_lo, True
-
-    grid = 256
-    g_star, v_star = scan_max(
-        objective, [gamma_lo + (gamma_hi - gamma_lo) * i / grid for i in range(grid + 1)]
-    )
+    g_star = argmax(objective, slope, gamma_lo, gamma_hi)
     at_end = abs(g_star - gamma_lo) < 1e-9 or abs(g_star - gamma_hi) < 1e-9
-    return base + v_star, g_star, at_end
+    return base + objective(g_star), g_star, at_end
+
+
+def _stationary_gamma(objective, slope, lo: float, hi: float) -> float:
+    """Root of the strictly decreasing slope on (lo, hi), where it runs from
+    +inf to -inf: Newton steps, bisecting whenever a step leaves the
+    shrinking bracket, until the Newton step or the bisection step from the
+    last point is at most 4 ulp."""
+    g = (lo + hi) / 2.0
+    for _ in range(200):
+        first, second = slope(g)
+        if first > 0.0:
+            lo = g
+        elif first < 0.0:
+            hi = g
+        step = g - first / second
+        nxt = step if lo < step < hi else (lo + hi) / 2.0
+        tol = 4.0 * _ULP * g
+        if abs(step - g) <= tol or abs(nxt - g) <= tol:
+            break
+        g = nxt
+    return g
+
+
+def _scanned_gamma(objective, slope, lo: float, hi: float) -> float:
+    grid = 256
+    return scan_max(objective, [lo + (hi - lo) * i / grid for i in range(grid + 1)])[0]
 
 
 def stationarity_residual(mu: float, delta: float, tau: float, rho: float, gamma: float) -> float:
-    """1 - (|beta|/2)((1-y)/y) sqrt(x/(1-x)) at the given gamma."""
+    """1 - (|beta|/2)((1-y)/y) sqrt(x/(1-x)) at the given gamma, with
+    y = gamma/(2(mu+tau)) and x = (delta - tau - gamma/2)/(1 - 2mu - 2tau).
+
+    The subtracted term is exp of the inner derivative that
+    pair_count_exponent_biased drives to zero, so the residual vanishes at
+    its interior gamma_star: the check on that solver's root."""
     x = (delta - tau - gamma / 2.0) / (1.0 - 2.0 * mu - 2.0 * tau)
     y = gamma / (2.0 * (mu + tau))
     beta_abs = abs(1.0 - 2.0 * rho) / math.sqrt(rho * (1.0 - rho))
@@ -349,7 +402,7 @@ def thresholds(rho: float, bound_kind: str) -> ThresholdResult:
             "delta": delta_cap(mu1, rho, bound_kind),
             "lambda": lambda_star(mu1) if bound_kind == "best" and mu1 > 0.25 else 0.0,
             "gamma": (
-                pair_count_exponent_biased(mu1, delta_cap(mu1, rho, "biased"), 0.0, rho)[1]
+                _pair_count_exponent_biased_scan(mu1, delta_cap(mu1, rho, "biased"), 0.0, rho)[1]
                 if bound_kind == "biased"
                 else 0.0
             ),
@@ -508,7 +561,7 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
             tau_s, gamma_s = 0.0, 0.0
             if dm > 0.0:
                 tau_s = _tau_argmax(mu, dm, rho)
-                _, gamma_s, _ = pair_count_exponent_biased(mu, dm, tau_s, rho)
+                _, gamma_s, _ = _pair_count_exponent_biased_scan(mu, dm, tau_s, rho)
             rows.append([
                 rho, two_mu, semicircle_law(rho, mu),
                 semicircle_law(rho, mu + dm), dm, tau_s, gamma_s,

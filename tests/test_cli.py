@@ -125,6 +125,18 @@ def test_oracle_search_mode(capsys):
     assert "scl_benchmark" in obj
 
 
+def test_oracle_search_rejects_lists(tmp_path, capsys):
+    # --search draws its own lists, so a --lists file would go unused
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"p": 7, "sets": [[0, 1, 2]] * 6}))
+    code = main(["oracle", "--p", "7", "--m", "6", "--n", "3", "--search", "2",
+                 "--lists", str(lists)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--search draws its own lists" in captured.err
+
+
 def test_oracle_malformed_lists(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p": 5, "sets": [[0, 1], [2]]}))

@@ -10,6 +10,8 @@ from opilab.discrepancy import expected_discrepancy_fourier
 from opilab.errors import BudgetExceededError, DomainError
 from opilab.leakage import (
     BucketFamily,
+    _coverage_log_tails,
+    _log_comb,
     arc_bound,
     arc_extremal_check,
     bucket_split_bound,
@@ -264,10 +266,27 @@ def test_single_bucket_log_bound_tracks_green_exponent():
     assert log_bound == pytest.approx(dual_sum_exponent_green(mu), abs=0.02)
 
 
+def test_llr_coverage_tails_match_direct_sum():
+    # the cumulative table against a peak-shifted log-sum-exp per tail
+    for m in (64, 512):
+        for mu in (0.3, 0.35, 0.4, 0.45, 0.49):
+            n = round(2 * mu * m) // 2 * 2
+            b = 2 * n - m
+            tails = _coverage_log_tails(m, n)
+            assert len(tails) == b + 1
+            for hits in range(b + 1):
+                terms = [_log_comb(b, k) + _log_comb(2 * (m - n), n + 1 - k)
+                         for k in range(hits, b + 1)]
+                peak = max(terms)
+                direct = peak + math.log(sum(math.exp(t - peak) for t in terms))
+                assert abs(tails[hits] - direct) <= 1e-12, (m, n, hits)
+
+
 def test_llr_threshold_matches_rate_module():
     from opilab.rates import thresholds
 
     leak_side = llr_rate_threshold(m=4096)
+    assert leak_side == pytest.approx(0.7498779296875273, abs=1e-12)
     rate_side = thresholds(0.5, "best").two_mu1
     assert leak_side == pytest.approx(rate_side, abs=0.01)
     assert leak_side == pytest.approx(0.7496, abs=0.01)

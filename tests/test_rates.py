@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.rates import (
     FEAS_MARGIN,
+    _pair_count_exponent_biased_scan,
     binary_entropy,
     curve_series,
     delta_cap,
@@ -145,6 +147,59 @@ def test_biased_pair_count_stationarity():
     value, gamma, endpoint = pair_count_exponent_biased(0.35, 0.2, 0.0, 0.4)
     assert not endpoint and gamma > 0
     assert abs(stationarity_residual(0.35, 0.2, 0.0, 0.4, gamma)) < 1e-6
+
+
+def _biased_inner_points():
+    """Seeded (mu, delta, tau, rho) points in the domain the thresholds and
+    figures evaluate (0 <= delta <= 1 - rho - mu, 0 <= tau <= delta,
+    mu + tau < 1/2), with each bracket shape drawn on purpose."""
+    rng = random.Random(7)
+
+    def draw(rho, with_tau):
+        mu = rng.uniform(0.0, min(0.5, 1.0 - rho))
+        delta = rng.uniform(0.0, 1.0 - rho - mu)
+        tau = rng.uniform(0.0, max(0.0, min(delta, 0.5 - mu - 1e-9))) if with_tau else 0.0
+        return mu, delta, tau, rho
+
+    points = [draw(rng.uniform(0.01, 0.99), False) for _ in range(100)]
+    points += [draw(rng.uniform(0.01, 0.99), True) for _ in range(100)]
+    points += [draw(0.5, rng.random() < 0.5) for _ in range(50)]  # gamma pinned
+    points += [draw(rho, True) for rho in (0.02, 0.98) for _ in range(50)]
+    while len(points) < 450:  # gamma_lo = 2(delta - tau - w) > 0
+        mu, delta, tau, rho = draw(rng.uniform(0.01, 0.3), True)
+        if delta - tau > 1.0 - 2.0 * mu - 2.0 * tau:
+            points.append((mu, delta, tau, rho))
+    for _ in range(50):  # near-empty [0, 2(mu + tau)]: the root is interior
+        points.append((10 ** rng.uniform(-9, -4) / 2, rng.uniform(0.01, 0.3), 0.0,
+                       rng.uniform(0.01, 0.99)))
+    for _ in range(50):  # near-empty [0, 2(delta - tau)]: the root hugs its end
+        rho = rng.uniform(0.01, 0.99)
+        mu = rng.uniform(0.0, min(0.49, 1.0 - rho))
+        delta = rng.uniform(0.0, min(1.0 - rho - mu, 0.499 - mu))
+        points.append((mu, delta, max(0.0, delta - 10 ** rng.uniform(-9, -4)), rho))
+    return points
+
+
+def test_biased_inner_solver_matches_scan_route():
+    interior = 0
+    for mu, delta, tau, rho in _biased_inner_points():
+        value, gamma, at_end = pair_count_exponent_biased(mu, delta, tau, rho)
+        scan_value, scan_gamma, scan_at_end = _pair_count_exponent_biased_scan(
+            mu, delta, tau, rho)
+        where = (mu, delta, tau, rho)
+        assert at_end == scan_at_end, where
+        assert value >= scan_value - 1e-15, where
+        assert abs(gamma - scan_gamma) <= 1e-7, where
+        if at_end:
+            # Within 1e-9 of a log-singular bracket end the curvature is
+            # huge, and golden section's absolute 1e-10 tolerance leaves the
+            # scan up to about 1e-11 below the root's value.
+            assert value - scan_value <= 1e-10, where
+        else:
+            interior += 1
+            assert abs(value - scan_value) <= 1e-12, where
+            assert abs(stationarity_residual(mu, delta, tau, rho, gamma)) <= 1e-6, where
+    assert interior >= 400
 
 
 def test_biased_dual_sum_reduces_at_half():
