@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--buckets", choices=("single", "cyclic", "random"),
                     default="cyclic")
     sp.add_argument("--lambda", dest="lambda_target", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=0.05)
+    sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--points", type=str, default=None)
     sp.add_argument("--lists", type=str, default=None)
     sp.add_argument("--size", type=int, default=None)

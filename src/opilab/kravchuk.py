@@ -1,9 +1,9 @@
 """Exact orthogonal-polynomial machinery for the binomial weight Bin(m, rho).
 
-Coefficients are exact rationals throughout.  Roots are isolated by exact
-sign-change bracketing (float eigenvalue estimates of the associated
-tridiagonal matrix only seed the brackets; every bracket is certified by
-exact sign evaluation before bisection).
+Coefficients are exact rationals throughout.  Roots are isolated by
+bisection of [0, m] on an exact root count: the integer three-term
+recurrence that builds the family, run at a rational point, is a Sturm
+sequence, and its sign changes count the roots below that point.
 """
 
 from __future__ import annotations
@@ -75,22 +75,6 @@ def _falling_binomial(shift: Fraction, sign: int, j: int) -> Poly:
     return poly_scale(out, Fraction(1, math.factorial(j)))
 
 
-def _int_scaled(c: Poly) -> list[int]:
-    den = math.lcm(*(v.denominator for v in c)) if c else 1
-    return [int(v * den) for v in c]
-
-
-def _sign_at(int_coeffs: list[int], num: int, den: int) -> int:
-    """Sign of sum_i c_i (num/den)^i without building fractions."""
-    d = len(int_coeffs) - 1
-    acc = 0
-    dp = 1
-    for i in range(d, -1, -1):
-        acc = acc * num + int_coeffs[i] * dp
-        dp *= den
-    return (acc > 0) - (acc < 0)
-
-
 # ---------- the family ----------
 
 @dataclass(frozen=True)
@@ -150,30 +134,37 @@ def kravchuk_coeffs(m: int, rho: Fraction, ell: int) -> Poly:
     return out
 
 
-def _recurrence_coeffs(m: int, rho: Fraction, ell_max: int) -> tuple[Poly, ...]:
-    """K_0..K_ell_max by the three-term recurrence of the generating function
+def _recurrence_steps(m: int, rho: Fraction, ell_max: int):
+    """The integer three-term recurrence of the generating function
     (1+z)^(m-x) (1-r^2 z)^x, r^2 = A/B = (1-rho)/rho:
 
         (l+1) K_{l+1} = (m - (1+r^2)x - (1-r^2)l) K_l - r^2 (m-l+1) K_{l-1}.
 
-    It runs on the integer polynomials H_l = l! B^l K_l, for which
-    H_{l+1} = (mB - (B-A)l - (B+A)x) H_l - A B l (m-l+1) H_{l-1}; each
-    coefficient becomes a Fraction once, by one division by l! B^l.
+    On the integer polynomials H_l = l! B^l K_l it reads
+    H_{l+1} = (c_l - s x) H_l - t_l H_{l-1}; yields (c_l, s, t_l) for
+    l = 0..ell_max-1, with c_l = mB - (B-A)l, s = A+B, t_l = AB l (m-l+1).
     """
     a, b = rho.denominator - rho.numerator, rho.numerator
+    for ell in range(ell_max):
+        yield m * b - (b - a) * ell, a + b, a * b * ell * (m - ell + 1)
+
+
+def _recurrence_coeffs(m: int, rho: Fraction, ell_max: int) -> tuple[Poly, ...]:
+    """K_0..K_ell_max by the recurrence of `_recurrence_steps`, run on the
+    integer coefficients of H_l; each becomes a Fraction once, by one
+    division by l! B^l."""
     prev: list[int] = []
     cur = [1]
     scale = 1  # l! B^l
     out = [(Fraction(1),)]
-    for ell in range(ell_max):
-        nxt = [(m * b - (b - a) * ell) * v for v in cur] + [0]
+    for ell, (c, s, t) in enumerate(_recurrence_steps(m, rho, ell_max)):
+        nxt = [c * v for v in cur] + [0]
         for i, v in enumerate(cur):
-            nxt[i + 1] -= (a + b) * v
-        tail = a * b * ell * (m - ell + 1)
+            nxt[i + 1] -= s * v
         for i, v in enumerate(prev):
-            nxt[i] -= tail * v
+            nxt[i] -= t * v
         prev, cur = cur, nxt
-        scale *= (ell + 1) * b
+        scale *= (ell + 1) * rho.numerator
         out.append(tuple(Fraction(v, scale) for v in cur))
     return tuple(out)
 
@@ -319,119 +310,72 @@ def char_poly_identity_check(m: int, ell: int) -> bool:
 
 # ---------- roots ----------
 
-def _jacobi_estimates(m: int, rho: Fraction, ell: int) -> list[float]:
-    """Float eigenvalue estimates of the Jacobi matrix for Bin(m, rho).
+def _count_below(fam: KravchukFamily, ell: int, num: int, den: int) -> tuple[int, bool]:
+    """(number of roots of K_ell below num/den, whether num/den is a root).
 
-    Used only to seed brackets; brackets are certified by exact signs.
+    Runs the recurrence at x = num/den on the integers den^l H_l(x).  H_l
+    has leading sign (-1)^l, so H_0..H_ell is a Sturm sequence whose sign
+    changes, zeros skipped, count the roots of H_ell below x.  At a root of
+    H_ell the changes over H_0..H_(ell-1) count the roots strictly below it.
     """
-    rho_f = float(rho)
-    diag = [k + rho_f * (m - 2 * k) for k in range(ell)]
-    off = [math.sqrt(k * (m - k + 1) * rho_f * (1 - rho_f)) for k in range(1, ell)]
-    mat = np.diag(diag)
-    for k, v in enumerate(off, start=1):
-        mat[k, k - 1] = mat[k - 1, k] = v
-    return [float(v) for v in np.linalg.eigvalsh(mat)]
+    prev, cur = 0, 1
+    den_sq = den * den
+    changes = 0
+    positive = True
+    for c, s, t in _recurrence_steps(fam.m, fam.rho, ell):
+        prev, cur = cur, (c * den - s * num) * cur - t * den_sq * prev
+        if cur and (cur > 0) != positive:
+            changes += 1
+            positive = not positive
+    return changes, cur == 0
 
 
-def _certified_brackets(fam: KravchukFamily, ell: int, ints: list[int]):
-    """ell disjoint sign-change brackets inside (0, m), certified exactly;
-    ints is the integer-scaled degree-ell member.
-
-    Returns a list of (lo, hi, exact_root_or_None); an exact entry means a
-    probe point happened to be a root.
-    """
-    m = fam.m
-
-    def cuts_from_points(points: list[Fraction]):
-        pts = sorted(set(points))
-        signs = [_sign_at(ints, q.numerator, q.denominator) for q in pts]
-        found = []
-        last = None  # index of the last nonzero-sign probe
-        for idx in range(len(pts)):
-            if signs[idx] == 0:
-                # A probe landed on a root; do not span it with a bracket.
-                found.append((pts[idx], pts[idx], pts[idx]))
-                last = None
-                continue
-            if last is not None and signs[last] * signs[idx] < 0:
-                found.append((pts[last], pts[idx], None))
-            last = idx
-        return found
-
-    est = _jacobi_estimates(m, fam.rho, ell)
-    probes = [Fraction(0)]
-    for i in range(len(est) - 1):
-        probes.append(Fraction((est[i] + est[i + 1]) / 2).limit_denominator(1 << 20))
-    probes.append(Fraction(m))
-    brackets = cuts_from_points(probes)
-    grid = 4 * ell + 4
-    while len(brackets) != ell:
-        # Estimates failed to separate the roots; fall back to a uniform scan.
-        probes = [Fraction(i * m, grid) for i in range(grid + 1)]
-        brackets = cuts_from_points(probes)
-        grid *= 2
-        if grid > (1 << 22):
-            raise IdentityViolationError(
-                f"could not isolate {ell} roots at m={m} rho={fam.rho}"
-            )
-    return brackets
-
-
-def _bisect(ints: list[int], lo: Fraction, hi: Fraction, precision: Fraction) -> Fraction:
-    """Bisect a certified bracket; returns the midpoint of the final bracket
-    (or an exact root hit on the way).
-
-    lo and hi are kept as integer numerators over one shared denominator,
-    which doubles at each step.
-    """
-    den = math.lcm(lo.denominator, hi.denominator)
-    lo_n = lo.numerator * (den // lo.denominator)
-    hi_n = hi.numerator * (den // hi.denominator)
+def _root(fam: KravchukFamily, ell: int, j: int, precision: Fraction) -> Fraction:
+    """The j-th root (0-based, ascending) of K_ell within +-precision:
+    bisection of [0, m] on `_count_below`, with lo and hi kept as integer
+    numerators over one shared denominator that doubles at each step.
+    Returns an exact root hit on the way, else the final midpoint."""
+    if not 0 <= j < ell <= fam.degree_max:
+        raise DomainError("ell out of range for this family")
     precision = Fraction(precision)
+    if precision <= 0:
+        raise DomainError("root precision must be positive")
     p_num, p_den = precision.numerator, precision.denominator
-    slo = _sign_at(ints, lo_n, den)
+    lo_n, hi_n, den = 0, fam.m, 1
     while (hi_n - lo_n) * p_den > p_num * den:
         mid_n = lo_n + hi_n
         den *= 2
-        sm = _sign_at(ints, mid_n, den)
-        if sm == 0:
+        below, is_root = _count_below(fam, ell, mid_n, den)
+        if is_root and below == j:
             return Fraction(mid_n, den)
-        if sm == slo:
-            lo_n, hi_n = mid_n, 2 * hi_n
-        else:
+        if below > j:
             lo_n, hi_n = 2 * lo_n, mid_n
+        else:
+            lo_n, hi_n = mid_n, 2 * hi_n
     return Fraction(lo_n + hi_n, 2 * den)
-
-
-def _roots(fam: KravchukFamily, ell: int, precision: Fraction, pick: slice) -> list[Fraction]:
-    """The roots of the degree-ell member at positions `pick` of the
-    ascending order, each within +-precision; only those are bisected."""
-    if ell < 1 or ell > fam.degree_max:
-        raise DomainError("ell out of range for this family")
-    ints = _int_scaled(fam.coeffs[ell])
-    return [
-        exact if exact is not None else _bisect(ints, lo, hi, precision)
-        for lo, hi, exact in _certified_brackets(fam, ell, ints)[pick]
-    ]
 
 
 def isolate_roots(fam: KravchukFamily, ell: int,
                   precision: Fraction = DEFAULT_ROOT_PRECISION) -> list[Fraction]:
-    """All ell roots of the degree-ell member, each within +-precision."""
-    return _roots(fam, ell, precision, slice(None))
+    """All ell roots of K_ell in ascending order, each within +-precision,
+    each found by bisection on the exact Sturm count of the recurrence."""
+    if ell < 1:
+        raise DomainError("ell out of range for this family")
+    return [_root(fam, ell, j, precision) for j in range(ell)]
 
 
 def largest_root(fam: KravchukFamily, ell: int,
                  precision: Fraction = DEFAULT_ROOT_PRECISION) -> Fraction:
-    return _roots(fam, ell, precision, slice(-1, None))[0]
+    """The largest root of K_ell within +-precision, by bisection on the
+    exact Sturm count of the recurrence."""
+    return _root(fam, ell, ell - 1, precision)
 
 
 def smallest_root(fam: KravchukFamily, ell: int,
                   precision: Fraction = DEFAULT_ROOT_PRECISION) -> Fraction:
-    if fam.rho == HALF:
-        # K_l(x) = (-1)^l K_l(m-x) pairs the extreme roots.
-        return fam.m - largest_root(fam, ell, precision)
-    return _roots(fam, ell, precision, slice(0, 1))[0]
+    """The smallest root of K_ell within +-precision, by bisection on the
+    exact Sturm count of the recurrence."""
+    return _root(fam, ell, 0, precision)
 
 
 # ---------- principal representation and interlacing ----------
@@ -456,13 +400,12 @@ class PrincipalRepresentation:
         return sum(w * z**j for z, w in zip(self.support, self.masses))
 
 
-def principal_representation(m: int, rho: Fraction, ell: int,
-                             precision: Fraction = DEFAULT_ROOT_PRECISION) -> PrincipalRepresentation:
+def principal_representation(m: int, rho: Fraction, ell: int) -> PrincipalRepresentation:
     rho = Fraction(rho)
     if ell < 1 or 2 * ell > m:
         raise DomainError("need 1 <= ell <= m/2")
     fam = build_family(m, rho, ell)
-    roots = isolate_roots(fam, ell, precision)
+    roots = isolate_roots(fam, ell)
     masses = []
     for z in roots:
         # Reciprocal Christoffel function over the orthonormal family; the
@@ -472,15 +415,16 @@ def principal_representation(m: int, rho: Fraction, ell: int,
     return PrincipalRepresentation(m, rho, ell, tuple(roots), tuple(masses))
 
 
-def interlacing_check(rep: PrincipalRepresentation, profile, atom_slack: Fraction | None = None) -> dict:
+def interlacing_check(rep: PrincipalRepresentation, profile) -> dict:
     """Verify P(X <= z_j) <= P(Z <= z_j) <= P(X <= z_{j+1}) for all j.
 
     X is the empirical satisfied-count distribution, Z the principal
     representation; the j = 0 and j = ell edges use cumulative 0 and 1.
     Requires the profile moments to match Bin(m, rho) up to order 2*ell-1.
     """
-    if atom_slack is None:
-        atom_slack = 4 * DEFAULT_ROOT_PRECISION
+    # The support points sit within DEFAULT_ROOT_PRECISION of the roots; an
+    # atom of X at a root must not fall just outside the cumulative at it.
+    atom_slack = 4 * DEFAULT_ROOT_PRECISION
     for j in range(rep.order + 1):
         if profile_moment(profile, j) != binomial_moment(rep.m, rep.rho, j):
             raise DomainError(
@@ -532,8 +476,7 @@ def synthetic_divide(c: Poly, z: Fraction) -> tuple[Poly, Fraction]:
     return poly_trim(q), rem
 
 
-def kkt_optimum(m: int, ell: int,
-                precision: Fraction = DEFAULT_ROOT_PRECISION) -> tuple[tuple[Fraction, ...], Fraction]:
+def kkt_optimum(m: int, ell: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Weights u for which the Bin(m, 1/2)-tilted mean hits its minimum.
 
     Divides K_{ell+1} by (t - z) at the isolated smallest root z, expands
@@ -543,10 +486,10 @@ def kkt_optimum(m: int, ell: int,
     if ell + 1 > m:
         raise DomainError("need ell + 1 <= m")
     fam = build_family(m, HALF, ell + 1)
-    z = smallest_root(fam, ell + 1, precision)
+    z = smallest_root(fam, ell + 1)
     quot, rem = synthetic_divide(fam.coeffs[ell + 1], z)
     deriv_scale = abs(poly_eval(poly_derivative(fam.coeffs[ell + 1]), z))
-    if abs(rem) > 4 * precision * max(deriv_scale, Fraction(1)):
+    if abs(rem) > 4 * DEFAULT_ROOT_PRECISION * max(deriv_scale, Fraction(1)):
         raise IdentityViolationError("division remainder exceeds root precision")
     # Expand the quotient in the K-basis by leading-coefficient elimination.
     u = [Fraction(0)] * (ell + 1)

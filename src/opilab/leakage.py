@@ -196,8 +196,12 @@ def certify_buckets(buckets, m: int, t: int, target: int,
 
 
 def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
-                 seed: int = 0, eps: float = 0.05,
+                 seed: int = 0, eps: float | None = None,
                  budget: int | None = None) -> BucketFamily:
+    """Single, cyclic or random buckets; lambda_target and eps (default 0.05)
+    are read by random buckets only, and given with another kind they raise."""
+    if kind != "random" and (lambda_target is not None or eps is not None):
+        raise DomainError(f"a lambda target and eps apply to random buckets only, not {kind!r}")
     b = 2 * n - m
     if b <= 0:
         raise DomainError("buckets need 2n > m")
@@ -213,6 +217,8 @@ def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
     elif kind == "random":
         if lambda_target is None:
             raise DomainError("random buckets need a lambda target")
+        if eps is None:
+            eps = 0.05
         mu = n / (2 * m)
         a1 = 4 * mu - 1
         if not 0 < lambda_target <= min(a1, 2 * mu):

@@ -276,11 +276,14 @@ def stationarity_residual(mu: float, delta: float, tau: float, rho: float, gamma
 
     The subtracted term is exp of the inner derivative that
     pair_count_exponent_biased drives to zero, so the residual vanishes at
-    its interior gamma_star: the check on that solver's root."""
-    x = (delta - tau - gamma / 2.0) / (1.0 - 2.0 * mu - 2.0 * tau)
+    its interior gamma_star: the check on that solver's root.  x/(1-x) is
+    read as free/filled, as that solver's slope reads it; forming 1 - x by
+    subtraction loses digits when x is near 1."""
+    w = 1.0 - 2.0 * mu - 2.0 * tau
+    free, filled = delta - tau - gamma / 2.0, w - (delta - tau) + gamma / 2.0
     y = gamma / (2.0 * (mu + tau))
     beta_abs = abs(1.0 - 2.0 * rho) / math.sqrt(rho * (1.0 - rho))
-    return 1.0 - (beta_abs / 2.0) * ((1.0 - y) / y) * math.sqrt(x / (1.0 - x))
+    return 1.0 - (beta_abs / 2.0) * ((1.0 - y) / y) * math.sqrt(free / filled)
 
 
 def dual_sum_exponent_biased(mu: float, tau: float, rho: float) -> float:

@@ -176,6 +176,27 @@ def test_leakage_weight_outside_one_to_m_is_domain_error(capsys, t):
     assert out == ""
 
 
+@pytest.mark.parametrize("buckets", ["single", "cyclic"])
+@pytest.mark.parametrize("flag", [["--lambda", "0.3"], ["--eps", "5"], ["--eps", "0.05"]])
+def test_leakage_random_bucket_flags_with_other_buckets_are_domain_error(capsys, buckets, flag):
+    code = main(["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "8",
+                 "--buckets", buckets, *flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "random buckets only" in captured.err
+
+
+def test_leakage_random_bucket_eps_defaults_to_five_hundredths(capsys):
+    # at lambda 0.5 the entropy term sets J: eps 0.04, 0.05, 0.06 give 8, 9, 10
+    argv = ["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "8",
+            "--buckets", "random", "--lambda", "0.5"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["J"] == 9
+    assert run_cli(argv + ["--eps", "0.05"], capsys) == (0, out)
+    assert json.loads(run_cli(argv + ["--eps", "0.06"], capsys)[1])["J"] == 10
+
+
 def test_thresholds_rho_outside_unit_interval_is_domain_error(capsys):
     code, out = run_cli(["thresholds", "--rho", "1.5", "--bound", "biased"], capsys)
     assert code == 2

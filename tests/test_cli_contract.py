@@ -102,8 +102,15 @@ def oracle_or_leakage_argv(draw):
         argv += ["--out", "{tmp}/missing/out.json"]
     if draw(st.booleans()):
         return ["oracle", *argv, "--search", str(draw(_mostly(1, 3, -2, 3)))], files
-    return ["leakage", *argv, "--t", str(draw(_mostly(1, 8, -1, 9))),
-            "--buckets", draw(st.sampled_from(["single", "cyclic", "random"]))], files
+    argv += ["--t", str(draw(_mostly(1, 8, -1, 9))),
+             "--buckets", draw(st.sampled_from(["single", "cyclic", "random"]))]
+    lam = draw(st.none() | st.floats(-0.5, 1.5, allow_nan=False))
+    if lam is not None:
+        argv.append(f"--lambda={lam!r}")  # "=" keeps "-1e-05" a value
+    eps = draw(st.none() | st.floats(-1.0, 5.0, allow_nan=False))
+    if eps is not None:
+        argv.append(f"--eps={eps!r}")
+    return ["leakage", *argv], files
 
 
 @settings(max_examples=200, deadline=None)

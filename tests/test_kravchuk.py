@@ -108,41 +108,39 @@ def test_recurrence_matches_closed_form_mid_size():
     assert build_family(40, rho, 12).coeffs[12] == kravchuk_coeffs(40, rho, 12)
 
 
-def _fraction_bisect(ints, lo, hi, precision):
-    """The bisection on Fraction midpoints that the integer kernel replaced."""
-    from opilab.kravchuk import _sign_at
+def _checked_roots(fam, ell, precision):
+    """isolate_roots, checked on the stored coefficients: a route that
+    shares nothing with the counts on the point recurrence."""
+    m, c = fam.m, fam.coeffs[ell]
+    roots = isolate_roots(fam, ell, precision)
+    assert len(roots) == ell
+    assert all(0 < z < m for z in roots)
+    assert all(roots[i] < roots[i + 1] for i in range(ell - 1))
+    for z in roots:
+        assert (poly_eval(c, z - precision) * poly_eval(c, z + precision) < 0
+                or poly_eval(c, z) == 0)
+    assert largest_root(fam, ell, precision) == roots[-1]
+    assert smallest_root(fam, ell, precision) == roots[0]
+    return roots
 
-    slo = _sign_at(ints, lo.numerator, lo.denominator)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        sm = _sign_at(ints, mid.numerator, mid.denominator)
-        if sm == 0:
-            return mid
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(5, 7)])
+def test_sturm_roots_bracket_sign_changes_of_coefficients(rho):
+    for m in range(1, 25):
+        fam = build_family(m, rho, m)
+        for ell in range(1, m + 1):
+            for precision in (Fraction(1, 10**9), Fraction(1, 10**12)):
+                _checked_roots(fam, ell, precision)
 
 
-@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3)])
-def test_integer_bisect_matches_fraction_bisect(monkeypatch, rho):
-    from opilab import kravchuk
-
-    cases = [(m, 3 * m // 10, precision)
-             for m in (10, 20, 30) for precision in (Fraction(1, 10**9), Fraction(1, 10**12))]
-    cases.append((12, 5, Fraction(1, 7)))  # coarse; at rho = 1/2 a midpoint hits the root 6
-    got = []
-    for m, ell, precision in cases:
-        fam = build_family(m, rho, ell)
-        got.append((largest_root(fam, ell, precision), smallest_root(fam, ell, precision),
-                    isolate_roots(fam, ell, precision)))
-    monkeypatch.setattr(kravchuk, "_bisect", _fraction_bisect)
-    for (m, ell, precision), (big, small, roots) in zip(cases, got):
-        fam = build_family(m, rho, ell)
-        assert big == largest_root(fam, ell, precision)
-        assert small == smallest_root(fam, ell, precision)
-        assert roots == isolate_roots(fam, ell, precision)
+@pytest.mark.parametrize("m, ell, precision, root", [
+    (10, 3, Fraction(1, 10**12), Fraction(5)),  # the first midpoint is the middle root
+    (12, 5, Fraction(1, 7), Fraction(6)),  # coarse, yet the first midpoint is a root
+])
+def test_sturm_roots_exact_hits(m, ell, precision, root):
+    fam = build_family(m, HALF, ell)
+    assert root in _checked_roots(fam, ell, precision)
+    assert poly_eval(fam.coeffs[ell], root) == 0
 
 
 def test_three_term_step_matches_stored():
@@ -164,6 +162,13 @@ def test_root_degree_out_of_range_is_domain_error(rho, root_fn, ell):
     fam = build_family(9, rho, 3)
     with pytest.raises(DomainError):
         root_fn(fam, ell)
+
+
+@pytest.mark.parametrize("precision", [0, Fraction(-1, 10)])
+def test_root_precision_not_positive_is_domain_error(precision):
+    # bisection to a zero width would never stop
+    with pytest.raises(DomainError):
+        largest_root(build_family(9, HALF, 3), 3, precision)
 
 
 def test_reflection_symmetry():

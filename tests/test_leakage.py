@@ -64,6 +64,11 @@ def test_bucket_preconditions():
         make_buckets("cyclic", 10, 4)  # 2n - m < 0
     with pytest.raises(DomainError):
         make_buckets("nope", 10, 7)
+    for kind in ("single", "cyclic"):  # only random buckets read these
+        with pytest.raises(DomainError):
+            make_buckets(kind, 10, 7, lambda_target=0.3)
+        with pytest.raises(DomainError):
+            make_buckets(kind, 10, 7, eps=0.05)
 
 
 def test_cyclic_bucket_coverage():
@@ -90,6 +95,8 @@ def test_random_buckets_certified():
     assert fam.guaranteed_hits(15) >= math.ceil(0.3 * 20)
     with pytest.raises(DomainError):
         make_buckets("random", 20, 14, lambda_target=0.9)  # infeasible target
+    # at (8, 6, 0.5) the entropy term sets J: eps 0.04, 0.05, 0.06 give 8, 9, 10
+    assert make_buckets("random", 8, 6, lambda_target=0.5).J == 9
 
 
 def test_coverage_count_matches_enumeration():

@@ -149,6 +149,14 @@ def test_biased_pair_count_stationarity():
     assert abs(stationarity_residual(0.35, 0.2, 0.0, 0.4, gamma)) < 1e-6
 
 
+def test_stationarity_residual_is_sharp_where_x_is_near_one():
+    # x = 1 - 1.7e-9 at this root; forming 1 - x by subtraction read -2.9e-8
+    point = (0.17879675848304788, 0.665676342428763, 0.11517807915926513, 0.4999815034231294)
+    _, gamma, endpoint = pair_count_exponent_biased(*point)
+    assert not endpoint
+    assert abs(stationarity_residual(*point, gamma)) < 1e-8
+
+
 def _biased_inner_points():
     """Seeded (mu, delta, tau, rho) points in the domain the thresholds and
     figures evaluate (0 <= delta <= 1 - rho - mu, 0 <= tau <= delta,
