@@ -46,11 +46,6 @@ def _comb0(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _half(v: int) -> int | None:
-    """v/2 when v is an even nonnegative integer, else None."""
-    return v // 2 if v >= 0 and v % 2 == 0 else None
-
-
 # ---------- pointwise discrepancy ----------
 
 def normalized_indicator_value(in_set: bool, rho: Fraction) -> QuadExt:
@@ -114,8 +109,9 @@ def discrepancy_table(m: int, rho: Fraction) -> tuple[tuple[QuadExt, ...], ...]:
     """
     r = r_of(rho)
     values = build_family(m, 1 - rho, m).values
-    return tuple(tuple(r_k * v for v in reversed(row))
-                 for r_k, row in zip((r**k for k in range(m + 1)), values))
+    # r^k = r_sq^(k // 2) r^(k mod 2)
+    return tuple(tuple(_lift(r.r_sq ** (k // 2) * v, k % 2, r) for v in reversed(row))
+                 for k, row in enumerate(values))
 
 
 def discrepancy_from_count(m: int, rho: Fraction, sat: int, k: int) -> QuadExt:
@@ -137,15 +133,16 @@ def expected_discrepancy_exact(code: MdsCode, lists: InputLists,
     """E[q_t] over uniform solutions for every t, from the exact histogram."""
     if profile is None:
         profile = brute_force_opi(code, lists, budget)
-    m, rho = code.m, lists.rho
-    scale = Fraction(1, profile.total)
+    r = r_of(lists.rho)
+    bins = [(s, cnt) for s, cnt in enumerate(profile.histogram) if cnt]
     out = []
-    for row in discrepancy_table(m, rho):
-        acc = zero(rho)
-        for s, cnt in enumerate(profile.histogram):
-            if cnt:
-                acc = acc + row[s] * Fraction(cnt)
-        out.append(acc * scale)
+    for k, row in enumerate(discrepancy_table(code.m, lists.rho)):
+        # r^k times rational values: all real for even k, all r-part for odd;
+        # summed on integers over the lcm of their denominators
+        vals = [(row[s].b if k % 2 else row[s].a, cnt) for s, cnt in bins]
+        d = math.lcm(*(v.denominator for v, _ in vals))
+        num = sum(v.numerator * (d // v.denominator) * cnt for v, cnt in vals)
+        out.append(_lift(Fraction(num, d * profile.total), k % 2, r))
     return out
 
 
@@ -244,28 +241,44 @@ def count_sym_diff_zero_closed(k_list, m: int) -> int:
 def weighted_pair_count(k: int, kp: int, t: int, m: int, rho: Fraction) -> QuadExt:
     """sum_j beta^j C(t,j) C(t-j, (t+k-k'-j)/2) C(m-t, (k+k'-t-j)/2), with
     binomials vanishing on negative or non-integer arguments."""
-    return _pair_count(k, kp, t, m, beta_of(rho))
+    beta = beta_of(rho)
+    return _lift(_pair_count(k, kp, t, m, _beta_sq(beta)), (t + k - kp) % 2, beta)
 
 
 def weighted_pair_count_abs(k: int, kp: int, t: int, m: int, rho: Fraction) -> QuadExt:
     """Same sum with |beta|: the cancellation-free majorant."""
-    return _pair_count(k, kp, t, m, beta_abs_of(rho))
+    beta = beta_abs_of(rho)
+    return _lift(_pair_count(k, kp, t, m, _beta_sq(beta)), (t + k - kp) % 2, beta)
 
 
-def _pair_count(k: int, kp: int, t: int, m: int, beta: QuadExt) -> QuadExt:
-    acc = QuadExt.of(0, 0, beta.r_sq)
-    if k < 0 or kp < 0 or t < 0 or t > m:
-        return acc
-    beta_pow = QuadExt.of(1, 0, beta.r_sq)
-    for j in range(t + 1):
-        mid = _half(t + k - kp - j)
-        outer = _half(k + kp - t - j)
-        if mid is not None and outer is not None:
-            c = _comb0(t, j) * _comb0(t - j, mid) * _comb0(m - t, outer)
-            if c:
-                acc = acc + beta_pow * Fraction(c)
-        beta_pow = beta_pow * beta
-    return acc
+def _beta_sq(beta: QuadExt) -> Fraction:
+    """beta^2 for beta = beta.b r, the same for beta and |beta|."""
+    return beta.b * beta.b * beta.r_sq
+
+
+def _lift(v: Fraction, parity: int, x: QuadExt) -> QuadExt:
+    """x^parity v in Q(r) for a pure r-part x = x.b r, such as beta or r:
+    (v, 0), or (0, v x.b)."""
+    if parity:
+        return QuadExt(Fraction(0), v * x.b, x.r_sq)
+    return QuadExt(v, Fraction(0), x.r_sq)
+
+
+def _pair_count(k: int, kp: int, t: int, m: int, beta_sq: Fraction) -> Fraction:
+    """v with N(k,k';t) = beta^pi v, pi = (t+k-k') mod 2.
+
+    Each term beta^j c_j of N, c_j the product of binomials, has j of parity
+    pi.  With beta^2 = a/b and j = pi + 2i <= t, v is one integer sum over
+    one power of b: sum_i c_{pi+2i} a^i b^(I-i) / b^I, I = (t - pi) // 2."""
+    pi = (t + k - kp) % 2
+    if k < 0 or kp < 0 or pi > t or t > m:
+        return Fraction(0)
+    a, b = beta_sq.numerator, beta_sq.denominator
+    top = (t - pi) // 2
+    acc = sum(_comb0(t, j) * _comb0(t - j, (t + k - kp - j) // 2)
+              * _comb0(m - t, (k + kp - t - j) // 2) * a**i * b ** (top - i)
+              for i, j in enumerate(range(pi, t + 1, 2)))
+    return Fraction(acc, b**top)
 
 
 def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction,
@@ -302,30 +315,38 @@ def weighted_triple_count(k: int, kp: int, s: int, m: int, rho: Fraction) -> Qua
     if not 0 <= k < m:
         raise DomainError("need 0 <= k < m")
     beta = beta_of(rho)
-    return _triple_count(k, m, beta, lambda j: _pair_count(j, kp, s, m, beta))
+    return _triple_count(k, kp, s, m, beta, lambda j: _pair_count(j, kp, s, m, _beta_sq(beta)))
 
 
-def _triple_count(k: int, m: int, beta: QuadExt, pair) -> QuadExt:
-    """The triple count from pair(j) = N(j,k';s); pair(-1) is zero, so the
-    k-1 term is vacuous at k = 0."""
-    return (pair(k + 1) * Fraction(k + 1) + beta * pair(k) * Fraction(k)
-            + pair(k - 1) * Fraction(m - k + 1))
+def _triple_count(k: int, kp: int, s: int, m: int, beta: QuadExt, pair) -> QuadExt:
+    """The triple count from pair(j), the v of N(j,k';s) = beta^pi v;
+    pair(-1) is zero, so the k-1 term is vacuous at k = 0.  N(k+-1) carry
+    beta^parity, parity = (s+k+1-k') mod 2, and N(k) the other power, so
+    the middle term beta N(k) is beta^2 v(k) when the parity is 0."""
+    parity = (s + k + 1 - kp) % 2
+    mid = pair(k) * k
+    v = (pair(k + 1) * (k + 1) + (mid * _beta_sq(beta) if parity == 0 else mid)
+         + pair(k - 1) * (m - k + 1))
+    return _lift(v, parity, beta)
 
 
 def _window_counts(m: int, rho: Fraction, window: range, t_hi: int):
     """N(k,k';t) for k in the window widened by one on each side, k' in the
-    window and t <= t_hi, each computed once, and the triple counts of the
-    window pairs built from them; both keyed by (k, k', t)."""
+    window and t <= t_hi, each computed once by the integer kernel
+    `_pair_count`, and the triple counts of the window pairs built from
+    them; both keyed by (k, k', t) and lifted to Q(r) once per entry."""
     beta = beta_of(rho)
     if window[0] < 0 or window[-1] >= m:
         raise DomainError("need 0 <= k < m")
+    beta_sq = _beta_sq(beta)
     ts = range(t_hi + 1)
-    pairs = {
-        (k, kp, t): _pair_count(k, kp, t, m, beta)
+    vals = {
+        (k, kp, t): _pair_count(k, kp, t, m, beta_sq)
         for k in range(window[0] - 1, window[-1] + 2) for kp in window for t in ts
     }
+    pairs = {(k, kp, t): _lift(v, (t + k - kp) % 2, beta) for (k, kp, t), v in vals.items()}
     triples = {
-        (k, kp, t): _triple_count(k, m, beta, lambda j: pairs[j, kp, t])
+        (k, kp, t): _triple_count(k, kp, t, m, beta, lambda j: vals[j, kp, t])
         for k in window for kp in window for t in ts
     }
     return pairs, triples
@@ -360,6 +381,10 @@ class SamplerSpec:
             raise DomainError("need 0 <= sigma <= ell")
         if self.weight_mode not in ("canonical", "rational_test"):
             raise DomainError(f"unknown weight mode {self.weight_mode!r}")
+        if self.rational_weights is not None:
+            # a tuple of Fractions keeps the spec hashable: it keys `_window_sums`
+            object.__setattr__(self, "rational_weights",
+                               tuple(Fraction(v) for v in self.rational_weights))
         if self.weight_mode == "rational_test":
             if self.rational_weights is None:
                 object.__setattr__(
@@ -379,9 +404,43 @@ def make_sampler(ell: int, sigma: int | None = None, weight_mode: str = "canonic
     # the asymptotic window width floor(log log ell) is 0 or 1 at desk scale
     if sigma is None:
         sigma = min(2, ell)
-    if rational_weights is not None:
-        rational_weights = tuple(Fraction(v) for v in rational_weights)
     return SamplerSpec(ell, sigma, weight_mode, rational_weights)
+
+
+@lru_cache(maxsize=256)
+def _window_sums(m: int, rho: Fraction, spec: SamplerSpec, precision_digits: int):
+    """The instance-independent sums of the sampled-satisfaction expansion:
+    the squared direct-route row wsq[s] = (sum_k u_k q_k(s))^2, s = 0..m,
+    and for t <= min(m, 2 ell + 1) the window sums
+    T0[t] = sum u_k u_k' N(k,k';t) and T1[t], the same over the triple
+    counts.
+
+    Q(r) values in rational_test mode, mpmath floats at `precision_digits`
+    in canonical mode; returned as tuples, so no caller can change what the
+    next one reads."""
+    t_hi = min(m, 2 * spec.ell + 1)
+    pairs, triples = _window_counts(m, rho, spec.window, t_hi)
+    q = discrepancy_table(m, rho)
+    with mpmath.workdps(precision_digits):
+        if spec.weight_mode == "rational_test":
+            u = dict(zip(spec.window, spec.rational_weights))
+            zero_v, conv = zero(rho), lambda qe: qe
+        else:
+            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in spec.window}
+            rho_f = mpmath.mpf(rho.numerator) / rho.denominator
+            r_f = mpmath.sqrt((1 - rho_f) / rho_f)
+            zero_v, conv = mpmath.mpf(0), lambda qe: _to_mp(qe, r_f)
+
+        def window_sum(counts, t):
+            # k and k' inner, summed in this order: canonical residuals depend on it
+            return sum((conv(counts[k, kp, t]) * (u[k] * u[kp])
+                        for k in spec.window for kp in spec.window), zero_v)
+
+        wsq = tuple(sum((conv(q[k][s]) * u[k] for k in spec.window), zero_v) ** 2
+                    for s in range(m + 1))
+        ts = range(t_hi + 1)
+        return (wsq, tuple(window_sum(pairs, t) for t in ts),
+                tuple(window_sum(triples, t) for t in ts))
 
 
 def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: SamplerSpec,
@@ -395,7 +454,10 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
     the same routes: rational_test in Q(r) with its rational weights, and
     canonical in mpmath floats with weights C(m,k)^(-1/2).  Agreement is
     exact (cross-multiplied in Q(r)) in rational_test mode and 1e-9
-    relative in canonical mode.
+    relative in canonical mode.  The window sums depend only on
+    (m, rho, spec, precision_digits) and are read from `_window_sums`; the
+    per-instance work is the two histogram sums.  A sampler whose direct
+    denominator is zero on the instance is a DomainError.
     """
     if profile is None:
         profile = brute_force_opi(code, lists, budget)
@@ -403,47 +465,30 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
     if spec.ell >= m:
         raise DomainError("window cutoff must stay below the code length")
     exact_eq = expected_discrepancy_all(code, lists, profile, budget)
-    t_hi = min(m, 2 * spec.ell + 1)
-    pairs, triples = _window_counts(m, rho, spec.window, t_hi)
     exact = spec.weight_mode == "rational_test"
     if not exact and precision_digits < MIN_PRECISION_DIGITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_DIGITS} digits, "
                           f"got {precision_digits}")
+    wsq, t0s, t1s = _window_sums(m, rho, spec, precision_digits)
 
     with mpmath.workdps(precision_digits):
-        rho_f = mpmath.mpf(rho.numerator) / rho.denominator
-        r_f = mpmath.sqrt((1 - rho_f) / rho_f)
-
-        def conv(qe: QuadExt):
-            return qe if exact else _to_mp(qe, r_f)
-
         if exact:
-            u = dict(zip(spec.window, spec.rational_weights))
             rho_v, sq, zero_v = rho, sqrt_rho_one_minus_rho(rho), zero(rho)
         else:
-            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in spec.window}
+            rho_f = mpmath.mpf(rho.numerator) / rho.denominator
+            r_f = mpmath.sqrt((1 - rho_f) / rho_f)
             rho_v, sq, zero_v = rho_f, mpmath.sqrt(rho_f * (1 - rho_f)), mpmath.mpf(0)
-        q = discrepancy_table(m, rho)
-        wvals = [sum((conv(q[k][s]) * u[k] for k in spec.window), zero_v)
-                 for s in range(m + 1)]
         direct_num = direct_den = zero_v
         for s, cnt in enumerate(profile.histogram):
             if cnt:
-                term = wvals[s] ** 2 * cnt
+                term = wsq[s] * cnt
                 direct_num += term * s / m
                 direct_den += term
         exp_den = exp_num1 = zero_v
-        # t outer, k and k' inner: canonical residuals depend on this order
-        for t in range(t_hi + 1):
+        for t, (T0, T1) in enumerate(zip(t0s, t1s)):
             if exact_eq[t].is_zero():
                 continue
-            T0 = T1 = zero_v
-            for k in spec.window:
-                for kp in spec.window:
-                    w = u[k] * u[kp]
-                    T0 += conv(pairs[k, kp, t]) * w
-                    T1 += conv(triples[k, kp, t]) * w
-            eq_t = conv(exact_eq[t])
+            eq_t = exact_eq[t] if exact else _to_mp(exact_eq[t], r_f)
             exp_den += eq_t * T0
             exp_num1 += eq_t * T1
         exp_snum = rho_v * exp_den + sq * exp_num1 / m
@@ -459,20 +504,26 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
                     "direct and expanded sampled satisfaction disagree",
                     instance=lists_to_json(lists),
                 )
+            residual = 0.0
+        else:
+            res1 = abs(direct_num / total - exp_snum) / max(1, abs(exp_snum))
+            res2 = abs(direct_den / total - exp_den) / max(1, abs(exp_den))
+            residual = float(max(res1, res2))
+            if residual > TWO_ROUTE_TOL:
+                raise IdentityViolationError(
+                    f"sampled-satisfaction routes disagree (rel {residual})",
+                    instance=lists_to_json(lists),
+                )
+        if direct_den.real_is_zero() if exact else direct_den == 0:
+            raise DomainError("zero sampler mass: the window weights vanish at every "
+                              "satisfied count the instance reaches")
+        if exact:
             return {
                 "value": direct_num.to_float() / direct_den.to_float(),
                 "mode": "rational_test",
                 "exact_pair": (direct_num, direct_den),
-                "max_rel_residual": 0.0,
+                "max_rel_residual": residual,
             }
-        res1 = abs(direct_num / total - exp_snum) / max(1, abs(exp_snum))
-        res2 = abs(direct_den / total - exp_den) / max(1, abs(exp_den))
-        residual = float(max(res1, res2))
-        if residual > TWO_ROUTE_TOL:
-            raise IdentityViolationError(
-                f"sampled-satisfaction routes disagree (rel {residual})",
-                instance=lists_to_json(lists),
-            )
         return {
             "value": float(direct_num / direct_den),
             "mode": "canonical",

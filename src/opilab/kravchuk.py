@@ -104,7 +104,8 @@ class KravchukFamily:
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
         """values[l][x] = K_l(x) at the integer points x = 0..m, built from
         the coefficients on first read and kept with the family."""
-        return tuple(tuple(poly_eval(c, x) for x in range(self.m + 1)) for c in self.coeffs)
+        return tuple(tuple(Fraction(v, d) for v in row)
+                     for d, row in (_scaled_values(c, self.m) for c in self.coeffs))
 
     def leading(self, ell: int) -> Fraction:
         return self.coeffs[ell][-1]
@@ -189,14 +190,33 @@ def build_family(m: int, rho: Fraction, ell_max: int) -> KravchukFamily:
     return fam
 
 
+def _scaled_values(c: Poly, m: int) -> tuple[int, list[int]]:
+    """(d, [d p(0), ..., d p(m)]) for the polynomial p with coefficients c,
+    d the lcm of their denominators, by Horner's rule on integers."""
+    d = math.lcm(*(v.denominator for v in c))
+    ints = [v.numerator * (d // v.denominator) for v in reversed(c)]
+    row = []
+    for x in range(m + 1):
+        acc = 0
+        for v in ints:
+            acc = acc * x + v
+        row.append(acc)
+    return d, row
+
+
 def _assert_orthogonality(fam: KravchukFamily):
-    weights = binomial_weights(fam.m, fam.rho)
-    values = fam.values
-    for r in range(fam.degree_max + 1):
-        weighted = [w * v for w, v in zip(weights, values[r])]
+    """sum_x w_x K_r(x) K_s(x) = [r = s] norm_r under w = Bin(m, P/Q), run
+    on integers: both sides times Q^m d_r d_s, where Q^m w_x is
+    C(m,x) P^x (Q-P)^(m-x) and d_r, the lcm of K_r's coefficient
+    denominators, makes d_r K_r(x) an integer."""
+    m, p, q = fam.m, fam.rho.numerator, fam.rho.denominator
+    weights = [math.comb(m, x) * p**x * (q - p) ** (m - x) for x in range(m + 1)]
+    scaled = [_scaled_values(c, m) for c in fam.coeffs]
+    for r, (d_r, row_r) in enumerate(scaled):
+        weighted = [w * v for w, v in zip(weights, row_r)]
         for s in range(r, fam.degree_max + 1):
-            ip = sum(w * v for w, v in zip(weighted, values[s]))
-            want = fam.norms[r] if r == s else Fraction(0)
+            ip = sum(w * v for w, v in zip(weighted, scaled[s][1]))
+            want = fam.norms[r] * q**m * d_r * d_r if r == s else 0
             if ip != want:
                 raise IdentityViolationError(
                     f"orthogonality failed at m={fam.m} rho={fam.rho} (r={r}, s={s})"

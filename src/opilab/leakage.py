@@ -219,6 +219,8 @@ def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
             raise DomainError("random buckets need a lambda target")
         if eps is None:
             eps = 0.05
+        if n >= m:
+            raise DomainError("random buckets need n < m: their rate divides by 2 - 4 mu")
         mu = n / (2 * m)
         a1 = 4 * mu - 1
         if not 0 < lambda_target <= min(a1, 2 * mu):

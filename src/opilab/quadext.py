@@ -75,6 +75,8 @@ class QuadExt:
         return QuadExt(-self.a, -self.b, self.r_sq)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(self.a * other, self.b * other, self.r_sq)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -107,6 +109,8 @@ class QuadExt:
         return QuadExt(self.a / d, -self.b / d, self.r_sq)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(self.a / other, self.b / other, self.r_sq)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

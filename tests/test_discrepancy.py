@@ -12,8 +12,11 @@ from opilab.codes import (
     make_rs_code,
     random_lists,
 )
+from opilab import discrepancy
 from opilab.discrepancy import (
+    SamplerSpec,
     _window_counts,
+    _window_sums,
     count_rate_report,
     count_sym_diff,
     count_sym_diff_zero_closed,
@@ -39,7 +42,7 @@ from opilab.discrepancy import (
 
 from opilab.errors import DomainError
 from opilab.kravchuk import HALF, build_family, kkt_optimum, smallest_root
-from opilab.quadext import QuadExt, beta_of, r_of, r_sq_of, sqrt_rho_one_minus_rho, zero
+from opilab.quadext import QuadExt, beta_abs_of, beta_of, r_of, r_sq_of, sqrt_rho_one_minus_rho, zero
 
 import mpmath
 
@@ -213,6 +216,54 @@ def test_weighted_pair_count_reduces_to_plain():
         w = weighted_pair_count(k, kp, t, m, HALF)
         assert w.b == 0
         assert w.a == count_sym_diff([k, kp], t, m)
+
+
+def beta_power_pair_count(k, kp, t, m, beta):
+    """The beta-power route to N(k,k';t): the sum over every j with beta^j
+    accumulated in Q(r), one product per j."""
+    acc = QuadExt.of(0, 0, beta.r_sq)
+    if k < 0 or kp < 0 or t < 0 or t > m:
+        return acc
+    beta_pow = QuadExt.of(1, 0, beta.r_sq)
+    for j in range(t + 1):
+        mid, outer = t + k - kp - j, k + kp - t - j
+        if mid >= 0 and outer >= 0 and mid % 2 == 0 and outer % 2 == 0:
+            c = math.comb(t, j) * math.comb(t - j, mid // 2) * math.comb(m - t, outer // 2)
+            acc = acc + beta_pow * Fraction(c)
+        beta_pow = beta_pow * beta
+    return acc
+
+
+def beta_power_triple_count(k, m, beta, pair):
+    """(k+1) N(k+1,k';s) + beta k N(k,k';s) + (m-k+1) N(k-1,k';s) in Q(r),
+    from pair(j) = N(j,k';s)."""
+    return pair(k + 1) * Fraction(k + 1) + beta * pair(k) * Fraction(k) + pair(k - 1) * Fraction(
+        m - k + 1)
+
+
+def same_components(got, want):
+    return got.a == want.a and got.b == want.b and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(5, 7),
+                                 Fraction(3, 11)])
+def test_pair_count_kernel_matches_beta_power_route(rho):
+    beta, beta_abs = beta_of(rho), beta_abs_of(rho)
+    for m in range(1, 10):
+        keys = [(k, kp, t) for k in range(-1, m + 2) for kp in range(-1, m + 1)
+                for t in range(m + 1)]
+        want = {key: beta_power_pair_count(*key, m, beta) for key in keys}
+        # |beta| = beta for rho <= 1/2
+        want_abs = want if beta_abs == beta else {
+            key: beta_power_pair_count(*key, m, beta_abs) for key in keys}
+        for k, kp, t in keys:
+            key = (m, k, kp, t)
+            assert same_components(weighted_pair_count(k, kp, t, m, rho), want[k, kp, t]), key
+            assert same_components(weighted_pair_count_abs(k, kp, t, m, rho),
+                                   want_abs[k, kp, t]), key
+            if 0 <= k < m:
+                triple = beta_power_triple_count(k, m, beta, lambda j: want[j, kp, t])
+                assert same_components(weighted_triple_count(k, kp, t, m, rho), triple), key
 
 
 def test_weighted_pair_count_vanishes_above_support():
@@ -504,8 +555,6 @@ def test_window_counts_match_single_point_counts(m, rho, window, t_hi):
 @pytest.mark.parametrize("mode", ["rational_test", "canonical"])
 @pytest.mark.parametrize("ell, sigma", [(3, 2), (4, 4), (2, 0)])
 def test_sampled_satisfaction_computes_each_pair_count_once(monkeypatch, mode, ell, sigma):
-    from opilab import discrepancy
-
     calls = []
     original = discrepancy._pair_count
 
@@ -514,12 +563,60 @@ def test_sampled_satisfaction_computes_each_pair_count_once(monkeypatch, mode, e
         return original(*args)
 
     monkeypatch.setattr(discrepancy, "_pair_count", counting)
+    _window_sums.cache_clear()
     code, lists = rs_instance(p=11, m=8, n=5, seed=3, size=4)
     spec = make_sampler(ell, sigma, weight_mode=mode)
-    expected_sampled_satisfaction(code, lists, spec)
+    first = expected_sampled_satisfaction(code, lists, spec)
     width, t_hi = sigma + 1, min(code.m, 2 * ell + 1)
     assert len(calls) <= (width + 2) * width * (t_hi + 1)
     assert len(set(calls)) == len(calls)
+    window = spec.window
+    assert {c[:3] for c in calls} == {
+        (k, kp, t) for k in range(window[0] - 1, window[-1] + 2) for kp in window
+        for t in range(t_hi + 1)}
+    # the same spec again reads the cached window sums
+    calls.clear()
+    again = expected_sampled_satisfaction(code, lists, spec)
+    assert calls == []
+    assert again == first and repr(again) == repr(first)
+
+
+@pytest.mark.parametrize("spec, digits", [
+    (make_sampler(3, 2, weight_mode="rational_test", rational_weights=(1, 2, 3)), 60),
+    (make_sampler(3, 2, weight_mode="canonical"), 40),
+])
+def test_window_sums_are_cached_tuples(spec, digits):
+    first = _window_sums(8, Fraction(4, 11), spec, digits)
+    assert _window_sums(8, Fraction(4, 11), spec, digits) is first
+    assert isinstance(first, tuple) and len(first) == 3
+    assert all(isinstance(part, tuple) for part in first)
+
+
+def test_sampler_spec_weights_become_a_fraction_tuple():
+    # the spec keys the window-sum cache, so list weights must not make it unhashable
+    spec = SamplerSpec(3, 1, "rational_test", [2, 1])
+    assert spec == make_sampler(3, 1, weight_mode="rational_test",
+                                rational_weights=(Fraction(2), Fraction(1)))
+    code, lists = rs_instance(seed=23)
+    assert expected_sampled_satisfaction(code, lists, spec)["max_rel_residual"] == 0.0
+
+
+def test_zero_mass_sampler_is_domain_error():
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    lists = random_lists(7, 6, 3, 1)
+    spec = make_sampler(2, 1, weight_mode="rational_test", rational_weights=[0, 0])
+    with pytest.raises(DomainError, match="zero sampler mass"):
+        expected_sampled_satisfaction(code, lists, spec)
+
+
+def test_zero_mass_canonical_sampler_is_domain_error(monkeypatch):
+    # canonical weights C(m,k)^(-1/2) never vanish, so zero window sums are
+    # substituted to reach the canonical branch of the same check
+    code, lists = rs_instance(seed=29)
+    zeros = tuple(mpmath.mpf(0) for _ in range(code.m + 1))
+    monkeypatch.setattr(discrepancy, "_window_sums", lambda *args: (zeros, zeros, zeros))
+    with pytest.raises(DomainError, match="zero sampler mass"):
+        expected_sampled_satisfaction(code, lists, make_sampler(2, 1, weight_mode="canonical"))
 
 
 # Recorded as strings before the two weight modes shared one expansion body.

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from opilab.codes import FieldCtx, brute_force_opi, make_lists, make_rs_code
-from opilab.errors import DomainError
+from opilab.errors import DomainError, IdentityViolationError
 from opilab.kravchuk import (
     HALF,
+    _assert_orthogonality,
     build_family,
     char_poly_identity_check,
     gram_schmidt_family,
@@ -81,6 +83,23 @@ def test_general_rho_orthogonality_and_norms():
             ip = inner_product(10, Fraction(1, 3), fam.coeffs[r], fam.coeffs[s])
             assert ip == (fam.norms[r] if r == s else 0)
     assert fam.norms[2] == math.comb(10, 2) * Fraction(2, 1) ** 2  # r_sq = 2
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(2, 5), Fraction(5, 7)])
+def test_orthogonality_check_rejects_a_perturbed_family(rho):
+    fam = build_family(9, rho, 9)
+    _assert_orthogonality(fam)
+    for ell, i, delta in ((0, 0, Fraction(1, 7)), (4, 2, Fraction(-1, 3)), (9, 9, Fraction(1))):
+        coeffs = list(fam.coeffs)
+        row = list(coeffs[ell])
+        row[i] += delta
+        coeffs[ell] = tuple(row)
+        with pytest.raises(IdentityViolationError, match="orthogonality failed at m=9"):
+            _assert_orthogonality(dataclasses.replace(fam, coeffs=tuple(coeffs)))
+    # a row scaled by 2 stays orthogonal to the others and fails its norm
+    doubled = fam.coeffs[:3] + (poly_scale(fam.coeffs[3], 2),) + fam.coeffs[4:]
+    with pytest.raises(IdentityViolationError, match=r"\(r=3, s=3\)"):
+        _assert_orthogonality(dataclasses.replace(fam, coeffs=doubled))
 
 
 def test_gram_schmidt_route_agrees():
@@ -339,7 +358,8 @@ def test_value_table_matches_coefficients(rho):
 
 
 def test_value_table_is_not_built_unless_read():
-    # m > 16 skips the orthogonality check, the one reader at construction
+    # the orthogonality check (m <= 16) runs on the coefficients, not the table
+    assert "values" not in vars(build_family.__wrapped__(12, Fraction(3, 10), 12))
     fam = build_family.__wrapped__(40, Fraction(3, 10), 12)
     assert "values" not in vars(fam)
     assert fam.values[12][40] == fam.evaluate(12, 40)

@@ -95,6 +95,8 @@ def test_random_buckets_certified():
     assert fam.guaranteed_hits(15) >= math.ceil(0.3 * 20)
     with pytest.raises(DomainError):
         make_buckets("random", 20, 14, lambda_target=0.9)  # infeasible target
+    with pytest.raises(DomainError, match="n < m"):
+        make_buckets("random", 2, 2, lambda_target=1.0)  # 2 - 4 mu = 0
     # at (8, 6, 0.5) the entropy term sets J: eps 0.04, 0.05, 0.06 give 8, 9, 10
     assert make_buckets("random", 8, 6, lambda_target=0.5).J == 9
 

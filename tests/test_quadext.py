@@ -63,3 +63,15 @@ def test_indicator_values_identity():
     assert mean.is_zero()
     second = RHO * inside * inside + (1 - RHO) * outside * outside
     assert second == QuadExt.of(1, 0, r_sq_of(RHO))
+
+
+def test_scalar_product_and_quotient_match_the_ring_operations():
+    r_sq = Fraction(7, 4)
+    x = QuadExt.of(Fraction(-3, 5), Fraction(11, 6), r_sq)
+    for c in (0, 3, -7, Fraction(2, 9), Fraction(-5, 4)):
+        as_element = QuadExt.of(c, 0, r_sq)
+        for got, want in ((x * c, x * as_element), (c * x, as_element * x)):
+            assert (got.a, got.b, repr(got)) == (want.a, want.b, repr(want))
+        if c:
+            got, want = x / c, x * as_element.inverse()
+            assert (got.a, got.b, repr(got)) == (want.a, want.b, repr(want))
