@@ -128,17 +128,17 @@ def _det_mod_p(rows: list[list[int]], p: int) -> int:
     return det
 
 
-def _mds_check(B, p: int, exhaustive_cutoff: int = 12, samples: int = 200, seed: int = 0):
+def _mds_check(B, p: int):
     """Every n-row minor of the m x n matrix B must be invertible mod p.
 
-    Exhaustive up to `exhaustive_cutoff` rows, seeded random sampling above.
+    Exhaustive up to 12 rows, 200 seeded random row sets above.
     """
     m, n = len(B), len(B[0])
-    if m <= exhaustive_cutoff:
+    if m <= 12:
         rowsets = itertools.combinations(range(m), n)
     else:
-        rng = random.Random(seed)
-        rowsets = (tuple(sorted(rng.sample(range(m), n))) for _ in range(samples))
+        rng = random.Random(0)
+        rowsets = (tuple(sorted(rng.sample(range(m), n))) for _ in range(200))
     for rows in rowsets:
         if _det_mod_p([list(B[i]) for i in rows], p) == 0:
             raise DomainError(f"rows {rows} are dependent: matrix is not MDS")
@@ -333,10 +333,10 @@ def dual_codewords(code: MdsCode, budget: int | None = None):
         yield (D.T @ C) % p
 
 
-def enumerate_dual_by_weight(code: MdsCode, t: int, budget: int | None = None):
+def enumerate_dual_by_weight(code: MdsCode, t: int):
     """All dual codewords of Hamming weight exactly t."""
     out = []
-    for Y in dual_codewords(code, budget):
+    for Y in dual_codewords(code):
         w = (Y != 0).sum(axis=0)
         sel = Y[:, w == t]
         out.extend(tuple(int(v) for v in sel[:, j]) for j in range(sel.shape[1]))
@@ -364,17 +364,11 @@ def dual_weight_sums(code: MdsCode, table: np.ndarray, budget: int | None = None
     return out
 
 
-def min_dual_weight(code: MdsCode, budget: int | None = None) -> int:
+def min_dual_weight(code: MdsCode) -> int:
     """Smallest nonzero dual weight, m + 1 when the dual code is {0}."""
-    counts = dual_weight_sums(code, np.ones((code.m, code.p)), budget).real
+    counts = dual_weight_sums(code, np.ones((code.m, code.p))).real
     weights = np.flatnonzero(counts[1:]) + 1
     return int(weights[0]) if weights.size else code.m + 1
-
-
-def binomial_moment(m: int, rho: Fraction, j: int) -> Fraction:
-    """Exact j-th moment of Bin(m, rho)."""
-    weights = binomial_weights(m, rho)
-    return sum(w * Fraction(t) ** j for t, w in enumerate(weights))
 
 
 def binomial_weights(m: int, rho: Fraction) -> list[Fraction]:
@@ -382,19 +376,31 @@ def binomial_weights(m: int, rho: Fraction) -> list[Fraction]:
     return [math.comb(m, t) * rho**t * (1 - rho) ** (m - t) for t in range(m + 1)]
 
 
-def profile_moment(profile: SatisfactionProfile, j: int) -> Fraction:
-    tot = profile.total
-    return sum(Fraction(c, tot) * Fraction(t) ** j for t, c in enumerate(profile.histogram))
+def _moments(numerators, denominator: int, order: int) -> list[Fraction]:
+    """E[X^j], j = 0..order, for P(X = t) = numerators[t] / denominator,
+    summed on integers."""
+    return [Fraction(sum(c * t**j for t, c in enumerate(numerators)), denominator)
+            for j in range(order + 1)]
+
+
+def binomial_moments(m: int, rho: Fraction, order: int) -> list[Fraction]:
+    """Exact moments E[X^j], j = 0..order, of X ~ Bin(m, rho), from one
+    `binomial_weights` list over the lcm of its denominators."""
+    weights = binomial_weights(m, rho)
+    d = math.lcm(*(w.denominator for w in weights))
+    return _moments([w.numerator * (d // w.denominator) for w in weights], d, order)
+
+
+def profile_moments(profile: SatisfactionProfile, order: int) -> list[Fraction]:
+    """Exact moments E[X^j], j = 0..order, of the satisfied count X of a
+    uniform solution, from one pass over the histogram."""
+    return _moments(profile.histogram, profile.total, order)
 
 
 def moments_match_check(code: MdsCode, lists: InputLists, order: int,
-                        profile: SatisfactionProfile | None = None,
-                        budget: int | None = None) -> bool:
+                        profile: SatisfactionProfile | None = None) -> bool:
     """True iff the count of satisfied constraints matches Bin(m, rho)
     moments exactly up to `order` (rational arithmetic on both sides)."""
     if profile is None:
-        profile = brute_force_opi(code, lists, budget)
-    for j in range(order + 1):
-        if profile_moment(profile, j) != binomial_moment(code.m, lists.rho, j):
-            return False
-    return True
+        profile = brute_force_opi(code, lists)
+    return profile_moments(profile, order) == binomial_moments(code.m, lists.rho, order)

@@ -64,10 +64,9 @@ def indicator_values(code: MdsCode, lists: InputLists, x) -> list[QuadExt]:
     ]
 
 
-def discrepancy_by_subsets(code: MdsCode, lists: InputLists, x, k: int,
-                           budget: int | None = None) -> QuadExt:
+def discrepancy_by_subsets(code: MdsCode, lists: InputLists, x, k: int) -> QuadExt:
     """q_k(x) as the literal sum over k-subsets of indicator products."""
-    if math.comb(code.m, k) > enumeration_budget(budget):
+    if math.comb(code.m, k) > enumeration_budget():
         raise BudgetExceededError(f"C({code.m},{k}) exceeds budget")
     g = indicator_values(code, lists, x)
     total = zero(lists.rho)
@@ -128,11 +127,10 @@ def discrepancy_from_count(m: int, rho: Fraction, sat: int, k: int) -> QuadExt:
 # ---------- expected discrepancy, two routes ----------
 
 def expected_discrepancy_exact(code: MdsCode, lists: InputLists,
-                               profile: SatisfactionProfile | None = None,
-                               budget: int | None = None) -> list[QuadExt]:
+                               profile: SatisfactionProfile | None = None) -> list[QuadExt]:
     """E[q_t] over uniform solutions for every t, from the exact histogram."""
     if profile is None:
-        profile = brute_force_opi(code, lists, budget)
+        profile = brute_force_opi(code, lists)
     r = r_of(lists.rho)
     bins = [(s, cnt) for s, cnt in enumerate(profile.histogram) if cnt]
     out = []
@@ -157,25 +155,23 @@ def expected_discrepancy_fourier(code: MdsCode, lists: InputLists,
 
 
 def expected_discrepancy_all(code: MdsCode, lists: InputLists,
-                             profile: SatisfactionProfile | None = None,
-                             budget: int | None = None,
-                             rel_tol: float = TWO_ROUTE_TOL) -> list[QuadExt]:
+                             profile: SatisfactionProfile | None = None) -> list[QuadExt]:
     """Both routes for E[q_t], t = 0..m, with agreement asserted.
 
     Returns the exact values.  Below the dual distance the exact route must
     be identically zero and the dual route has no codewords to sum.
     """
-    exact = expected_discrepancy_exact(code, lists, profile, budget)
-    fourier = expected_discrepancy_fourier(code, lists, budget)
+    exact = expected_discrepancy_exact(code, lists, profile)
+    fourier = expected_discrepancy_fourier(code, lists)
     for t in range(code.m + 1):
         ex = exact[t].to_float()
         fo = fourier[t]
-        if abs(fo.imag) > rel_tol * max(1.0, abs(ex)):
+        if abs(fo.imag) > TWO_ROUTE_TOL * max(1.0, abs(ex)):
             raise IdentityViolationError(
                 f"dual sum at weight {t} has imaginary residue {fo.imag}",
                 instance=lists_to_json(lists),
             )
-        if abs(fo.real - ex) > rel_tol * max(1.0, abs(ex), abs(fo.real)):
+        if abs(fo.real - ex) > TWO_ROUTE_TOL * max(1.0, abs(ex), abs(fo.real)):
             raise IdentityViolationError(
                 f"expected discrepancy routes disagree at weight {t}: "
                 f"exact {ex} vs dual sum {fo.real}",
@@ -191,7 +187,7 @@ def expected_discrepancy_all(code: MdsCode, lists: InputLists,
 
 # ---------- symmetric-difference counts ----------
 
-def count_sym_diff(k_list, t: int, m: int, budget: int | None = None) -> int:
+def count_sym_diff(k_list, t: int, m: int) -> int:
     """Number of subset tuples (|T_i| = k_i) whose odd-multiplicity set is
     exactly {1..t}, by explicit enumeration over bitmasks.
 
@@ -199,7 +195,7 @@ def count_sym_diff(k_list, t: int, m: int, budget: int | None = None) -> int:
     at the product of the remaining factors.
     """
     total = math.prod(math.comb(m, k) for k in k_list)
-    if total > enumeration_budget(budget):
+    if total > enumeration_budget():
         raise BudgetExceededError(f"{total} tuples exceed budget")
     target = (1 << t) - 1
     masks_per_k = []
@@ -281,11 +277,10 @@ def _pair_count(k: int, kp: int, t: int, m: int, beta_sq: Fraction) -> Fraction:
     return Fraction(acc, b**top)
 
 
-def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction,
-                              budget: int | None = None) -> QuadExt:
+def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction) -> QuadExt:
     """Enumeration oracle: sum beta^(t - |T xor T'|) over pairs with
     T xor T' inside {1..t} inside T union T'."""
-    if math.comb(m, k) * math.comb(m, kp) > enumeration_budget(budget):
+    if math.comb(m, k) * math.comb(m, kp) > enumeration_budget():
         raise BudgetExceededError("pair enumeration exceeds budget")
     beta = beta_of(rho)
     target = (1 << t) - 1
@@ -445,26 +440,26 @@ def _window_sums(m: int, rho: Fraction, spec: SamplerSpec, precision_digits: int
 
 def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: SamplerSpec,
                                   profile: SatisfactionProfile | None = None,
-                                  budget: int | None = None,
                                   precision_digits: int = 60) -> dict:
     """E[s] under the squared-window-combination sampler, computed two ways.
 
     Route one enumerates solutions directly; route two expands through the
-    weighted counts and the uniform expected discrepancies.  Both modes run
-    the same routes: rational_test in Q(r) with its rational weights, and
-    canonical in mpmath floats with weights C(m,k)^(-1/2).  Agreement is
-    exact (cross-multiplied in Q(r)) in rational_test mode and 1e-9
-    relative in canonical mode.  The window sums depend only on
-    (m, rho, spec, precision_digits) and are read from `_window_sums`; the
-    per-instance work is the two histogram sums.  A sampler whose direct
-    denominator is zero on the instance is a DomainError.
+    weighted counts and the uniform E[q_t] of `expected_discrepancy_exact`
+    (no dual pass).  Both modes run the same routes: rational_test in Q(r)
+    with its rational weights, and canonical in mpmath floats with weights
+    C(m,k)^(-1/2).  Agreement is exact (cross-multiplied in Q(r)) in
+    rational_test mode and 1e-9 relative in canonical mode.  The window
+    sums depend only on (m, rho, spec, precision_digits) and are read from
+    `_window_sums`; the per-instance work is the two histogram sums.  A
+    sampler whose direct denominator is zero on the instance is a
+    DomainError.
     """
     if profile is None:
-        profile = brute_force_opi(code, lists, budget)
+        profile = brute_force_opi(code, lists)
     m, rho = code.m, lists.rho
     if spec.ell >= m:
         raise DomainError("window cutoff must stay below the code length")
-    exact_eq = expected_discrepancy_all(code, lists, profile, budget)
+    exact_eq = expected_discrepancy_exact(code, lists, profile)
     exact = spec.weight_mode == "rational_test"
     if not exact and precision_digits < MIN_PRECISION_DIGITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_DIGITS} digits, "
@@ -551,11 +546,10 @@ def quadratic_form_satisfaction(m: int, ell: int, u) -> Fraction:
 
 # ---------- window sums and rate checks ----------
 
-def leading_term_sums(m: int, ell: int, sigma: int, rho: Fraction,
-                      precision_digits: int = 60):
+def leading_term_sums(m: int, ell: int, sigma: int, rho: Fraction):
     """The weight-zero window sums of the expansion: the denominator sum is
-    exactly sigma + 1; the numerator sum is returned as a high-precision
-    float (its terms carry sqrt binomial ratios)."""
+    exactly sigma + 1; the numerator sum is returned as a 60-digit float
+    (its terms carry sqrt binomial ratios)."""
     if not 0 <= sigma <= ell <= m:
         raise DomainError("need 0 <= sigma <= ell <= m")
     rho = Fraction(rho)
@@ -571,7 +565,7 @@ def leading_term_sums(m: int, ell: int, sigma: int, rho: Fraction,
                 den += n0.a / math.comb(m, k)
             elif not n0.is_zero():
                 raise IdentityViolationError("off-diagonal weight-zero count nonzero")
-    with mpmath.workdps(precision_digits):
+    with mpmath.workdps(60):
         r_sq = (1 - rho) / rho
         r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
         num = mpmath.mpf(0)
@@ -613,16 +607,15 @@ def window_domination_report(m: int, ell: int, sigma: int, t: int, rho: Fraction
     }
 
 
-def count_rate_report(m: int, mu: float, delta: float, slack: float | None = None) -> dict:
+def count_rate_report(m: int, mu: float, delta: float) -> dict:
     """Finite-m rate of the top-of-window pair count against its limit.
 
     Checks the partition identity N(l,l;t) C(m,t) = C(l,t/2) C(m-l,t/2) C(m,l)
     exactly on the grid, locates the maximizing even weight, and compares
-    the rate with the limiting exponent within the default slack 5 log(m)/m.
+    the rate with the limiting exponent within the slack 5 log(m)/m.
     """
     ell = math.floor((mu + delta) * m)
-    if slack is None:
-        slack = 5.0 * math.log(m) / m
+    slack = 5.0 * math.log(m) / m
     t_lo = math.ceil(2 * mu * m - 1e-9)
     if t_lo % 2:
         t_lo += 1

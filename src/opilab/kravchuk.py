@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codes import binomial_moment, binomial_weights, profile_moment
+from .codes import binomial_moments, binomial_weights, profile_moments
 from .errors import DomainError, IdentityViolationError
 
 Poly = tuple[Fraction, ...]  # ascending powers
@@ -225,14 +225,7 @@ def _assert_orthogonality(fam: KravchukFamily):
 
 def gram_schmidt_family(m: int, rho: Fraction, ell_max: int) -> list[Poly]:
     """Monic orthogonal polynomials by exact Gram-Schmidt; verification route."""
-    rho = Fraction(rho)
-    # Exact binomial moments up to order 2*ell_max.
-    mom = [Fraction(0)] * (2 * ell_max + 1)
-    for x, w in enumerate(binomial_weights(m, rho)):
-        xp = Fraction(1)
-        for j in range(2 * ell_max + 1):
-            mom[j] += w * xp
-            xp *= x
+    mom = binomial_moments(m, rho, 2 * ell_max)
 
     def ip(a: Poly, b: Poly) -> Fraction:
         return sum(
@@ -445,11 +438,10 @@ def interlacing_check(rep: PrincipalRepresentation, profile) -> dict:
     # The support points sit within DEFAULT_ROOT_PRECISION of the roots; an
     # atom of X at a root must not fall just outside the cumulative at it.
     atom_slack = 4 * DEFAULT_ROOT_PRECISION
-    for j in range(rep.order + 1):
-        if profile_moment(profile, j) != binomial_moment(rep.m, rep.rho, j):
-            raise DomainError(
-                f"profile does not match Bin({rep.m}, {rep.rho}) moments to order {rep.order}"
-            )
+    if profile_moments(profile, rep.order) != binomial_moments(rep.m, rep.rho, rep.order):
+        raise DomainError(
+            f"profile does not match Bin({rep.m}, {rep.rho}) moments to order {rep.order}"
+        )
     total = profile.total
     hist = profile.histogram
 

@@ -292,29 +292,28 @@ def bucket_split_bound(code: MdsCode, lists: InputLists, buckets: BucketFamily,
     )
 
 
-def per_transcript_sum(code: MdsCode, lists: InputLists, t: int,
-                       budget: int | None = None) -> complex:
+def per_transcript_sum(code: MdsCode, lists: InputLists, t: int) -> complex:
     """sum over weight-t dual codewords of prod_i spectrum_i(y_i), the
     quantity shared with the leakage-resilience literature (0 for t
     outside [0, m]: the sum is empty)."""
     if not 0 <= t <= code.m:
         return 0j
     table = spectrum_table(lists.sets, code.p)
-    return complex(dual_weight_sums(code, table, budget, weight=t)[t])
+    return complex(dual_weight_sums(code, table, weight=t)[t])
 
 
-def tv_proxy(code: MdsCode, plus_sets, minus_sets, budget: int | None = None) -> float:
+def tv_proxy(code: MdsCode, plus_sets, minus_sets) -> float:
     """(1/2) sum over sign transcripts of |sum over nonzero dual codewords
     of prod_i spectrum of the transcript-selected set|."""
     m, p = code.m, code.p
     if len(plus_sets) != m or len(minus_sets) != m:
         raise DomainError("need one set pair per coordinate")
-    if 2**m > enumeration_budget(budget) or 2**m > 2**16:
+    if 2**m > enumeration_budget() or 2**m > 2**16:
         raise BudgetExceededError("transcript enumeration capped at m <= 16")
     plus = spectrum_table(plus_sets, p)
     minus = spectrum_table(minus_sets, p)
     acc = np.zeros(2**m, dtype=np.complex128)
-    for Y in dual_codewords(code, budget):
+    for Y in dual_codewords(code):
         w = (Y != 0).sum(axis=0)
         sel = Y[:, w > 0]
         for j in range(sel.shape[1]):
@@ -326,8 +325,7 @@ def tv_proxy(code: MdsCode, plus_sets, minus_sets, budget: int | None = None) ->
     return 0.5 * float(np.abs(acc).sum())
 
 
-def parseval_split_identity(code: MdsCode, lists: InputLists, coords,
-                            budget: int | None = None) -> tuple[float, float]:
+def parseval_split_identity(code: MdsCode, lists: InputLists, coords) -> tuple[float, float]:
     """Both sides of the projection-bijection step: the dual-code sum of
     squared coefficient products over `coords` (|coords| = m - n) vs the
     product of the per-coordinate Parseval masses."""
@@ -336,7 +334,7 @@ def parseval_split_identity(code: MdsCode, lists: InputLists, coords,
         raise DomainError("need exactly m - n coordinates")
     table = np.ones((code.m, code.p))
     table[coords] = np.abs(spectrum_table(lists.sets, code.p)[coords]) ** 2
-    lhs = float(dual_weight_sums(code, table, budget).sum().real)
+    lhs = float(dual_weight_sums(code, table).sum().real)
     rhs = float(lists.rho) ** len(coords)
     return lhs, rhs
 

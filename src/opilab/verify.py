@@ -1,7 +1,8 @@
 """Named identity suites run by the command line.
 
 Each check returns a record {identity, instance, mode, max_abs_residual,
-status}; a suite passes when every record does.  Instances are small seeded
+status}; a suite passes when no record fails, and a check the shape cannot
+run is a "skipped" record with a "reason".  Instances are small seeded
 families, and failing records carry the instance JSON for replay.
 """
 
@@ -21,13 +22,15 @@ _DEFAULT_INSTANCE = {"p": 7, "m": 6, "n": 3}
 _LEAKAGE_INSTANCE = {"p": 11, "m": 8, "n": 6}
 
 
-def _record(identity, instance, mode, residual, ok):
+def _record(identity, instance, mode, residual, status, **note):
+    """One check's record; `note` adds a failure's "error" or a skip's "reason"."""
     return {
         "identity": identity,
         "instance": instance,
         "mode": mode,
         "max_abs_residual": None if residual is None else float(residual),
-        "status": "pass" if ok else "fail",
+        "status": status,
+        **note,
     }
 
 
@@ -37,10 +40,9 @@ def _guard(records, identity, instance, mode, fn):
     try:
         residual, ok = fn()
     except IdentityViolationError as exc:
-        records.append(_record(identity, instance, mode, None, False))
-        records[-1]["error"] = str(exc)
+        records.append(_record(identity, instance, mode, None, "fail", error=str(exc)))
         return
-    records.append(_record(identity, instance, mode, residual, ok))
+    records.append(_record(identity, instance, mode, residual, "pass" if ok else "fail"))
 
 
 def _code(p, m, n, default):
@@ -112,8 +114,7 @@ def suite_kravchuk(seed: int = 0) -> list[dict]:
         def rep_moments(rho=rho):
             rep = kravchuk.principal_representation(12, rho, 3)
             worst = 0.0
-            for j in range(2 * 3):
-                want = codes.binomial_moment(12, rho, j)
+            for j, want in enumerate(codes.binomial_moments(12, rho, rep.order)):
                 got = rep.moment(j)
                 worst = max(worst, abs(float(got - want)) / max(1.0, abs(float(want))))
             return worst, worst <= 1e-8
@@ -145,7 +146,12 @@ def suite_moments(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
             report = kravchuk.interlacing_check(rep, prof)
             return 0.0, report["ok"]
 
-        _guard(records, "principal_interlacing", desc, "exact", interlace)
+        if 2 * ell > m:
+            records.append(_record(
+                "principal_interlacing", desc, "exact", None, "skipped",
+                reason=f"a principal representation needs 1 <= ell <= m/2, got ell={ell} m={m}"))
+        else:
+            _guard(records, "principal_interlacing", desc, "exact", interlace)
 
         def averaging(lists=lists, prof=prof):
             return 0.0, prof.s_max >= lists.rho
@@ -167,7 +173,7 @@ def suite_discrepancy(p=None, m=None, n=None, seed: int = 0,
         rho = lists.rho
 
         def pair_products(code=code, lists=lists, prof=prof, rho=rho):
-            eq = discrepancy.expected_discrepancy_exact(code, lists, prof)
+            eq = discrepancy.expected_discrepancy_all(code, lists, prof)
             q = discrepancy.discrepancy_table(m, rho)
             scale = Fraction(1, prof.total)
             for k in range(min(m, 4)):
@@ -268,23 +274,26 @@ def suite_leakage(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
 
     _guard(records, "interval_extremal_spectrum", {"p": p}, "float", arc)
 
-    if 2 * n > m:
-        for kind in ("single", "cyclic"):
-            fam = leakage.make_buckets(kind, m, n)
-            for trial in range(3):
-                size = rng.randint(max(1, p // 3), p - 1)
-                lists = codes.random_lists(p, m, size, rng.randrange(2**32))
-                desc = {"p": p, "m": m, "n": n, "sets": [list(s) for s in lists.sets],
-                        "buckets": kind}
+    for kind in ("single", "cyclic"):
+        fam = leakage.make_buckets(kind, m, n) if 2 * n > m else None
+        for trial in range(3):
+            size = rng.randint(max(1, p // 3), p - 1)
+            lists = codes.random_lists(p, m, size, rng.randrange(2**32))
+            desc = {"p": p, "m": m, "n": n, "sets": [list(s) for s in lists.sets],
+                    "buckets": kind}
 
-                def split(code=code, lists=lists, fam=fam):
-                    eq = discrepancy.expected_discrepancy_fourier(code, lists)
-                    worst = 0.0
-                    for t in range(code.d_perp, m + 1):
-                        bound = leakage.bucket_split_bound(code, lists, fam, t)
-                        worst = max(worst, abs(eq[t]) / bound)
-                    return worst, worst <= 1.0 + 1e-9
+            def split(code=code, lists=lists, fam=fam):
+                eq = discrepancy.expected_discrepancy_fourier(code, lists)
+                worst = 0.0
+                for t in range(code.d_perp, m + 1):
+                    bound = leakage.bucket_split_bound(code, lists, fam, t)
+                    worst = max(worst, abs(eq[t]) / bound)
+                return worst, worst <= 1.0 + 1e-9
 
+            if fam is None:
+                records.append(_record("bucket_split_bound_dominates", desc, "float", None,
+                                       "skipped", reason=f"buckets need 2n > m, got n={n} m={m}"))
+            else:
                 _guard(records, "bucket_split_bound_dominates", desc, "float", split)
 
     def parseval_chain():

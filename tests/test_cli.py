@@ -414,6 +414,23 @@ def test_verify_all_runs_leakage_at_the_given_shape():
     assert shaped and all(r["instance"]["p"] == 5 for r in shaped)
 
 
+@pytest.mark.parametrize("shape, identity, skipped", [
+    (["--suite", "leakage", "--p", "7", "--m", "6", "--n", "3"],
+     "bucket_split_bound_dominates", 6),  # buckets need 2n > m
+    (["--suite", "moments", "--p", "2", "--m", "1", "--n", "1"],
+     "principal_interlacing", 3),  # a principal representation needs 2 ell <= m
+])
+def test_verify_lists_checks_the_shape_cannot_run_as_skipped(shape, identity, skipped, capsys):
+    code, out = run_cli(["verify", *shape], capsys)
+    assert code == 0
+    report = json.loads(out)
+    records = [r for r in report["identities"] if r["status"] == "skipped"]
+    assert [r["identity"] for r in records] == [identity] * skipped
+    assert all(r["reason"] and r["max_abs_residual"] is None for r in records)
+    assert report["checks"] == len(report["identities"]) > skipped
+    assert report["passed"] and report["failures"] == []
+
+
 def _assert_usage_error(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()

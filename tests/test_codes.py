@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from opilab import codes, discrepancy, leakage
 from opilab.codes import (
     FieldCtx,
     InputLists,
+    binomial_moments,
+    binomial_weights,
     brute_force_opi,
     dual_codewords,
     dual_weight_sums,
@@ -20,6 +23,7 @@ from opilab.codes import (
     make_rs_code,
     min_dual_weight,
     moments_match_check,
+    profile_moments,
     random_lists,
 )
 from opilab.errors import BudgetExceededError, DomainError
@@ -141,6 +145,13 @@ def test_mds_bound_enforced():
                                 [1, 1, 1], [1, 2, 1], [2, 1, 1]])
 
 
+def test_dependent_minor_is_rejected_by_its_rows():
+    # a [4,2] code over F_7 passes the alphabet-size bound, but rows 2 and 3
+    # are proportional, so their 2-row minor is singular
+    with pytest.raises(DomainError, match=r"rows \(2, 3\) are dependent"):
+        make_code(FieldCtx(7), [[1, 0], [0, 1], [1, 1], [2, 2]])
+
+
 def test_lists_validation():
     with pytest.raises(DomainError):
         make_lists(5, [[0, 1], [2]])
@@ -220,6 +231,71 @@ def test_moment_mismatch_exists_at_order_n_plus_1():
             found = True
             break
     assert found
+
+
+@pytest.mark.parametrize("rho", [Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)])
+def test_moment_tables_equal_per_order_sums(rho):
+    p = rho.denominator
+    for m in range(1, 13):
+        order = 2 * m
+        weights = binomial_weights(m, rho)
+        assert binomial_moments(m, rho, order) == [
+            sum(w * Fraction(t) ** j for t, w in enumerate(weights)) for j in range(order + 1)
+        ]
+        # the [m, 1] repetition code: one satisfied count per field element
+        prof = brute_force_opi(make_code(FieldCtx(p), [[1]] * m),
+                               random_lists(p, m, rho.numerator, m))
+        assert profile_moments(prof, order) == [
+            sum(Fraction(c, prof.total) * Fraction(t) ** j for t, c in enumerate(prof.histogram))
+            for j in range(order + 1)
+        ]
+
+
+def test_moments_match_check_builds_binomial_weights_once(monkeypatch):
+    builds = []
+    original = codes.binomial_weights
+
+    def counting(m, rho):
+        builds.append(m)
+        return original(m, rho)
+
+    monkeypatch.setattr(codes, "binomial_weights", counting)
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    assert moments_match_check(code, random_lists(7, 6, 2, 0), 3)
+    assert builds == [6]
+
+
+_CAPPED = {
+    "moments_match_check": lambda code, lists, prof: moments_match_check(code, lists, 3),
+    "enumerate_dual_by_weight": lambda code, lists, prof: enumerate_dual_by_weight(code, 4),
+    "min_dual_weight": lambda code, lists, prof: min_dual_weight(code),
+    "discrepancy_by_subsets":
+        lambda code, lists, prof: discrepancy.discrepancy_by_subsets(code, lists, (0, 0, 0), 3),
+    "expected_discrepancy_exact":
+        lambda code, lists, prof: discrepancy.expected_discrepancy_exact(code, lists),
+    "expected_discrepancy_all":
+        lambda code, lists, prof: discrepancy.expected_discrepancy_all(code, lists, prof),
+    "count_sym_diff": lambda code, lists, prof: discrepancy.count_sym_diff((3, 3), 0, 6),
+    "weighted_pair_count_brute":
+        lambda code, lists, prof: discrepancy.weighted_pair_count_brute(3, 3, 0, 6, lists.rho),
+    "expected_sampled_satisfaction": lambda code, lists, prof: (
+        discrepancy.expected_sampled_satisfaction(
+            code, lists, discrepancy.make_sampler(2, weight_mode="rational_test"))),
+    "per_transcript_sum": lambda code, lists, prof: leakage.per_transcript_sum(code, lists, 4),
+    "tv_proxy": lambda code, lists, prof: leakage.tv_proxy(code, lists.sets, lists.sets),
+    "parseval_split_identity":
+        lambda code, lists, prof: leakage.parseval_split_identity(code, lists, (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED))
+def test_enumerations_without_a_budget_argument_obey_the_environment_cap(name, monkeypatch):
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    lists = random_lists(7, 6, 2, 0)
+    prof = brute_force_opi(code, lists)  # at the default cap
+    monkeypatch.setenv("OPILAB_BUDGET", "10")
+    with pytest.raises(BudgetExceededError):
+        _CAPPED[name](code, lists, prof)
 
 
 def test_json_round_trips():

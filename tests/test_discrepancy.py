@@ -645,3 +645,23 @@ def test_sampled_satisfaction_pinned_strings(p, m, n, seed, size, rational, cano
 def test_leading_term_sums_window_at_code_length_is_domain_error():
     with pytest.raises(DomainError):
         leading_term_sums(7, 7, 2, Fraction(1, 3))
+
+
+def test_sampler_with_a_profile_makes_no_dual_pass(monkeypatch):
+    # E[q_t] comes from the exact route on the given profile; the dual-sum
+    # check is expected_discrepancy_all's, which callers run themselves
+    from opilab import codes
+
+    code, lists = rs_instance()
+    prof = brute_force_opi(code, lists)
+    passes = []
+    original = codes.dual_codewords
+
+    def counting(code, budget=None):
+        passes.append(code.m)
+        return original(code, budget)
+
+    monkeypatch.setattr(codes, "dual_codewords", counting)
+    for mode in ("rational_test", "canonical"):
+        expected_sampled_satisfaction(code, lists, make_sampler(2, weight_mode=mode), prof)
+    assert passes == []
