@@ -5,10 +5,16 @@ Everything here is exact: matrices are tuples of ints reduced mod p, the
 oracle histogram is computed over the full solution space, and moment
 comparisons use rational arithmetic.  Enumerations are chunked through
 numpy for speed but their results do not depend on the chunking.
+
+The oracle splits each solution x into (x_hi, x_lo), x_hi its n // 2
+leading coordinates, so that B x = B_hi x_hi + B_lo x_lo (mod p) reads two
+per-code tables of p^(n // 2) and p^ceil(n / 2) columns; a batch of x_hi
+rows against every x_lo is then one table gather and no matmul.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,7 +38,10 @@ def enumeration_budget(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get("OPILAB_BUDGET")
-    return int(env) if env else DEFAULT_ENUM_BUDGET
+    try:
+        return int(env) if env else DEFAULT_ENUM_BUDGET
+    except ValueError:
+        raise DomainError(f"OPILAB_BUDGET must be an integer, got {env!r}") from None
 
 
 def is_prime(p: int) -> bool:
@@ -283,31 +292,53 @@ class SatisfactionProfile:
         return self.p ** self.n
 
 
+@functools.lru_cache(maxsize=4)
+def _split_tables(code: MdsCode) -> tuple[np.ndarray, np.ndarray]:
+    """(C, V_lo): C[i] = B_hi x_hi mod p + 2 p i over every x_hi and
+    V_lo[i] = B_lo x_lo mod p over every x_lo, columns in C order; 2 p i
+    starts row i of the oracle's flat membership array.  Cached per code,
+    so read-only."""
+    p, m, n_hi = code.p, code.m, code.n // 2
+    B = np.array(code.B, dtype=np.int64)
+    C, V_lo = (cols @ np.indices((p,) * k).reshape(k, p**k) % p
+               for cols, k in ((B[:, :n_hi], n_hi), (B[:, n_hi:], code.n - n_hi)))
+    C += 2 * p * np.arange(m)[:, None]
+    C.setflags(write=False)
+    V_lo.setflags(write=False)
+    return C, V_lo
+
+
 def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None) -> SatisfactionProfile:
     """Enumerate all p^n solutions; ties in the argmax go to the
-    lexicographically smallest x."""
+    lexicographically smallest x.
+
+    Each membership row is stored twice, so entry c + v of row i is
+    member_i[(c + v) mod p] for table entries c, v < p.  A batch of x_hi
+    rows against every x_lo is one block of counts in C order, so its flat
+    argmax is the batch's lexicographically smallest best x."""
     p, m, n = code.p, code.m, code.n
     if lists.p != p or lists.m != m:
         raise DomainError("lists do not match the code")
     total = p ** n
     if total > enumeration_budget(budget):
         raise BudgetExceededError(f"p^n = {total} exceeds budget")
-    member = np.zeros((m, p), dtype=bool)
-    for i, s in enumerate(lists.sets):
-        member[i, list(s)] = True
-    Bmat = np.array(code.B, dtype=np.int64)
+    C, V_lo = _split_tables(code)
+    member = np.zeros((m, 2 * p), dtype=np.uint8)
+    member[np.arange(m)[:, None], lists.sets] = 1
+    member[:, p:] = member[:, :p]
+    member = member.ravel()
+    hi, lo = C.shape[1], V_lo.shape[1]
+    batch = max(1, _CHUNK // (m * lo))
+    count_dtype = np.min_scalar_type(m)  # the counts reach m
     hist = np.zeros(m + 1, dtype=np.int64)
     best_count, best_idx = -1, -1
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        X = np.array(np.unravel_index(np.arange(start, stop), (p,) * n))
-        vals = (Bmat @ X) % p
-        sat = member[np.arange(m)[:, None], vals].sum(axis=0)
-        hist += np.bincount(sat, minlength=m + 1)
+    for start in range(0, hi, batch):
+        idx = C[:, start:start + batch, None] + V_lo[:, None]
+        sat = member[idx].sum(axis=0, dtype=count_dtype)
+        hist += np.bincount(sat.ravel(), minlength=m + 1)
         loc = int(np.argmax(sat))
-        if sat[loc] > best_count:
-            best_count = int(sat[loc])
-            best_idx = start + loc
+        if int(sat.flat[loc]) > best_count:
+            best_count, best_idx = int(sat.flat[loc]), start * lo + loc
     return SatisfactionProfile(
         m=m, p=p, n=n,
         histogram=tuple(int(v) for v in hist),
@@ -343,20 +374,14 @@ def enumerate_dual_by_weight(code: MdsCode, t: int):
     return out
 
 
-def dual_weight_sums(code: MdsCode, table: np.ndarray, budget: int | None = None,
-                     weight: int | None = None) -> np.ndarray:
+def dual_weight_sums(code: MdsCode, table: np.ndarray, budget: int | None = None) -> np.ndarray:
     """out[t] = sum over weight-t dual codewords y of prod_i table[i, y_i],
-    t = 0..m, for an m x p coordinate table.  With `weight`, only the
-    codewords of that weight are multiplied and every other entry is 0."""
+    t = 0..m, for an m x p coordinate table."""
     m = code.m
-    if weight is not None and not 0 <= weight <= m:
-        raise DomainError(f"weight must lie in [0, m] = [0, {m}], got {weight}")
     rows = np.arange(m)[:, None]
     out = np.zeros(m + 1, dtype=np.complex128)
     for Y in dual_codewords(code, budget):
         w = (Y != 0).sum(axis=0)
-        if weight is not None:
-            Y, w = Y[:, w == weight], w[w == weight]
         prod = np.prod(table[rows, Y], axis=0)
         out += np.bincount(w, weights=prod.real, minlength=m + 1) + 1j * np.bincount(
             w, weights=prod.imag, minlength=m + 1

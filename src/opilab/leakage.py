@@ -8,6 +8,7 @@ pairing of the dual code are checked for small imaginary residue.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -298,8 +299,17 @@ def per_transcript_sum(code: MdsCode, lists: InputLists, t: int) -> complex:
     outside [0, m]: the sum is empty)."""
     if not 0 <= t <= code.m:
         return 0j
-    table = spectrum_table(lists.sets, code.p)
-    return complex(dual_weight_sums(code, table, weight=t)[t])
+    return complex(_transcript_sums(code, lists, enumeration_budget())[t])
+
+
+@functools.lru_cache(maxsize=4)
+def _transcript_sums(code: MdsCode, lists: InputLists, budget: int) -> np.ndarray:
+    """Every weight's transcript sum from one dual pass, cached because
+    callers read them one t at a time.  The budget is part of the key, so
+    a lower cap still raises on a pair already summed."""
+    sums = dual_weight_sums(code, spectrum_table(lists.sets, code.p), budget)
+    sums.setflags(write=False)
+    return sums
 
 
 def tv_proxy(code: MdsCode, plus_sets, minus_sets) -> float:

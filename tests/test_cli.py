@@ -292,6 +292,15 @@ def test_verify_budget_limit_is_usage_error(monkeypatch, capsys):
     assert "exceeds budget" in captured.err
 
 
+def test_non_integer_budget_variable_is_named_in_the_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("OPILAB_BUDGET", "abc")
+    code = main(["verify", "--suite", "moments"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: OPILAB_BUDGET must be an integer, got 'abc'\n"
+
+
 def test_verify_identity_violation_record_has_null_residual():
     def disagree():
         raise IdentityViolationError("routes disagree")

@@ -1,5 +1,6 @@
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -95,20 +96,9 @@ def test_dual_weight_sums_match_a_product_over_listed_codewords(p, m, n):
     assert whole.shape == (m + 1,)
     for t in range(m + 1):
         assert abs(whole[t] - want[t]) <= 1e-12 * max(1.0, abs(want[t]))
-        one = dual_weight_sums(code, table, weight=t)
-        assert abs(one[t] - want[t]) <= 1e-12 * max(1.0, abs(want[t]))
-        assert np.count_nonzero(np.delete(one, t)) == 0
     if n == m:  # only the zero codeword: the product of column 0
         assert abs(whole[0] - np.prod(table[:, 0])) <= 1e-12
         assert min_dual_weight(code) == m + 1
-
-
-def test_dual_weight_sums_reject_a_weight_outside_the_length():
-    code = make_rs_code(FieldCtx(5), 4, 2)
-    table = np.ones((4, 5))
-    for weight in (-1, 5):
-        with pytest.raises(DomainError):
-            dual_weight_sums(code, table, weight=weight)
 
 
 def test_dual_min_distance_is_n_plus_1():
@@ -196,6 +186,111 @@ def test_argmax_is_lexicographically_least():
     lists = make_lists(5, [list(range(5))] * 4)
     prof = brute_force_opi(code, lists)
     assert prof.best_x == (0, 0)
+
+
+def _matmul_profile(code, lists):
+    """(histogram, best_x, s_max) by the chunked matmul enumeration that the
+    split kernel replaced: B X mod p for 2^16 solutions at a time in C
+    order, then one membership gather and an int64 count per solution."""
+    p, m, n = code.p, code.m, code.n
+    total = p**n
+    member = np.zeros((m, p), dtype=bool)
+    for i, s in enumerate(lists.sets):
+        member[i, list(s)] = True
+    Bmat = np.array(code.B, dtype=np.int64)
+    hist = np.zeros(m + 1, dtype=np.int64)
+    best_count, best_idx = -1, -1
+    for start in range(0, total, 1 << 16):
+        stop = min(start + (1 << 16), total)
+        X = np.array(np.unravel_index(np.arange(start, stop), (p,) * n))
+        vals = (Bmat @ X) % p
+        sat = member[np.arange(m)[:, None], vals].sum(axis=0)
+        hist += np.bincount(sat, minlength=m + 1)
+        loc = int(np.argmax(sat))
+        if sat[loc] > best_count:
+            best_count = int(sat[loc])
+            best_idx = start + loc
+    best_x = tuple(int(v) for v in np.unravel_index(best_idx, (p,) * n))
+    return tuple(int(v) for v in hist), best_x, Fraction(best_count, m)
+
+
+def _assert_split_kernel_matches_matmul(code, lists):
+    prof = brute_force_opi(code, lists)
+    assert (prof.histogram, prof.best_x, prof.s_max) == _matmul_profile(code, lists)
+
+
+def test_split_kernel_matches_matmul_on_every_criterion_7_shape():
+    rng = random.Random(7)
+    shapes = [(p, m, n) for p in (5, 7, 11) for m in range(2, min(p, 8) + 1)
+              for n in range(1, m) if p**n <= 20000 and p ** (m - n) <= 20000]
+    assert len(shapes) == 45
+    for p, m, n in shapes:
+        for points in (None, rng.sample(range(p), m)):
+            code = make_rs_code(FieldCtx(p), m, n, points)
+            _assert_split_kernel_matches_matmul(
+                code, random_lists(p, m, rng.randint(1, p - 1), rng.randrange(2**32)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_split_kernel_matches_matmul_on_the_large_shapes(seed):
+    # drawn as the benchmark's large_instances workload draws them
+    rng = random.Random(seed)
+    for p, m, n in ((23, 8, 5), (11, 10, 5), (17, 9, 5), (13, 8, 5), (31, 7, 4),
+                    (29, 6, 4), (19, 7, 4)):
+        size = rng.randint(max(1, p // 3), p - 1)
+        code = make_rs_code(FieldCtx(p), m, n, rng.sample(range(p), m))
+        lists = make_lists(p, [rng.sample(range(p), size) for _ in range(m)])
+        _assert_split_kernel_matches_matmul(code, lists)
+
+
+@pytest.mark.parametrize("p, m, n, size", [
+    (7, 5, 1, 3),  # x_hi is empty
+    (70001, 2, 1, 3),  # m p^ceil(n/2) > 2^16: the one-row batch floor
+    (7, 4, 4, 3),  # n = m
+    (2, 2, 1, 1), (2, 2, 2, 1), (3, 3, 2, 2),  # p = 2, 3
+    (5, 1, 1, 2),  # m = 1
+    (263, 260, 1, 262),  # counts up to 260 overflow a uint8
+])
+def test_split_kernel_matches_matmul_on_edge_shapes(p, m, n, size):
+    code = make_rs_code(FieldCtx(p), m, n)
+    lists = random_lists(p, m, size, 0)
+    _assert_split_kernel_matches_matmul(code, lists)
+    if m >= 256:
+        assert brute_force_opi(code, lists).s_max == 1
+
+
+def test_split_kernel_argmax_tie_across_batches_goes_to_the_smaller_x():
+    # at (17, 9, 5) a batch is one x_hi row: the planted solutions x1 < x2
+    # sit in batches 88 and 187, and only they satisfy every constraint
+    p, m, n = 17, 9, 5
+    code = make_rs_code(FieldCtx(p), m, n)
+    B = np.array(code.B)
+    x1, x2 = (5, 3, 1, 2, 0), (11, 0, 4, 4, 4)
+    sets = [(a, b if b != a else (a + 1) % p) for a, b in zip(B @ x1 % p, B @ x2 % p)]
+    lists = make_lists(p, sets)
+    prof = brute_force_opi(code, lists)
+    assert prof.s_max == 1 and prof.best_x == x1
+    assert prof.histogram[m] == 2
+    _assert_split_kernel_matches_matmul(code, lists)
+
+
+def test_split_tables_are_built_once_per_code_and_read_only():
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    codes._split_tables.cache_clear()
+    for seed in range(3):
+        brute_force_opi(code, random_lists(7, 6, 2, seed))
+    info = codes._split_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for table in codes._split_tables(code):
+        assert not table.flags.writeable
+
+
+def test_budget_is_checked_before_the_tables_are_built():
+    code = make_rs_code(FieldCtx(11), 8, 6)
+    codes._split_tables.cache_clear()
+    with pytest.raises(BudgetExceededError):
+        brute_force_opi(code, make_lists(11, [[0]] * 8), budget=1000)
+    assert codes._split_tables.cache_info().misses == 0
 
 
 def test_budget_errors():

@@ -211,6 +211,27 @@ def test_per_transcript_sum_is_one_entry_of_the_weight_sums():
         assert per_transcript_sum(code, lists, t) == 0j
 
 
+def test_per_transcript_sum_never_shares_a_cached_entry_between_lists():
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    first, second = random_lists(7, 6, 3, 5), random_lists(7, 6, 3, 6)
+    assert first != second
+    got = {}
+    for lists in (first, second, first, second):
+        sums = dual_weight_sums(code, spectrum_table(lists.sets, 7))
+        got[lists] = np.array([per_transcript_sum(code, lists, t) for t in range(code.m + 1)])
+        assert np.array_equal(got[lists], sums)
+    assert np.abs(got[first] - got[second]).max() > 1e-6
+
+
+def test_per_transcript_sum_obeys_a_lower_cap_after_a_cached_pass(monkeypatch):
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    lists = random_lists(7, 6, 3, 7)
+    per_transcript_sum(code, lists, 4)
+    monkeypatch.setenv("OPILAB_BUDGET", "10")  # p^(m-n) = 343
+    with pytest.raises(BudgetExceededError):
+        per_transcript_sum(code, lists, 4)
+
+
 def test_parseval_split_identity():
     code = make_rs_code(FieldCtx(7), 6, 3)
     lists = random_lists(7, 6, 3, 4)
