@@ -364,16 +364,6 @@ def dual_codewords(code: MdsCode, budget: int | None = None):
         yield (D.T @ C) % p
 
 
-def enumerate_dual_by_weight(code: MdsCode, t: int):
-    """All dual codewords of Hamming weight exactly t."""
-    out = []
-    for Y in dual_codewords(code):
-        w = (Y != 0).sum(axis=0)
-        sel = Y[:, w == t]
-        out.extend(tuple(int(v) for v in sel[:, j]) for j in range(sel.shape[1]))
-    return out
-
-
 def dual_weight_sums(code: MdsCode, table: np.ndarray, budget: int | None = None) -> np.ndarray:
     """out[t] = sum over weight-t dual codewords y of prod_i table[i, y_i],
     t = 0..m, for an m x p coordinate table."""

@@ -78,24 +78,6 @@ def discrepancy_by_subsets(code: MdsCode, lists: InputLists, x, k: int) -> QuadE
     return total
 
 
-def elementary_symmetric_newton(values: list[QuadExt], k: int) -> QuadExt:
-    """e_k via Newton's identities from power sums; independent oracle."""
-    if not values:
-        raise DomainError("need at least one value")
-    r_sq = values[0].r_sq
-    power = [QuadExt.of(len(values), 0, r_sq)]
-    for j in range(1, k + 1):
-        power.append(sum((v**j for v in values), QuadExt.of(0, 0, r_sq)))
-    e = [QuadExt.of(1, 0, r_sq)]
-    for j in range(1, k + 1):
-        acc = QuadExt.of(0, 0, r_sq)
-        for i in range(1, j + 1):
-            term = e[j - i] * power[i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        e.append(acc * Fraction(1, j))
-    return e[k]
-
-
 @lru_cache(maxsize=256)
 def discrepancy_table(m: int, rho: Fraction) -> tuple[tuple[QuadExt, ...], ...]:
     """q[k][s], k, s = 0..m: q_k of any solution satisfying exactly s
@@ -154,35 +136,46 @@ def expected_discrepancy_fourier(code: MdsCode, lists: InputLists,
     return dual_weight_sums(code, ghat, budget)
 
 
-def expected_discrepancy_all(code: MdsCode, lists: InputLists,
-                             profile: SatisfactionProfile | None = None) -> list[QuadExt]:
+def discrepancy_routes(code: MdsCode, lists: InputLists,
+                       profile: SatisfactionProfile | None = None) -> tuple[list[QuadExt], float]:
     """Both routes for E[q_t], t = 0..m, with agreement asserted.
 
-    Returns the exact values.  Below the dual distance the exact route must
-    be identically zero and the dual route has no codewords to sum.
+    Returns the exact values and the routes' largest relative difference,
+    imaginary residue included.  Below the dual distance the exact route
+    must be identically zero and the dual route has no codewords to sum.
     """
     exact = expected_discrepancy_exact(code, lists, profile)
     fourier = expected_discrepancy_fourier(code, lists)
+    residual = 0.0
     for t in range(code.m + 1):
         ex = exact[t].to_float()
         fo = fourier[t]
-        if abs(fo.imag) > TWO_ROUTE_TOL * max(1.0, abs(ex)):
+        imag = abs(fo.imag) / max(1.0, abs(ex))
+        if imag > TWO_ROUTE_TOL:
             raise IdentityViolationError(
                 f"dual sum at weight {t} has imaginary residue {fo.imag}",
                 instance=lists_to_json(lists),
             )
-        if abs(fo.real - ex) > TWO_ROUTE_TOL * max(1.0, abs(ex), abs(fo.real)):
+        real = abs(fo.real - ex) / max(1.0, abs(ex), abs(fo.real))
+        if real > TWO_ROUTE_TOL:
             raise IdentityViolationError(
                 f"expected discrepancy routes disagree at weight {t}: "
                 f"exact {ex} vs dual sum {fo.real}",
                 instance=lists_to_json(lists),
             )
+        residual = max(residual, imag, real)
         if 0 < t < code.d_perp and not exact[t].real_is_zero():
             raise IdentityViolationError(
                 f"expected discrepancy nonzero below the dual distance (t={t})",
                 instance=lists_to_json(lists),
             )
-    return exact
+    return exact, residual
+
+
+def expected_discrepancy_all(code: MdsCode, lists: InputLists,
+                             profile: SatisfactionProfile | None = None) -> list[QuadExt]:
+    """The exact values of `discrepancy_routes`."""
+    return discrepancy_routes(code, lists, profile)[0]
 
 
 # ---------- symmetric-difference counts ----------

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .codes import binomial_moments, binomial_weights, profile_moments
 from .errors import DomainError, IdentityViolationError
 
@@ -244,50 +242,6 @@ def gram_schmidt_family(m: int, rho: Fraction, ell_max: int) -> list[Poly]:
 
 # ---------- recursions and the tridiagonal identity ----------
 
-def three_term_step(fam: KravchukFamily, ell: int) -> Poly:
-    """K_{l+1} from K_l, K_{l-1} via (l+1)K_{l+1} = (m-2x)K_l - (m-l+1)K_{l-1}.
-
-    This is the r^2 = 1 case of the general recurrence that `build_family`
-    runs in integers; here it is applied to the stored Fraction
-    coefficients, as a check on them, for the balanced family only.
-    """
-    if fam.rho != HALF:
-        raise DomainError("the stated recursion holds for rho = 1/2 only")
-    if ell < 1 or ell + 1 > fam.degree_max:
-        raise DomainError("need 1 <= ell and K_{ell+1} stored in the family")
-    m = fam.m
-    rhs = poly_add(
-        poly_mul((Fraction(m), Fraction(-2)), fam.coeffs[ell]),
-        poly_scale(fam.coeffs[ell - 1], -(m - ell + 1)),
-    )
-    return poly_scale(rhs, Fraction(1, ell + 1))
-
-
-@dataclass(frozen=True)
-class TridiagonalForm:
-    """Symmetric tridiagonal matrix with zero diagonal and off-diagonal
-    entries sqrt(k(m+1-k)), k = 1..ell."""
-
-    m: int
-    ell: int
-
-    @property
-    def size(self) -> int:
-        return self.ell + 1
-
-    def offdiag_squared(self) -> list[int]:
-        return [k * (self.m + 1 - k) for k in range(1, self.ell + 1)]
-
-    def offdiag(self) -> list[float]:
-        return [math.sqrt(v) for v in self.offdiag_squared()]
-
-    def max_eigenvalue(self) -> float:
-        mat = np.zeros((self.size, self.size))
-        for k, v in enumerate(self.offdiag(), start=1):
-            mat[k, k - 1] = mat[k - 1, k] = v
-        return float(np.linalg.eigvalsh(mat)[-1])
-
-
 def tridiagonal_char_poly(m: int, ell: int) -> Poly:
     """det((x - m/2) I - A/2) via the three-term determinant expansion.
 
@@ -448,6 +402,9 @@ def interlacing_check(rep: PrincipalRepresentation, profile) -> dict:
     def x_cdf(z, slack=Fraction(0)) -> Fraction:
         return Fraction(sum(c for t, c in enumerate(hist) if t <= z + slack), total)
 
+    s_max_count = max(t for t, c in enumerate(hist) if c)
+    top_root = rep.support[-1]
+    least_slack = s_max_count + atom_slack - top_root
     inequalities = []
     ok = True
     for j in range(rep.ell + 1):
@@ -458,16 +415,16 @@ def interlacing_check(rep: PrincipalRepresentation, profile) -> dict:
         rhs = x_cdf(rep.support[j], atom_slack) if j < rep.ell else Fraction(1)
         good = lhs <= z_mass <= rhs
         ok = ok and good
+        least_slack = min(least_slack, z_mass - lhs, rhs - z_mass)
         inequalities.append({
             "j": j,
             "lower_slack": float(z_mass - lhs),
             "upper_slack": float(rhs - z_mass),
             "ok": bool(good),
         })
-    s_max_count = max(t for t, c in enumerate(hist) if c)
-    top_root = rep.support[-1]
     return {
         "ok": bool(ok and s_max_count + atom_slack >= top_root),
+        "violation": float(max(-least_slack, 0)),
         "inequalities": inequalities,
         "max_count": s_max_count,
         "top_root": float(top_root),

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .codes import (InputLists, MdsCode, dual_codewords, dual_weight_sums,
+from .codes import (InputLists, MdsCode, dual_weight_sums,
                     enumeration_budget)
 from .errors import BudgetExceededError, DomainError
 from .rates import binary_entropy, scan_max
@@ -92,16 +92,20 @@ def arc_extremal_check(p: int, rho: Fraction, trials: int = 1000, seed: int = 0)
         spec = indicator_spectrum(subset, p)
         mags = np.abs(spec.coeffs[1:])
         random_peak = max(random_peak, float(mags.max()))
+    peak = max(interval_peak, random_peak)
+    # 1e-12 for float rounding: the interval attains the exact bound
+    excess = (random_peak - interval_peak - 1e-12, peak - bound - 1e-12)
     asym = abs(math.sin(float(rho) * math.pi)) / math.pi
-    c = max(0.0, (max(interval_peak, random_peak) - asym)) * p * p
+    c = max(0.0, peak - asym) * p * p
     return {
         "p": p,
         "rho": float(rho),
         "interval_peak": interval_peak,
         "random_peak": random_peak,
         "exact_bound": bound,
-        "interval_attains_max": random_peak <= interval_peak + 1e-12,
-        "within_exact_bound": max(interval_peak, random_peak) <= bound + 1e-12,
+        "interval_attains_max": excess[0] <= 0,
+        "within_exact_bound": excess[1] <= 0,
+        "violation": max(0.0, *excess),
         "correction_constant": c,
     }
 
@@ -310,29 +314,6 @@ def _transcript_sums(code: MdsCode, lists: InputLists, budget: int) -> np.ndarra
     sums = dual_weight_sums(code, spectrum_table(lists.sets, code.p), budget)
     sums.setflags(write=False)
     return sums
-
-
-def tv_proxy(code: MdsCode, plus_sets, minus_sets) -> float:
-    """(1/2) sum over sign transcripts of |sum over nonzero dual codewords
-    of prod_i spectrum of the transcript-selected set|."""
-    m, p = code.m, code.p
-    if len(plus_sets) != m or len(minus_sets) != m:
-        raise DomainError("need one set pair per coordinate")
-    if 2**m > enumeration_budget() or 2**m > 2**16:
-        raise BudgetExceededError("transcript enumeration capped at m <= 16")
-    plus = spectrum_table(plus_sets, p)
-    minus = spectrum_table(minus_sets, p)
-    acc = np.zeros(2**m, dtype=np.complex128)
-    for Y in dual_codewords(code):
-        w = (Y != 0).sum(axis=0)
-        sel = Y[:, w > 0]
-        for j in range(sel.shape[1]):
-            y = sel[:, j]
-            contrib = np.array([1.0 + 0j])
-            for i in range(m):
-                contrib = np.kron(contrib, np.array([plus[i][y[i]], minus[i][y[i]]]))
-            acc += contrib
-    return 0.5 * float(np.abs(acc).sum())
 
 
 def parseval_split_identity(code: MdsCode, lists: InputLists, coords) -> tuple[float, float]:

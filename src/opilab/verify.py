@@ -1,341 +1,391 @@
-"""Named identity suites run by the command line.
+"""The identity table run by `opilab verify`.
 
-Each check returns a record {identity, instance, mode, max_abs_residual,
-status}; a suite passes when no record fails, and a check the shape cannot
-run is a "skipped" record with a "reason".  Instances are small seeded
-families, and failing records carry the instance JSON for replay.
+Each row of `ROWS` names an identity, its suite, the kind of instance it
+reads, its mode and its check.  Each suite has one instance source: it
+draws every instance from one `random.Random(seed)` in a fixed order and
+yields (kind, description, build).  `run_suite` builds each instance once
+and runs the suite's rows of that kind on it, in table order.
+
+A check returns (residual, ok), or a string: the reason the shape cannot
+run it, recorded as "skipped".  The residual is the number the check
+compared against its bound.  An exact equality returns 0 when it holds and
+otherwise raises IdentityViolationError naming the first failing index; a
+float comparison returns its relative difference (the split bound its
+largest ratio to the bound); an inequality returns its violation, clipped
+at 0.  An IdentityViolationError raised by a build or a check is a "fail"
+record, with a null residual and the message, of every row that needed
+the instance.  Domain and budget errors propagate.
+
+Records are {identity, instance, mode, max_abs_residual, status} plus an
+"error" or a "reason"; a suite passes when no record fails.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
+from types import SimpleNamespace
 
 from . import codes, discrepancy, kravchuk, leakage
 from .errors import IdentityViolationError
 
-SUITES = ("kravchuk", "moments", "discrepancy", "fourier", "leakage", "all")
-
-_DEFAULT_INSTANCE = {"p": 7, "m": 6, "n": 3}
-_LEAKAGE_INSTANCE = {"p": 11, "m": 8, "n": 6}
+Row = namedtuple("Row", "identity suite kind mode check")
 
 
-def _record(identity, instance, mode, residual, status, **note):
-    """One check's record; `note` adds a failure's "error" or a skip's "reason"."""
-    return {
-        "identity": identity,
-        "instance": instance,
-        "mode": mode,
-        "max_abs_residual": None if residual is None else float(residual),
-        "status": status,
-        **note,
-    }
+def _exact(names: str, cases):
+    """(0.0, True) when every (index, holds) case holds; otherwise an
+    IdentityViolationError naming the first index that fails."""
+    for index, holds in cases:
+        if not holds:
+            at = ", ".join(f"{k}={v}" for k, v in zip(names.split(), index))
+            raise IdentityViolationError(f"fails first at {at}")
+    return 0.0, True
 
 
-def _guard(records, identity, instance, mode, fn):
-    """Run fn() -> (residual, ok); identity violations become failures with
-    no residual.  Domain and budget errors propagate."""
-    try:
-        residual, ok = fn()
-    except IdentityViolationError as exc:
-        records.append(_record(identity, instance, mode, None, "fail", error=str(exc)))
-        return
-    records.append(_record(identity, instance, mode, residual, "pass" if ok else "fail"))
+# ---------- instance sources ----------
+
+def _draw(code, rng, low=1):
+    """Lists of one size drawn from rng, seeded from rng, and their description."""
+    size = rng.randint(low, code.p - 1)
+    lists = codes.random_lists(code.p, code.m, size, rng.randrange(2**32))
+    return lists, {"p": code.p, "m": code.m, "n": code.n,
+                   "sets": [list(s) for s in lists.sets]}
 
 
-def _code(p, m, n, default):
-    """The Reed-Solomon code of shape (p, m, n), each flag left as None
-    taken from `default`; a given 0 or negative value is rejected."""
-    given = {"p": p, "m": m, "n": n}
-    p, m, n = (default[k] if v is None else v for k, v in given.items())
-    return codes.make_rs_code(codes.FieldCtx(p), m, n)
+def _profiled(code, lists, **extra):
+    return SimpleNamespace(code=code, lists=lists, prof=codes.brute_force_opi(code, lists),
+                           **extra)
 
 
-def _instance(code, size, seed):
-    p, m, n = code.p, code.m, code.n
-    lists = codes.random_lists(p, m, size, seed)
-    desc = {"p": p, "m": m, "n": n, "sets": [list(s) for s in lists.sets]}
-    return lists, desc
+def _balanced_family(m):
+    return SimpleNamespace(m=m, fam=kravchuk.build_family(m, kravchuk.HALF, min(m, 6)))
 
 
-def suite_kravchuk(seed: int = 0) -> list[dict]:
-    records = []
+def _kravchuk_instances(code, seed, precision):
     rng = random.Random(seed)
-    ms = sorted({6, 9, rng.randint(4, 12)})
-    for m in ms:
-        inst = {"m": m}
-        fam = kravchuk.build_family(m, kravchuk.HALF, min(m, 6))
-
-        def genfunc(m=m, fam=fam):
-            for x in range(m + 1):
-                for ell in range(fam.degree_max + 1):
-                    series = sum(
-                        math.comb(m - x, ell - i) * math.comb(x, i) * (-1) ** i
-                        for i in range(ell + 1)
-                    )
-                    if fam.values[ell][x] != series:
-                        return 1.0, False
-            return 0.0, True
-
-        _guard(records, "generating_function_expansion", inst, "exact", genfunc)
-
-        def orth(m=m):
-            kravchuk.build_family(m, kravchuk.HALF, m)  # asserts orthogonality
-            return 0.0, True
-
-        _guard(records, "orthogonality", inst, "exact", orth)
-
-        def charpoly(m=m):
-            ok = all(kravchuk.char_poly_identity_check(m, ell) for ell in range(m))
-            return 0.0, ok
-
-        _guard(records, "tridiagonal_char_poly", inst, "exact", charpoly)
-
-        def roots(m=m, fam=fam):
-            prev = None
-            for ell in range(1, fam.degree_max + 1):
-                rts = kravchuk.isolate_roots(fam, ell)
-                if len(rts) != ell or any(not 0 < z < m for z in rts):
-                    return 1.0, False
-                if prev is not None and not all(
-                    rts[i] < prev[i] < rts[i + 1] for i in range(len(prev))
-                ):
-                    return 1.0, False
-                prev = rts
-            return 0.0, True
-
-        _guard(records, "root_count_and_interlacing", inst, "exact", roots)
-
+    for m in sorted({6, 9, rng.randint(4, 12)}):
+        yield "m", {"m": m}, partial(_balanced_family, m)
     for rho in (kravchuk.HALF, Fraction(1, 3)):
-        inst = {"m": 12, "rho": str(rho)}
-
-        def rep_moments(rho=rho):
-            rep = kravchuk.principal_representation(12, rho, 3)
-            worst = 0.0
-            for j, want in enumerate(codes.binomial_moments(12, rho, rep.order)):
-                got = rep.moment(j)
-                worst = max(worst, abs(float(got - want)) / max(1.0, abs(float(want))))
-            return worst, worst <= 1e-8
-
-        _guard(records, "principal_representation_moments", inst, "high_precision",
-               rep_moments)
-    return records
+        yield "rho", {"m": 12, "rho": str(rho)}, partial(SimpleNamespace, rho=rho)
 
 
-def suite_moments(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
-    code = _code(p, m, n, _DEFAULT_INSTANCE)
-    p, m, n = code.p, code.m, code.n
-    records = []
+def _moments_instances(code, seed, precision):
     rng = random.Random(seed)
-    for trial in range(3):
-        size = rng.randint(1, p - 1)
-        lists, desc = _instance(code, size, rng.randrange(2**32))
-        prof = codes.brute_force_opi(code, lists)
-
-        def match(code=code, lists=lists, prof=prof):
-            return 0.0, codes.moments_match_check(code, lists, code.n, prof)
-
-        _guard(records, "binomial_moment_match", desc, "exact", match)
-
-        ell = (n + 1) // 2
-
-        def interlace(code=code, lists=lists, prof=prof, ell=ell):
-            rep = kravchuk.principal_representation(m, lists.rho, ell)
-            report = kravchuk.interlacing_check(rep, prof)
-            return 0.0, report["ok"]
-
-        if 2 * ell > m:
-            records.append(_record(
-                "principal_interlacing", desc, "exact", None, "skipped",
-                reason=f"a principal representation needs 1 <= ell <= m/2, got ell={ell} m={m}"))
-        else:
-            _guard(records, "principal_interlacing", desc, "exact", interlace)
-
-        def averaging(lists=lists, prof=prof):
-            return 0.0, prof.s_max >= lists.rho
-
-        _guard(records, "max_at_least_density", desc, "exact", averaging)
-    return records
+    for _ in range(3):
+        lists, desc = _draw(code, rng)
+        yield "lists", desc, partial(_profiled, code, lists)
 
 
-def suite_discrepancy(p=None, m=None, n=None, seed: int = 0,
-                      precision: int = 60) -> list[dict]:
-    code = _code(p, m, n, _DEFAULT_INSTANCE)
-    p, m, n = code.p, code.m, code.n
-    records = []
+def _fourier_instances(code, seed, precision):
+    yield from _moments_instances(code, seed, precision)
+    yield "code", {"p": code.p, "m": code.m, "n": code.n}, partial(SimpleNamespace, code=code)
+
+
+def _with_subset_sums(code, lists, xs, precision):
+    """The profiled instance, with the satisfied count and q_0..q_m by subset sums at each x."""
+    sums = []
+    for x in xs:
+        sat = sum(sum(b * v for b, v in zip(row, x)) % code.p in s
+                  for row, s in zip(code.B, lists.sets))
+        sums.append((x, sat, [discrepancy.discrepancy_by_subsets(code, lists, x, k)
+                              for k in range(code.m + 1)]))
+    return _profiled(code, lists, subset_sums=sums, precision=precision)
+
+
+def _discrepancy_instances(code, seed, precision):
     rng = random.Random(seed)
-    for trial in range(2):
-        size = rng.randint(1, p - 1)
-        lists, desc = _instance(code, size, rng.randrange(2**32))
-        prof = codes.brute_force_opi(code, lists)
-        rho = lists.rho
-
-        def pair_products(code=code, lists=lists, prof=prof, rho=rho):
-            eq = discrepancy.expected_discrepancy_all(code, lists, prof)
-            q = discrepancy.discrepancy_table(m, rho)
-            scale = Fraction(1, prof.total)
-            for k in range(min(m, 4)):
-                for kp in range(k, min(m, 4)):
-                    lhs = discrepancy.zero(rho)
-                    for s, cnt in enumerate(prof.histogram):
-                        if cnt:
-                            lhs = lhs + q[k][s] * q[kp][s] * Fraction(cnt)
-                    lhs = lhs * scale
-                    rhs = discrepancy.zero(rho)
-                    for t in range(m + 1):
-                        rhs = rhs + discrepancy.weighted_pair_count(k, kp, t, m, rho) * eq[t]
-                    if not lhs.real_equals(rhs):
-                        return 1.0, False
-            return 0.0, True
-
-        _guard(records, "pair_product_expansion", desc, "exact", pair_products)
-
-        def triple_rec(code=code, lists=lists, rho=rho):
-            beta = discrepancy.beta_of(rho)
-            for _ in range(6):
-                x = tuple(rng.randrange(p) for _ in range(n))
-                q = [discrepancy.discrepancy_by_subsets(code, lists, x, k) for k in range(m + 1)]
-                for k in range(1, m):
-                    lhs = q[1] * q[k]
-                    rhs = (
-                        q[k + 1] * Fraction(k + 1)
-                        + q[k - 1] * Fraction(m - k + 1)
-                        + beta * q[k] * Fraction(k)
-                    )
-                    if not lhs.real_equals(rhs):
-                        return 1.0, False
-            return 0.0, True
-
-        _guard(records, "pointwise_triple_recursion", desc, "exact", triple_rec)
-
-        def master_rational(code=code, lists=lists, prof=prof):
-            spec = discrepancy.make_sampler(min(m - 1, (n + 1) // 2 + 1),
-                                            weight_mode="rational_test")
-            out = discrepancy.expected_sampled_satisfaction(code, lists, spec, prof)
-            return out["max_rel_residual"], True
-
-        _guard(records, "master_expansion_rational", desc, "exact", master_rational)
-
-        def master_canonical(code=code, lists=lists, prof=prof):
-            spec = discrepancy.make_sampler(min(m - 1, (n + 1) // 2), weight_mode="canonical")
-            out = discrepancy.expected_sampled_satisfaction(
-                code, lists, spec, prof, precision_digits=precision
-            )
-            return out["max_rel_residual"], out["max_rel_residual"] < 1e-9
-
-        _guard(records, "master_expansion_canonical_weights", desc, "high_precision",
-               master_canonical)
-    return records
+    rhos = []
+    for _ in range(2):
+        lists, desc = _draw(code, rng)
+        xs = [tuple(rng.randrange(code.p) for _ in range(code.n)) for _ in range(6)]
+        rhos.append(lists.rho)
+        yield "lists", desc, partial(_with_subset_sums, code, lists, xs, precision)
+    yield "pair_counts", {"m": 6, "rho": str(rhos[0])}, partial(SimpleNamespace, rho=rhos[0])
+    yield "sym_diff", {"m": 8}, SimpleNamespace
 
 
-def suite_fourier(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
-    code = _code(p, m, n, _DEFAULT_INSTANCE)
+def _leakage_instances(code, seed, precision):
     p, m, n = code.p, code.m, code.n
-    records = []
     rng = random.Random(seed)
-    for trial in range(3):
-        size = rng.randint(1, p - 1)
-        lists, desc = _instance(code, size, rng.randrange(2**32))
-        prof = codes.brute_force_opi(code, lists)
-
-        def two_routes(code=code, lists=lists, prof=prof):
-            eq = discrepancy.expected_discrepancy_all(code, lists, prof)
-            below = all(eq[t].real_is_zero() for t in range(1, code.d_perp))
-            return 0.0, below and eq[0].real_equals(1)
-
-        _guard(records, "dual_sum_vs_enumeration", desc, "exact+float", two_routes)
-
-        def scaling(code=code, lists=lists):
-            fq = discrepancy.expected_discrepancy_fourier(code, lists)
-            ts = codes.dual_weight_sums(code, leakage.spectrum_table(lists.sets, p))
-            rho = float(lists.rho)
-            worst = 0.0
-            for t in range(m + 1):
-                scaled = rho ** (t / 2 - m) * (1 - rho) ** (-t / 2) * ts[t]
-                worst = max(worst, abs(scaled - fq[t]) / max(1.0, abs(fq[t])))
-            return worst, worst < 1e-9
-
-        _guard(records, "transcript_scaling", desc, "float", scaling)
-    return records
-
-
-def suite_leakage(p=None, m=None, n=None, seed: int = 0) -> list[dict]:
-    code = _code(p, m, n, _LEAKAGE_INSTANCE)
-    p, m, n = code.p, code.m, code.n
-    records = []
-    rng = random.Random(seed)
-
-    def arc(code=code):
-        rep = leakage.arc_extremal_check(p, Fraction(max(1, p // 2), p), trials=200,
-                                         seed=seed)
-        return 0.0, rep["interval_attains_max"] and rep["within_exact_bound"]
-
-    _guard(records, "interval_extremal_spectrum", {"p": p}, "float", arc)
-
+    yield "arc", {"p": p}, partial(SimpleNamespace, p=p, seed=seed)
     for kind in ("single", "cyclic"):
-        fam = leakage.make_buckets(kind, m, n) if 2 * n > m else None
-        for trial in range(3):
-            size = rng.randint(max(1, p // 3), p - 1)
-            lists = codes.random_lists(p, m, size, rng.randrange(2**32))
-            desc = {"p": p, "m": m, "n": n, "sets": [list(s) for s in lists.sets],
-                    "buckets": kind}
+        for _ in range(3):
+            lists, desc = _draw(code, rng, low=max(1, p // 3))
+            yield "buckets", {**desc, "buckets": kind}, partial(
+                SimpleNamespace, code=code, lists=lists, kind=kind)
+    yield "code", {"p": p, "m": m, "n": n}, lambda: SimpleNamespace(
+        code=code, lists=codes.random_lists(p, m, max(1, p // 2), seed + 17))
+    yield "coverage", {"m": 10, "n": 7}, SimpleNamespace
 
-            def split(code=code, lists=lists, fam=fam):
-                eq = discrepancy.expected_discrepancy_fourier(code, lists)
-                worst = 0.0
-                for t in range(code.d_perp, m + 1):
-                    bound = leakage.bucket_split_bound(code, lists, fam, t)
-                    worst = max(worst, abs(eq[t]) / bound)
-                return worst, worst <= 1.0 + 1e-9
 
-            if fam is None:
-                records.append(_record("bucket_split_bound_dominates", desc, "float", None,
-                                       "skipped", reason=f"buckets need 2n > m, got n={n} m={m}"))
-            else:
-                _guard(records, "bucket_split_bound_dominates", desc, "float", split)
+# suite -> (default (p, m, n) of its code, or None when it reads none; source)
+_SOURCES = {
+    "kravchuk": (None, _kravchuk_instances),
+    "moments": ((7, 6, 3), _moments_instances),
+    "discrepancy": ((7, 6, 3), _discrepancy_instances),
+    "fourier": ((7, 6, 3), _fourier_instances),
+    "leakage": ((11, 8, 6), _leakage_instances),
+}
+SUITES = (*_SOURCES, "all")
 
-    def parseval_chain():
-        lists = codes.random_lists(p, m, max(1, p // 2), seed + 17)
-        coords = tuple(range(m - n))
-        lhs, rhs = leakage.parseval_split_identity(code, lists, coords)
-        rel = abs(lhs - rhs) / max(1.0, rhs)
-        return rel, rel < 1e-9
 
-    _guard(records, "projection_parseval_chain", {"p": p, "m": m, "n": n}, "float",
-           parseval_chain)
+# ---------- kravchuk ----------
 
-    def coverage():
-        mm, nn = 10, 7
-        bucket = set(range(2 * nn - mm))
-        for lam in (0.2, 0.4):
-            want = sum(
-                1
-                for D in combinations(range(mm), nn + 1)
-                if len(bucket & set(D)) >= math.ceil(lam * mm - 1e-9)
-            )
-            if leakage.coverage_count(mm, nn, lam) != want:
-                return 1.0, False
-        return 0.0, True
+def _generating_function(inst):
+    m, fam = inst.m, inst.fam
+    return _exact("x ell", (
+        ((x, ell), fam.values[ell][x] == sum(math.comb(m - x, ell - i) * math.comb(x, i) * (-1) ** i
+                                             for i in range(ell + 1)))
+        for x in range(m + 1) for ell in range(fam.degree_max + 1)))
 
-    _guard(records, "coverage_count_formula", {"m": 10, "n": 7}, "exact", coverage)
-    return records
+
+def _orthogonality(inst):
+    # on the family itself: build_family is cached, so construction may not rerun it
+    kravchuk._assert_orthogonality(kravchuk.build_family(inst.m, kravchuk.HALF, inst.m))
+    return 0.0, True
+
+
+def _char_poly(inst):
+    return _exact("ell", (((ell,), kravchuk.char_poly_identity_check(inst.m, ell))
+                          for ell in range(inst.m)))
+
+
+def _root_interlacing(inst):
+    m, fam = inst.m, inst.fam
+
+    def cases():
+        prev = None
+        for ell in range(1, fam.degree_max + 1):
+            rts = kravchuk.isolate_roots(fam, ell)
+            yield (ell,), (len(rts) == ell and all(0 < z < m for z in rts) and (
+                prev is None or all(a < b < c for b, a, c in zip(prev, rts, rts[1:]))))
+            prev = rts
+
+    return _exact("ell", cases())
+
+
+def _kkt_quadratic_form(inst):
+    m, ell = inst.m, inst.m // 2 - 1
+    u, tilted = kravchuk.kkt_optimum(m, ell)
+    return _exact("ell", [((ell,), discrepancy.quadratic_form_satisfaction(m, ell, u)
+                           == 1 - tilted / m)])
+
+
+def _representation_moments(inst):
+    rep = kravchuk.principal_representation(12, inst.rho, 3)
+    worst = max(abs(float(rep.moment(j) - want)) / max(1.0, abs(float(want)))
+                for j, want in enumerate(codes.binomial_moments(12, inst.rho, rep.order)))
+    return worst, worst <= 1e-8
+
+
+# ---------- moments ----------
+
+def _moment_match(inst):
+    n, prof = inst.code.n, inst.prof
+    pairs = zip(codes.profile_moments(prof, n), codes.binomial_moments(prof.m, inst.lists.rho, n))
+    return _exact("j", (((j,), a == b) for j, (a, b) in enumerate(pairs)))
+
+
+def _principal_interlacing(inst):
+    m, ell = inst.code.m, (inst.code.n + 1) // 2
+    if 2 * ell > m:
+        return f"a principal representation needs 1 <= ell <= m/2, got ell={ell} m={m}"
+    rep = kravchuk.principal_representation(m, inst.lists.rho, ell)
+    report = kravchuk.interlacing_check(rep, inst.prof)
+    return report["violation"], report["ok"]
+
+
+def _max_at_least_density(inst):
+    shortfall = inst.lists.rho - inst.prof.s_max
+    return float(max(shortfall, 0)), shortfall <= 0
+
+
+# ---------- discrepancy ----------
+
+def _pair_products(inst):
+    code, prof, rho = inst.code, inst.prof, inst.lists.rho
+    m = code.m
+    eq = discrepancy.expected_discrepancy_all(code, inst.lists, prof)
+    q = discrepancy.discrepancy_table(m, rho)
+    scale = Fraction(1, prof.total)
+
+    def holds(k, kp):
+        lhs = sum((q[k][s] * q[kp][s] * Fraction(cnt) for s, cnt in enumerate(prof.histogram)
+                   if cnt), discrepancy.zero(rho))
+        rhs = sum((discrepancy.weighted_pair_count(k, kp, t, m, rho) * eq[t]
+                   for t in range(m + 1)), discrepancy.zero(rho))
+        return (lhs * scale).real_equals(rhs)
+
+    return _exact("k k'", (((k, kp), holds(k, kp))
+                           for k in range(min(m, 4)) for kp in range(k, min(m, 4))))
+
+
+def _triple_recursion(inst):
+    m, beta = inst.code.m, discrepancy.beta_of(inst.lists.rho)
+    return _exact("x k", (
+        ((x, k), (q[1] * q[k]).real_equals(
+            q[k + 1] * Fraction(k + 1) + q[k - 1] * Fraction(m - k + 1) + beta * q[k] * k))
+        for x, _, q in inst.subset_sums for k in range(1, m)))
+
+
+def _pointwise_collapse(inst):
+    m, rho = inst.code.m, inst.lists.rho
+    return _exact("x k", (
+        ((x, k), q[k].real_equals(discrepancy.discrepancy_from_count(m, rho, sat, k)))
+        for x, sat, q in inst.subset_sums for k in range(m + 1)))
+
+
+def _master_expansion(inst, mode):
+    # the exact mode raises on any disagreement, so its residual is 0
+    m, n = inst.code.m, inst.code.n
+    ell = (n + 1) // 2 + (mode == "rational_test")
+    spec = discrepancy.make_sampler(min(m - 1, ell), weight_mode=mode)
+    out = discrepancy.expected_sampled_satisfaction(inst.code, inst.lists, spec, inst.prof,
+                                                    precision_digits=inst.precision)
+    return out["max_rel_residual"], out["max_rel_residual"] < 1e-9
+
+
+def _pair_count_enumeration(inst):
+    # a fixed shape: the enumeration raises BudgetExceededError at large m
+    return _exact("k k' t", (
+        ((k, kp, t), discrepancy.weighted_pair_count(k, kp, t, 6, inst.rho).real_equals(
+            discrepancy.weighted_pair_count_brute(k, kp, t, 6, inst.rho)))
+        for k in range(3) for kp in range(3) for t in range(7)))
+
+
+def _sym_diff_closed_form(inst):
+    return _exact("ks", (((ks,), discrepancy.count_sym_diff(ks, 0, 8)
+                          == discrepancy.count_sym_diff_zero_closed(ks, 8))
+                         for ks in ([2, 2], [1, 3], [2, 3, 3], [1, 1, 2], [2, 2, 2])))
+
+
+# ---------- fourier ----------
+
+def _dual_sum(inst):
+    eq, residual = discrepancy.discrepancy_routes(inst.code, inst.lists, inst.prof)
+    _exact("t", [((0,), eq[0].real_equals(1))])
+    return residual, residual <= discrepancy.TWO_ROUTE_TOL
+
+
+def _transcript_scaling(inst):
+    code, lists = inst.code, inst.lists
+    fq = discrepancy.expected_discrepancy_fourier(code, lists)
+    ts = codes.dual_weight_sums(code, leakage.spectrum_table(lists.sets, code.p))
+    rho = float(lists.rho)
+    worst = max(abs(rho ** (t / 2 - code.m) * (1 - rho) ** (-t / 2) * ts[t] - fq[t])
+                / max(1.0, abs(fq[t])) for t in range(code.m + 1))
+    return worst, worst < 1e-9
+
+
+def _dual_distance(inst):
+    weight = codes.min_dual_weight(inst.code)
+    return _exact("weight", [((weight,), weight == inst.code.d_perp)])
+
+
+# ---------- leakage ----------
+
+def _arc_extremal(inst):
+    p = inst.p
+    rep = leakage.arc_extremal_check(p, Fraction(max(1, p // 2), p), trials=200, seed=inst.seed)
+    return rep["violation"], rep["interval_attains_max"] and rep["within_exact_bound"]
+
+
+def _split_bound(inst):
+    code, lists = inst.code, inst.lists
+    m, n = code.m, code.n
+    if 2 * n <= m:
+        return f"buckets need 2n > m, got n={n} m={m}"
+    fam = leakage.make_buckets(inst.kind, m, n)
+    eq = discrepancy.expected_discrepancy_fourier(code, lists)
+    worst = max((abs(eq[t]) / leakage.bucket_split_bound(code, lists, fam, t)
+                 for t in range(code.d_perp, m + 1)), default=0.0)
+    return worst, worst <= 1.0 + 1e-9
+
+
+def _parseval_chain(inst):
+    code = inst.code
+    lhs, rhs = leakage.parseval_split_identity(code, inst.lists, tuple(range(code.m - code.n)))
+    rel = abs(lhs - rhs) / max(1.0, rhs)
+    return rel, rel < 1e-9
+
+
+def _coverage(inst):
+    bucket = set(range(2 * 7 - 10))  # m = 10, n = 7
+    return _exact("lambda", (((lam,), leakage.coverage_count(10, 7, lam) == sum(
+        len(bucket & set(d)) >= math.ceil(lam * 10 - 1e-9) for d in combinations(range(10), 8)))
+        for lam in (0.2, 0.4)))
+
+
+ROWS = (
+    Row("generating_function_expansion", "kravchuk", "m", "exact", _generating_function),
+    Row("orthogonality", "kravchuk", "m", "exact", _orthogonality),
+    Row("tridiagonal_char_poly", "kravchuk", "m", "exact", _char_poly),
+    Row("root_count_and_interlacing", "kravchuk", "m", "exact", _root_interlacing),
+    Row("kkt_quadratic_form", "kravchuk", "m", "exact", _kkt_quadratic_form),
+    Row("principal_representation_moments", "kravchuk", "rho", "high_precision",
+        _representation_moments),
+    Row("binomial_moment_match", "moments", "lists", "exact", _moment_match),
+    Row("principal_interlacing", "moments", "lists", "exact", _principal_interlacing),
+    Row("max_at_least_density", "moments", "lists", "exact", _max_at_least_density),
+    Row("pair_product_expansion", "discrepancy", "lists", "exact", _pair_products),
+    Row("pointwise_triple_recursion", "discrepancy", "lists", "exact", _triple_recursion),
+    Row("pointwise_collapse", "discrepancy", "lists", "exact", _pointwise_collapse),
+    Row("master_expansion_rational", "discrepancy", "lists", "exact",
+        partial(_master_expansion, mode="rational_test")),
+    Row("master_expansion_canonical_weights", "discrepancy", "lists", "high_precision",
+        partial(_master_expansion, mode="canonical")),
+    Row("pair_count_enumeration", "discrepancy", "pair_counts", "exact",
+        _pair_count_enumeration),
+    Row("sym_diff_zero_closed_form", "discrepancy", "sym_diff", "exact", _sym_diff_closed_form),
+    Row("dual_sum_vs_enumeration", "fourier", "lists", "exact+float", _dual_sum),
+    Row("transcript_scaling", "fourier", "lists", "float", _transcript_scaling),
+    Row("dual_distance", "fourier", "code", "exact", _dual_distance),
+    Row("interval_extremal_spectrum", "leakage", "arc", "float", _arc_extremal),
+    Row("bucket_split_bound_dominates", "leakage", "buckets", "float", _split_bound),
+    Row("projection_parseval_chain", "leakage", "code", "float", _parseval_chain),
+    Row("coverage_count_formula", "leakage", "coverage", "exact", _coverage),
+)
+
+
+def _run(row, build, instance):
+    """The row's record on the instance `build()` returns."""
+    residual, status, note = None, "fail", {}
+    try:
+        out = row.check(build())
+    except IdentityViolationError as exc:
+        note = {"error": str(exc)}
+    else:
+        if isinstance(out, str):
+            status, note = "skipped", {"reason": out}
+        else:
+            residual, status = float(out[0]), "pass" if out[1] else "fail"
+    return {"identity": row.identity, "instance": instance, "mode": row.mode,
+            "max_abs_residual": residual, "status": status, **note}
 
 
 def run_suite(name: str, p=None, m=None, n=None, seed: int = 0,
               precision: int = 60) -> list[dict]:
+    """The records of every row of suite `name` ("all": every suite, in
+    table order), on instances of shape (p, m, n); a flag left as None
+    takes the suite's default, and a 0 or negative one is a DomainError."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    out = []
-    if name in ("kravchuk", "all"):
-        out.extend(suite_kravchuk(seed))
-    if name in ("moments", "all"):
-        out.extend(suite_moments(p, m, n, seed))
-    if name in ("discrepancy", "all"):
-        out.extend(suite_discrepancy(p, m, n, seed, precision))
-    if name in ("fourier", "all"):
-        out.extend(suite_fourier(p, m, n, seed))
-    if name in ("leakage", "all"):
-        out.extend(suite_leakage(p, m, n, seed))
-    return out
+    records = []
+    for suite, (default, source) in _SOURCES.items():
+        if name not in (suite, "all"):
+            continue
+        code = None
+        if default is not None:
+            fp, fm, fn = (d if v is None else v for v, d in zip((p, m, n), default))
+            code = codes.make_rs_code(codes.FieldCtx(fp), fm, fn)
+        for kind, desc, build in source(code, seed, precision):
+            # built once for all its rows; a build that raises is not
+            # cached, so each row retries it and fails the same way
+            build = cache(build)
+            records.extend(_run(row, build, desc) for row in ROWS
+                           if (row.suite, row.kind) == (suite, kind))
+    return records

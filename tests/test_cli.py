@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -301,15 +302,15 @@ def test_non_integer_budget_variable_is_named_in_the_usage_error(monkeypatch, ca
     assert captured.err == "error: OPILAB_BUDGET must be an integer, got 'abc'\n"
 
 
-def test_verify_identity_violation_record_has_null_residual():
-    def disagree():
-        raise IdentityViolationError("routes disagree")
+def test_verify_identity_violation_record_has_null_residual(monkeypatch):
+    from opilab import leakage
 
-    records = []
-    verify._guard(records, "some_identity", {"m": 6}, "exact", disagree)
-    assert records == [{"identity": "some_identity", "instance": {"m": 6}, "mode": "exact",
-                        "max_abs_residual": None, "status": "fail",
-                        "error": "routes disagree"}]
+    monkeypatch.setattr(leakage, "coverage_count", lambda m, n, lam: -1)
+    records = verify.run_suite("leakage")
+    failed = [r for r in records if r["status"] == "fail"]
+    assert failed == [{"identity": "coverage_count_formula", "instance": {"m": 10, "n": 7},
+                       "mode": "exact", "max_abs_residual": None, "status": "fail",
+                       "error": "fails first at lambda=0.2"}]
     json.dumps(records, allow_nan=False)
 
 
@@ -401,7 +402,8 @@ def test_flag_the_subcommand_never_reads_is_rejected(tmp_path, capsys, argv):
 
 def test_fourier_suite_makes_three_dual_passes_per_instance(monkeypatch):
     # the dual-route check and transcript_scaling's two routes, where the
-    # scaling check used to make m + 1 more passes, one per weight
+    # scaling check used to make m + 1 more passes, one per weight; plus
+    # dual_distance's one pass per run
     passes = []
     original = codes.dual_codewords
 
@@ -410,9 +412,81 @@ def test_fourier_suite_makes_three_dual_passes_per_instance(monkeypatch):
         return original(code, budget)
 
     monkeypatch.setattr(codes, "dual_codewords", counting)
-    records = verify.suite_fourier(seed=3)
-    assert [r["status"] for r in records] == ["pass"] * 6
-    assert len(passes) == 3 * 3
+    records = verify.run_suite("fourier", seed=3)
+    assert [r["status"] for r in records] == ["pass"] * 7
+    assert len(passes) == 3 * 3 + 1
+
+
+def test_verify_all_yields_a_record_for_every_row(capsys):
+    code, out = run_cli(["verify", "--suite", "all"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert report["checks"] == 54
+    assert {r["identity"] for r in report["identities"]} == {row.identity for row in verify.ROWS}
+    from opilab.discrepancy import TWO_ROUTE_TOL
+
+    dual = [r["max_abs_residual"] for r in report["identities"]
+            if r["identity"] == "dual_sum_vs_enumeration"]
+    assert len(dual) == 3 and all(0 <= v <= TWO_ROUTE_TOL for v in dual)
+
+
+def _broken_orthogonality(fam):
+    raise IdentityViolationError(f"orthogonality failed at m={fam.m}")
+
+
+def test_orthogonality_row_checks_a_cached_family(monkeypatch):
+    from opilab import kravchuk
+
+    verify.run_suite("kravchuk")  # every family the suite reads is now cached
+    monkeypatch.setattr(kravchuk, "_assert_orthogonality", _broken_orthogonality)
+    records = [r for r in verify.run_suite("kravchuk") if r["identity"] == "orthogonality"]
+    assert len(records) == 3
+    assert all(r["status"] == "fail" and "orthogonality failed" in r["error"] for r in records)
+
+
+def test_violation_while_building_an_instance_keeps_the_report(monkeypatch, capsys):
+    from opilab import kravchuk
+
+    monkeypatch.setattr(kravchuk, "_assert_orthogonality", _broken_orthogonality)
+    kravchuk.build_family.cache_clear()
+    code, out = run_cli(["verify", "--suite", "kravchuk"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    records = report["identities"]
+    assert report["checks"] == len(records) == 17
+    # the m rows fail at their instance's build, the rho rows inside their check
+    assert all(r["status"] == "fail" and "orthogonality failed" in r["error"] for r in records)
+    assert [r["instance"] for r in records[:5]] == [{"m": 6}] * 5
+
+
+def _off_at(original, when):
+    """original(*args), plus 1 where when(*args) holds."""
+    return lambda *args: original(*args) + (1 if when(*args) else 0)
+
+
+@pytest.mark.parametrize("suite, module, name, when, identity, index", [
+    ("discrepancy", "discrepancy", "weighted_pair_count_brute",
+     lambda k, kp, t, m, rho: (k, kp, t) == (1, 1, 2), "pair_count_enumeration", "k=1, k'=1, t=2"),
+    ("discrepancy", "discrepancy", "count_sym_diff_zero_closed",
+     lambda ks, m: ks == [1, 3], "sym_diff_zero_closed_form", "ks=[1, 3]"),
+    ("discrepancy", "discrepancy", "discrepancy_from_count",
+     lambda m, rho, sat, k: k == 2, "pointwise_collapse", ", k=2"),
+    ("fourier", "codes", "min_dual_weight", lambda code: True, "dual_distance", "weight=5"),
+    ("kravchuk", "discrepancy", "quadratic_form_satisfaction",
+     lambda m, ell, u: True, "kkt_quadratic_form", "ell=2"),
+])
+def test_a_disagreeing_route_fails_its_row_at_the_first_index(monkeypatch, capsys, suite,
+                                                               module, name, when, identity,
+                                                               index):
+    mod = importlib.import_module(f"opilab.{module}")
+    monkeypatch.setattr(mod, name, _off_at(getattr(mod, name), when))
+    code, out = run_cli(["verify", "--suite", suite], capsys)
+    report = json.loads(out)
+    assert code == 1 and not report["passed"]
+    failed = [r for r in report["failures"] if r["identity"] == identity]
+    assert failed and failed == report["failures"]
+    assert failed[0]["error"].startswith("fails first at ") and failed[0]["error"].endswith(index)
+    assert failed[0]["max_abs_residual"] is None
 
 
 def test_verify_all_runs_leakage_at_the_given_shape():

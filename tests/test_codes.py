@@ -15,7 +15,6 @@ from opilab.codes import (
     brute_force_opi,
     dual_codewords,
     dual_weight_sums,
-    enumerate_dual_by_weight,
     is_prime,
     lists_from_json,
     lists_to_json,
@@ -73,6 +72,17 @@ def test_dual_codewords_follow_the_lexicographic_coefficient_order():
     coeffs = itertools.product(range(5), repeat=code.dual_dim)
     want = np.array([np.array(c) @ basis % 5 for c in coeffs]).T
     assert np.array_equal(got, want)
+
+
+def enumerate_dual_by_weight(code, t):
+    """All dual codewords of Hamming weight exactly t: the listing route
+    the dual-sum kernels are checked against."""
+    out = []
+    for Y in dual_codewords(code):
+        w = (Y != 0).sum(axis=0)
+        sel = Y[:, w == t]
+        out.extend(tuple(int(v) for v in sel[:, j]) for j in range(sel.shape[1]))
+    return out
 
 
 def _python_weight_sums(code, table):
@@ -377,7 +387,6 @@ _CAPPED = {
         discrepancy.expected_sampled_satisfaction(
             code, lists, discrepancy.make_sampler(2, weight_mode="rational_test"))),
     "per_transcript_sum": lambda code, lists, prof: leakage.per_transcript_sum(code, lists, 4),
-    "tv_proxy": lambda code, lists, prof: leakage.tv_proxy(code, lists.sets, lists.sets),
     "parseval_split_identity":
         lambda code, lists, prof: leakage.parseval_split_identity(code, lists, (0, 1, 2)),
 }

@@ -23,7 +23,6 @@ from opilab.discrepancy import (
     discrepancy_by_subsets,
     discrepancy_from_count,
     discrepancy_table,
-    elementary_symmetric_newton,
     expected_discrepancy_all,
     expected_discrepancy_exact,
     expected_discrepancy_fourier,
@@ -105,6 +104,25 @@ def test_q1_gives_satisfaction_exactly():
         )
         lhs = rho + sqrt_rho_one_minus_rho(rho) * q1 * Fraction(1, code.m)
         assert lhs == QuadExt.of(Fraction(sat, code.m), 0, q1.r_sq)
+
+
+def elementary_symmetric_newton(values, k):
+    """e_k via Newton's identities from power sums: a route to q_k
+    independent of the subset sum and of the satisfied-count collapse."""
+    if not values:
+        raise DomainError("need at least one value")
+    r_sq = values[0].r_sq
+    power = [QuadExt.of(len(values), 0, r_sq)]
+    for j in range(1, k + 1):
+        power.append(sum((v**j for v in values), QuadExt.of(0, 0, r_sq)))
+    e = [QuadExt.of(1, 0, r_sq)]
+    for j in range(1, k + 1):
+        acc = QuadExt.of(0, 0, r_sq)
+        for i in range(1, j + 1):
+            term = e[j - i] * power[i]
+            acc = acc + (term if i % 2 == 1 else -term)
+        e.append(acc * Fraction(1, j))
+    return e[k]
 
 
 def test_qk_three_routes_agree():

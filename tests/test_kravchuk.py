@@ -24,7 +24,6 @@ from opilab.kravchuk import (
     poly_scale,
     principal_representation,
     smallest_root,
-    three_term_step,
     tilted_mean,
     tridiagonal_char_poly,
 )
@@ -162,18 +161,6 @@ def test_sturm_roots_exact_hits(m, ell, precision, root):
     assert poly_eval(fam.coeffs[ell], root) == 0
 
 
-def test_three_term_step_matches_stored():
-    fam = build_family(9, HALF, 5)
-    for ell in range(1, 5):
-        assert three_term_step(fam, ell) == fam.coeffs[ell + 1]
-
-
-def test_three_term_step_rejects_general_rho():
-    fam = build_family(9, Fraction(1, 3), 3)
-    with pytest.raises(DomainError):
-        three_term_step(fam, 1)
-
-
 @pytest.mark.parametrize("rho", [HALF, Fraction(1, 3)])
 @pytest.mark.parametrize("root_fn", [largest_root, smallest_root, isolate_roots])
 @pytest.mark.parametrize("ell", [0, 4, -1])
@@ -257,17 +244,6 @@ def test_largest_root_tracks_limit_curve():
     err200 = abs(float(z200) / 200 - target)
     assert err200 < 0.025
     assert err200 < err100
-
-
-def test_tridiagonal_eigenvalue_matches_largest_root():
-    from opilab.kravchuk import TridiagonalForm
-
-    for (m, ell) in ((10, 3), (14, 6), (20, 8)):
-        fam = build_family(m, HALF, ell)
-        z = largest_root(fam, ell, Fraction(1, 10**10))
-        form = TridiagonalForm(m, ell - 1)
-        assert form.offdiag_squared() == [k * (m + 1 - k) for k in range(1, ell)]
-        assert float(z) == pytest.approx(m / 2 + form.max_eigenvalue() / 2, abs=1e-8)
 
 
 def test_interlacing_degree_one_edges():

@@ -23,7 +23,6 @@ from opilab.leakage import (
     parseval_split_identity,
     per_transcript_sum,
     spectrum_table,
-    tv_proxy,
 )
 
 
@@ -238,22 +237,6 @@ def test_parseval_split_identity():
     for coords in ((0, 1, 2), (3, 4, 5), (0, 2, 4)):
         lhs, rhs = parseval_split_identity(code, lists, coords)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_tv_proxy_zero_and_sign():
-    code = make_rs_code(FieldCtx(5), 4, 3)
-    # all-plus partition: full sets on one side, empty on the other
-    assert tv_proxy(code, [list(range(5))] * 4, [[]] * 4) == pytest.approx(0.0, abs=1e-12)
-    plus = [[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 3, 4]]
-    minus = [sorted(set(range(5)) - set(s)) for s in plus]
-    val = tv_proxy(code, plus, minus)
-    assert val >= 0.0
-
-
-def test_tv_proxy_budget():
-    code = make_rs_code(FieldCtx(19, ), 17, 16)
-    with pytest.raises(BudgetExceededError):
-        tv_proxy(code, [[0]] * 17, [[1]] * 17)
 
 
 def test_audited_certificates_never_tighten_the_guarantee():
