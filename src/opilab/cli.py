@@ -51,8 +51,12 @@ def _list_size(args) -> int:
 def _build_code(args) -> codes.MdsCode:
     ctx = codes.FieldCtx(args.p)
     points = None
-    if getattr(args, "points", None):
-        points = [int(v) for v in args.points.split(",")]
+    if args.points is not None:
+        try:
+            points = [int(v) for v in args.points.split(",")]
+        except ValueError:
+            raise DomainError(f"--points must be comma-separated integers, "
+                              f"got {args.points!r}") from None
     return codes.make_rs_code(ctx, args.m, args.n, points)
 
 
@@ -272,6 +276,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an empty string would read as "not given" and fall back silently
+        for name, value in vars(args).items():
+            if value == "":
+                raise DomainError(f"--{name} is empty")
         try:
             return args.func(args)
         except IdentityViolationError as exc:

@@ -258,8 +258,13 @@ def make_lists(p: int, sets) -> InputLists:
 
 
 def random_lists(p: int, m: int, size: int, seed: int) -> InputLists:
+    """`make_lists` of m seeded draws of `size` elements, built directly:
+    `rng.sample` already gives distinct in-range elements."""
     rng = random.Random(seed)
-    return make_lists(p, [rng.sample(range(p), size) for _ in range(m)])
+    sets = tuple(tuple(sorted(rng.sample(range(p), size))) for _ in range(m))
+    if not sets or not size:
+        return make_lists(p, sets)  # raises its empty-list errors
+    return InputLists(p, sets, Fraction(size, p))
 
 
 def lists_to_json(lists: InputLists) -> str:

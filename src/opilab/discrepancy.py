@@ -230,19 +230,25 @@ def count_sym_diff_zero_closed(k_list, m: int) -> int:
 def weighted_pair_count(k: int, kp: int, t: int, m: int, rho: Fraction) -> QuadExt:
     """sum_j beta^j C(t,j) C(t-j, (t+k-k'-j)/2) C(m-t, (k+k'-t-j)/2), with
     binomials vanishing on negative or non-integer arguments."""
-    beta = beta_of(rho)
-    return _lift(_pair_count(k, kp, t, m, _beta_sq(beta)), (t + k - kp) % 2, beta)
+    return _weighted_pair_count(k, kp, t, m, beta_of(rho))
 
 
 def weighted_pair_count_abs(k: int, kp: int, t: int, m: int, rho: Fraction) -> QuadExt:
     """Same sum with |beta|: the cancellation-free majorant."""
-    beta = beta_abs_of(rho)
-    return _lift(_pair_count(k, kp, t, m, _beta_sq(beta)), (t + k - kp) % 2, beta)
+    return _weighted_pair_count(k, kp, t, m, beta_abs_of(rho))
 
 
-def _beta_sq(beta: QuadExt) -> Fraction:
-    """beta^2 for beta = beta.b r, the same for beta and |beta|."""
-    return beta.b * beta.b * beta.r_sq
+def _weighted_pair_count(k: int, kp: int, t: int, m: int, beta: QuadExt) -> QuadExt:
+    a, b = _beta_sq(beta)
+    return _lift(Fraction(_pair_numerator(k, kp, t, m, a, b), b ** (t // 2)),
+                 (t + k - kp) % 2, beta)
+
+
+def _beta_sq(beta: QuadExt) -> tuple[int, int]:
+    """(a, b) with beta^2 = a/b in lowest terms, beta = beta.b r; the same
+    for beta and |beta|."""
+    beta_sq = beta.b * beta.b * beta.r_sq
+    return beta_sq.numerator, beta_sq.denominator
 
 
 def _lift(v: Fraction, parity: int, x: QuadExt) -> QuadExt:
@@ -253,21 +259,19 @@ def _lift(v: Fraction, parity: int, x: QuadExt) -> QuadExt:
     return QuadExt(v, Fraction(0), x.r_sq)
 
 
-def _pair_count(k: int, kp: int, t: int, m: int, beta_sq: Fraction) -> Fraction:
-    """v with N(k,k';t) = beta^pi v, pi = (t+k-k') mod 2.
+def _pair_numerator(k: int, kp: int, t: int, m: int, a: int, b: int) -> int:
+    """The integer P with N(k,k';t) = beta^pi P / b^(t//2), pi = (t+k-k')
+    mod 2, for beta^2 = a/b.
 
     Each term beta^j c_j of N, c_j the product of binomials, has j of parity
-    pi.  With beta^2 = a/b and j = pi + 2i <= t, v is one integer sum over
-    one power of b: sum_i c_{pi+2i} a^i b^(I-i) / b^I, I = (t - pi) // 2."""
+    pi; with j = pi + 2i <= t, P = sum_i c_{pi+2i} a^i b^(t//2-i)."""
     pi = (t + k - kp) % 2
     if k < 0 or kp < 0 or pi > t or t > m:
-        return Fraction(0)
-    a, b = beta_sq.numerator, beta_sq.denominator
-    top = (t - pi) // 2
-    acc = sum(_comb0(t, j) * _comb0(t - j, (t + k - kp - j) // 2)
-              * _comb0(m - t, (k + kp - t - j) // 2) * a**i * b ** (top - i)
-              for i, j in enumerate(range(pi, t + 1, 2)))
-    return Fraction(acc, b**top)
+        return 0
+    half = t // 2
+    return sum(_comb0(t, j) * _comb0(t - j, (t + k - kp - j) // 2)
+               * _comb0(m - t, (k + kp - t - j) // 2) * a**i * b ** (half - i)
+               for i, j in enumerate(range(pi, t + 1, 2)))
 
 
 def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction) -> QuadExt:
@@ -303,41 +307,46 @@ def weighted_triple_count(k: int, kp: int, s: int, m: int, rho: Fraction) -> Qua
     if not 0 <= k < m:
         raise DomainError("need 0 <= k < m")
     beta = beta_of(rho)
-    return _triple_count(k, kp, s, m, beta, lambda j: _pair_count(j, kp, s, m, _beta_sq(beta)))
+    a, b = _beta_sq(beta)
+    num = _triple_numerator(k, kp, s, m, a, b, lambda j: _pair_numerator(j, kp, s, m, a, b))
+    return _lift(Fraction(num, b ** (s // 2 + 1)), (s + k + 1 - kp) % 2, beta)
 
 
-def _triple_count(k: int, kp: int, s: int, m: int, beta: QuadExt, pair) -> QuadExt:
-    """The triple count from pair(j), the v of N(j,k';s) = beta^pi v;
-    pair(-1) is zero, so the k-1 term is vacuous at k = 0.  N(k+-1) carry
-    beta^parity, parity = (s+k+1-k') mod 2, and N(k) the other power, so
-    the middle term beta N(k) is beta^2 v(k) when the parity is 0."""
+def _triple_numerator(k: int, kp: int, s: int, m: int, a: int, b: int, pair) -> int:
+    """The integer Q with the triple count = beta^parity Q / b^(s//2+1),
+    parity = (s+k+1-k') mod 2, from pair(j), the `_pair_numerator` of
+    N(j,k';s); pair(-1) is zero, so the k-1 term is vacuous at k = 0.
+    N(k+-1) carry beta^parity and N(k) the other power, so the middle term
+    beta N(k) is beta^2 P(k) = a P(k) / b when the parity is 0."""
     parity = (s + k + 1 - kp) % 2
-    mid = pair(k) * k
-    v = (pair(k + 1) * (k + 1) + (mid * _beta_sq(beta) if parity == 0 else mid)
-         + pair(k - 1) * (m - k + 1))
-    return _lift(v, parity, beta)
+    return (b * ((k + 1) * pair(k + 1) + (m - k + 1) * pair(k - 1))
+            + (b if parity else a) * k * pair(k))
 
 
-def _window_counts(m: int, rho: Fraction, window: range, t_hi: int):
-    """N(k,k';t) for k in the window widened by one on each side, k' in the
-    window and t <= t_hi, each computed once by the integer kernel
-    `_pair_count`, and the triple counts of the window pairs built from
-    them; both keyed by (k, k', t) and lifted to Q(r) once per entry."""
-    beta = beta_of(rho)
+def _window_entries(m: int, a: int, b: int, window: range, t: int):
+    """The numerators of the weight-t window sums as (parity, integer) in
+    (k, k') order over the window: the pair counts over b^(t//2) and the
+    triple counts over b^(t//2+1).  Each pair count, k in the window
+    widened by one on each side, is computed once by `_pair_numerator`."""
     if window[0] < 0 or window[-1] >= m:
         raise DomainError("need 0 <= k < m")
-    beta_sq = _beta_sq(beta)
-    ts = range(t_hi + 1)
-    vals = {
-        (k, kp, t): _pair_count(k, kp, t, m, beta_sq)
-        for k in range(window[0] - 1, window[-1] + 2) for kp in window for t in ts
-    }
-    pairs = {(k, kp, t): _lift(v, (t + k - kp) % 2, beta) for (k, kp, t), v in vals.items()}
-    triples = {
-        (k, kp, t): _triple_count(k, kp, t, m, beta, lambda j: vals[j, kp, t])
-        for k in window for kp in window for t in ts
-    }
+    pair = {(k, kp): _pair_numerator(k, kp, t, m, a, b)
+            for k in range(window[0] - 1, window[-1] + 2) for kp in window}
+    pairs = [((t + k - kp) % 2, pair[k, kp]) for k in window for kp in window]
+    triples = [((t + k + 1 - kp) % 2,
+                _triple_numerator(k, kp, t, m, a, b, lambda j: pair[j, kp]))
+               for k in window for kp in window]
     return pairs, triples
+
+
+def _entry_to_mp(num: int, den: int, parity: int, beta: QuadExt, r_f):
+    """beta^parity num/den as an mpmath float, given r as one: the float
+    `_to_mp` makes of its `_lift`, from the same Fraction."""
+    if parity:
+        f = Fraction(num * beta.b.numerator, den * beta.b.denominator)
+        return mpmath.mpf(f.numerator) / f.denominator * r_f
+    f = Fraction(num, den)
+    return mpmath.mpf(f.numerator) / f.denominator
 
 
 def _to_mp(qe: QuadExt, r_f):
@@ -401,34 +410,61 @@ def _window_sums(m: int, rho: Fraction, spec: SamplerSpec, precision_digits: int
     the squared direct-route row wsq[s] = (sum_k u_k q_k(s))^2, s = 0..m,
     and for t <= min(m, 2 ell + 1) the window sums
     T0[t] = sum u_k u_k' N(k,k';t) and T1[t], the same over the triple
-    counts.
+    counts, from one pass of `_window_entries` per t.
 
     Q(r) values in rational_test mode, mpmath floats at `precision_digits`
     in canonical mode; returned as tuples, so no caller can change what the
     next one reads."""
-    t_hi = min(m, 2 * spec.ell + 1)
-    pairs, triples = _window_counts(m, rho, spec.window, t_hi)
+    window = spec.window
+    beta = beta_of(rho)
+    a, b = _beta_sq(beta)
+    entries = [_window_entries(m, a, b, window, t) for t in range(min(m, 2 * spec.ell + 1) + 1)]
     q = discrepancy_table(m, rho)
     with mpmath.workdps(precision_digits):
         if spec.weight_mode == "rational_test":
-            u = dict(zip(spec.window, spec.rational_weights))
-            zero_v, conv = zero(rho), lambda qe: qe
+            # weights over one denominator c: every sum below is on integers
+            c = math.lcm(*(u.denominator for u in spec.rational_weights))
+            u = {k: v.numerator * (c // v.denominator)
+                 for k, v in zip(window, spec.rational_weights)}
+            wsq = tuple(_square_row([q[k][s] for k in window], list(u.values()), c)
+                        for s in range(m + 1))
+
+            def window_sum(terms, den):
+                # one integer sum per beta parity class, lifted to Q(r) once
+                sums = [0, 0]
+                for w, (parity, num) in zip(uu, terms):
+                    sums[parity] += w * num
+                den *= c * c
+                return QuadExt(Fraction(sums[0], den), Fraction(
+                    sums[1] * beta.b.numerator, den * beta.b.denominator), beta.r_sq)
         else:
-            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in spec.window}
+            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in window}
             rho_f = mpmath.mpf(rho.numerator) / rho.denominator
             r_f = mpmath.sqrt((1 - rho_f) / rho_f)
-            zero_v, conv = mpmath.mpf(0), lambda qe: _to_mp(qe, r_f)
+            wsq = tuple(sum((_to_mp(q[k][s], r_f) * u[k] for k in window), mpmath.mpf(0)) ** 2
+                        for s in range(m + 1))
 
-        def window_sum(counts, t):
-            # k and k' inner, summed in this order: canonical residuals depend on it
-            return sum((conv(counts[k, kp, t]) * (u[k] * u[kp])
-                        for k in spec.window for kp in spec.window), zero_v)
+            def window_sum(terms, den):
+                # k and k' inner, summed in this order: canonical residuals depend on it
+                return sum((_entry_to_mp(num, den, parity, beta, r_f) * w
+                            for w, (parity, num) in zip(uu, terms)), mpmath.mpf(0))
 
-        wsq = tuple(sum((conv(q[k][s]) * u[k] for k in spec.window), zero_v) ** 2
-                    for s in range(m + 1))
-        ts = range(t_hi + 1)
-        return (wsq, tuple(window_sum(pairs, t) for t in ts),
-                tuple(window_sum(triples, t) for t in ts))
+        uu = [u[k] * u[kp] for k in window for kp in window]
+        return (wsq,
+                tuple(window_sum(pairs, b ** (t // 2)) for t, (pairs, _) in enumerate(entries)),
+                tuple(window_sum(triples, b ** (t // 2 + 1))
+                      for t, (_, triples) in enumerate(entries)))
+
+
+def _square_row(column: list[QuadExt], weights: list[int], c: int) -> QuadExt:
+    """(sum_k w_k q_k / c)^2 in Q(r), summed on integers over the lcm of the
+    column's denominators."""
+    d = math.lcm(*(v.denominator for qe in column for v in (qe.a, qe.b)))
+    x = sum(w * qe.a.numerator * (d // qe.a.denominator) for w, qe in zip(weights, column))
+    y = sum(w * qe.b.numerator * (d // qe.b.denominator) for w, qe in zip(weights, column))
+    r_sq, den = column[0].r_sq, (c * d) ** 2
+    return QuadExt(Fraction(x * x * r_sq.denominator + y * y * r_sq.numerator,
+                            den * r_sq.denominator), Fraction(2 * x * y, den), r_sq)
 
 
 def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: SamplerSpec,
@@ -547,27 +583,25 @@ def leading_term_sums(m: int, ell: int, sigma: int, rho: Fraction):
         raise DomainError("need 0 <= sigma <= ell <= m")
     rho = Fraction(rho)
     window = range(ell - sigma, ell + 1)
-    pairs, triples = _window_counts(m, rho, window, 0)
+    beta = beta_of(rho)
+    a, b = _beta_sq(beta)
+    pairs, triples = _window_entries(m, a, b, window, 0)
+    keys = [(k, kp) for k in window for kp in window]
     den = Fraction(0)
-    for k in window:
-        for kp in window:
-            n0 = pairs[k, kp, 0]
-            if k == kp:
-                if n0.b != 0:
-                    raise IdentityViolationError("diagonal weight-zero count left Q")
-                den += n0.a / math.comb(m, k)
-            elif not n0.is_zero():
-                raise IdentityViolationError("off-diagonal weight-zero count nonzero")
+    # at weight 0 the pair counts are integers and of parity 0 on the diagonal
+    for (k, kp), (_, n0) in zip(keys, pairs):
+        if k == kp:
+            den += Fraction(n0, math.comb(m, k))
+        elif n0:
+            raise IdentityViolationError("off-diagonal weight-zero count nonzero")
     with mpmath.workdps(60):
         r_sq = (1 - rho) / rho
         r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
         num = mpmath.mpf(0)
-        for k in window:
-            for kp in window:
-                n1 = triples[k, kp, 0]
-                if not n1.is_zero():
-                    num += _to_mp(n1, r_f) / mpmath.sqrt(
-                        mpmath.binomial(m, k) * mpmath.binomial(m, kp))
+        for (k, kp), (parity, n1) in zip(keys, triples):
+            if n1:
+                num += _entry_to_mp(n1, b, parity, beta, r_f) / mpmath.sqrt(
+                    mpmath.binomial(m, k) * mpmath.binomial(m, kp))
         return den, num
 
 

@@ -242,8 +242,12 @@ def _pointwise_collapse(inst):
 def _master_expansion(inst, mode):
     # the exact mode raises on any disagreement, so its residual is 0
     m, n = inst.code.m, inst.code.n
-    ell = (n + 1) // 2 + (mode == "rational_test")
-    spec = discrepancy.make_sampler(min(m - 1, ell), weight_mode=mode)
+    ell = min(m - 1, (n + 1) // 2 + (mode == "rational_test"))
+    # weights 1/2, 1/3, ...: the rational route must clear their denominators
+    weights = None
+    if mode == "rational_test":
+        weights = [Fraction(1, j + 2) for j in range(min(2, ell) + 1)]
+    spec = discrepancy.make_sampler(ell, weight_mode=mode, rational_weights=weights)
     out = discrepancy.expected_sampled_satisfaction(inst.code, inst.lists, spec, inst.prof,
                                                     precision_digits=inst.precision)
     return out["max_rel_residual"], out["max_rel_residual"] < 1e-9

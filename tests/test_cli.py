@@ -539,3 +539,28 @@ def test_lists_file_without_p_and_sets_is_usage_error(tmp_path, capsys, content)
 def test_out_into_a_missing_directory_leaves_stdout_empty(tmp_path, capsys):
     _assert_usage_error(["thresholds", "--rho", "0.5", "--bound", "best",
                          "--out", str(tmp_path / "missing" / "x.json")], capsys)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--p", "7", "--m", "6", "--n", "3", "--search", "2", "--points", ""], "--points"),
+    (["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "7", "--points", ""], "--points"),
+    (["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "7", "--lists", ""], "--lists"),
+    (["oracle", "--p", "7", "--m", "6", "--n", "3", "--lists", ""], "--lists"),
+    (["oracle", "--p", "7", "--m", "6", "--n", "3", "--search", "2", "--lists", ""], "--lists"),
+    (["thresholds", "--rho", "0.5", "--bound", "best", "--out", ""], "--out"),
+])
+def test_empty_flag_value_is_usage_error_naming_the_flag(capsys, argv, flag):
+    # an empty value used to read as "not given": default points, random lists
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} is empty\n"
+
+
+@pytest.mark.parametrize("points", ["1,2,x", "0,1,2,3,4,", "0,1.5,2,3,4,5"])
+def test_non_integer_point_names_the_points_flag(capsys, points):
+    code = main(["oracle", "--p", "7", "--m", "6", "--n", "3", "--search", "1",
+                 "--points", points])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --points must be comma-separated integers, got {points!r}\n"

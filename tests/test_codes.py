@@ -405,3 +405,18 @@ def test_enumerations_without_a_budget_argument_obey_the_environment_cap(name, m
 def test_json_round_trips():
     lists = make_lists(7, [[0, 1], [2, 3], [4, 5], [1, 6], [0, 2], [3, 5]])
     assert lists_from_json(lists_to_json(lists)) == lists
+
+
+def test_random_lists_is_make_lists_of_the_same_draws():
+    rng = random.Random(5)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 11, 13, 31))
+        m, size, seed = rng.randint(1, 9), rng.randint(1, p), rng.randrange(2**32)
+        draws = random.Random(seed)
+        want = make_lists(p, [draws.sample(range(p), size) for _ in range(m)])
+        got = random_lists(p, m, size, seed)
+        assert got == want and repr(got) == repr(want)
+    with pytest.raises(DomainError, match="empty constraint set"):
+        random_lists(7, 3, 0, 1)
+    with pytest.raises(DomainError, match="at least one constraint set"):
+        random_lists(7, 0, 2, 1)

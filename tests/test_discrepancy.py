@@ -15,7 +15,7 @@ from opilab.codes import (
 from opilab import discrepancy
 from opilab.discrepancy import (
     SamplerSpec,
-    _window_counts,
+    _to_mp,
     _window_sums,
     count_rate_report,
     count_sym_diff,
@@ -552,6 +552,64 @@ def test_count_rate_identity_small():
     assert rep["argmax_at_floor"]
 
 
+def _window_counts(m, rho, window, t_hi):
+    """Reference route to the window tables: N(k,k';t) for k in the window
+    widened by one on each side, k' in the window and t <= t_hi, and the
+    triple counts of the window pairs, each in Q(r) by the beta-power
+    route and keyed by (k, k', t)."""
+    beta = beta_of(rho)
+    ts = range(t_hi + 1)
+    pairs = {(k, kp, t): beta_power_pair_count(k, kp, t, m, beta)
+             for k in range(window[0] - 1, window[-1] + 2) for kp in window for t in ts}
+    triples = {(k, kp, t): beta_power_triple_count(k, m, beta, lambda j: pairs[j, kp, t])
+               for k in window for kp in window for t in ts}
+    return pairs, triples
+
+
+def reference_window_sums(m, rho, spec, precision_digits, counts=None):
+    """The window sums as Q(r) and mpmath sums over `_window_counts`,
+    term by term in (k, k') order."""
+    t_hi = min(m, 2 * spec.ell + 1)
+    pairs, triples = counts or _window_counts(m, rho, spec.window, t_hi)
+    q = discrepancy_table(m, rho)
+    with mpmath.workdps(precision_digits):
+        if spec.weight_mode == "rational_test":
+            u = dict(zip(spec.window, spec.rational_weights))
+            zero_v, conv = zero(rho), lambda qe: qe
+        else:
+            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in spec.window}
+            rho_f = mpmath.mpf(rho.numerator) / rho.denominator
+            r_f = mpmath.sqrt((1 - rho_f) / rho_f)
+            zero_v, conv = mpmath.mpf(0), lambda qe: _to_mp(qe, r_f)
+
+        def window_sum(table, t):
+            return sum((conv(table[k, kp, t]) * (u[k] * u[kp])
+                        for k in spec.window for kp in spec.window), zero_v)
+
+        wsq = tuple(sum((conv(q[k][s]) * u[k] for k in spec.window), zero_v) ** 2
+                    for s in range(m + 1))
+        ts = range(t_hi + 1)
+        return (wsq, tuple(window_sum(pairs, t) for t in ts),
+                tuple(window_sum(triples, t) for t in ts))
+
+
+def reference_leading_term_sums(m, ell, sigma, rho):
+    """`leading_term_sums` over the reference tables at weight zero."""
+    window = range(ell - sigma, ell + 1)
+    pairs, triples = _window_counts(m, rho, window, 0)
+    den = sum((pairs[k, k, 0].a / math.comb(m, k) for k in window), Fraction(0))
+    with mpmath.workdps(60):
+        r_sq = (1 - rho) / rho
+        r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
+        num = mpmath.mpf(0)
+        for k in window:
+            for kp in window:
+                if not triples[k, kp, 0].is_zero():
+                    num += _to_mp(triples[k, kp, 0], r_f) / mpmath.sqrt(
+                        mpmath.binomial(m, k) * mpmath.binomial(m, kp))
+        return den, num
+
+
 @pytest.mark.parametrize("m, rho, window, t_hi", [
     (6, HALF, range(0, 3), 5),            # window at 0: the k - 1 = -1 edge, beta = 0
     (7, Fraction(3, 8), range(0, 2), 3),  # biased, window at 0
@@ -565,22 +623,91 @@ def test_window_counts_match_single_point_counts(m, rho, window, t_hi):
     assert set(triples) == {(k, kp, t) for k in window for kp in window
                             for t in range(t_hi + 1)}
     for (k, kp, t), val in pairs.items():
-        assert val == weighted_pair_count(k, kp, t, m, rho)
+        assert same_components(val, weighted_pair_count(k, kp, t, m, rho))
     for (k, kp, t), val in triples.items():
-        assert val == weighted_triple_count(k, kp, t, m, rho)
+        assert same_components(val, weighted_triple_count(k, kp, t, m, rho))
+
+
+def _criterion_7_window_keys():
+    """(m, rho, ell) of every sampler criterion 7 and the desk_exact
+    benchmark build: both windows of each shape, every list size."""
+    keys = set()
+    for p in (5, 7, 11):
+        for m in range(2, min(p, 8) + 1):
+            for n in range(1, m):
+                if p**n <= 20000 and p ** (m - n) <= 20000:
+                    for size in range(1, p):
+                        for ell in {min(m - 1, (n + 1) // 2 + 1), min(m - 1, (n + 1) // 2)}:
+                            keys.add((m, Fraction(size, p), ell))
+    return sorted(keys)
+
+
+def _assert_window_sums_match(m, rho, specs, digits=60):
+    t_hi = max(min(m, 2 * spec.ell + 1) for spec in specs)
+    window = specs[0].window
+    counts = _window_counts(m, rho, window, t_hi)
+    for spec in specs:
+        assert spec.window == window
+        got = _window_sums(m, rho, spec, digits)
+        want = reference_window_sums(m, rho, spec, digits, counts)
+        assert len(got[1]) == len(want[1])
+        if spec.weight_mode == "rational_test":
+            for got_row, want_row in zip(got, want):
+                assert all(same_components(g, w) for g, w in zip(got_row, want_row)), spec
+        else:
+            assert repr(got) == repr(want), spec
+
+
+def test_window_sums_match_reference_on_criterion_7_keys():
+    for m, rho, ell in _criterion_7_window_keys():
+        _assert_window_sums_match(m, rho, [
+            make_sampler(ell, weight_mode="rational_test"),
+            make_sampler(ell, weight_mode="canonical")])
+
+
+@pytest.mark.parametrize("m, rho, ell, sigma", [
+    (6, HALF, 2, 2),               # beta = 0, window at 0: k - 1 = -1
+    (7, Fraction(3, 8), 1, 1),     # window at 0, biased
+    (8, Fraction(5, 7), 3, 0),     # sigma = 0, beta < 0
+    (9, Fraction(2, 7), 8, 2),     # ell = m - 1: k + 1 = m and t_hi = m
+    (5, HALF, 4, 0),               # ell = m - 1 at beta = 0
+    (12, Fraction(4, 11), 6, 2),
+])
+def test_window_sums_match_reference_on_edge_keys(m, rho, ell, sigma):
+    rng = random.Random(m * 100 + ell)
+    weights = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(sigma + 1))
+               for _ in range(3)]
+    weights.append((Fraction(0),) * (sigma + 1))
+    weights.append((Fraction(-3, 4),) + (Fraction(0),) * sigma)
+    specs = [make_sampler(ell, sigma, weight_mode="rational_test", rational_weights=w)
+             for w in weights]
+    specs.append(make_sampler(ell, sigma, weight_mode="canonical"))
+    _assert_window_sums_match(m, rho, specs)
+    _assert_window_sums_match(m, rho, [make_sampler(ell, sigma, weight_mode="canonical")], 25)
+
+
+@pytest.mark.parametrize("m, ell, sigma, rho", [
+    (12, 5, 2, Fraction(1, 3)), (9, 4, 1, HALF), (10, 4, 2, Fraction(2, 5)),
+    (8, 7, 2, Fraction(5, 7)), (7, 0, 0, Fraction(2, 9)), (60, 25, 4, Fraction(7, 9)),
+])
+def test_leading_term_sums_match_reference(m, ell, sigma, rho):
+    got = leading_term_sums(m, ell, sigma, rho)
+    want = reference_leading_term_sums(m, ell, sigma, rho)
+    assert type(got[0]) is Fraction and got[0] == want[0]
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("mode", ["rational_test", "canonical"])
 @pytest.mark.parametrize("ell, sigma", [(3, 2), (4, 4), (2, 0)])
 def test_sampled_satisfaction_computes_each_pair_count_once(monkeypatch, mode, ell, sigma):
     calls = []
-    original = discrepancy._pair_count
+    original = discrepancy._pair_numerator
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(discrepancy, "_pair_count", counting)
+    monkeypatch.setattr(discrepancy, "_pair_numerator", counting)
     _window_sums.cache_clear()
     code, lists = rs_instance(p=11, m=8, n=5, seed=3, size=4)
     spec = make_sampler(ell, sigma, weight_mode=mode)
