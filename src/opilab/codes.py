@@ -80,12 +80,6 @@ class FieldCtx:
         if not is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
 
 def _nullspace_mod_p(rows: list[list[int]], width: int, p: int) -> list[tuple[int, ...]]:
     """Basis of {y : M y = 0} for M given as rows of length `width`, mod p."""
@@ -161,7 +155,6 @@ class MdsCode:
     m: int
     n: int
     B: tuple[tuple[int, ...], ...]
-    eval_points: tuple[int, ...] | None
     dual_basis: tuple[tuple[int, ...], ...]
 
     @property
@@ -178,7 +171,7 @@ class MdsCode:
         return self.n + 1
 
 
-def make_code(ctx: FieldCtx, B, eval_points=None) -> MdsCode:
+def make_code(ctx: FieldCtx, B) -> MdsCode:
     """Build an MdsCode from an explicit generator matrix, verifying MDS."""
     p = ctx.p
     B = tuple(tuple(v % p for v in row) for row in B)
@@ -198,7 +191,7 @@ def make_code(ctx: FieldCtx, B, eval_points=None) -> MdsCode:
         for j in range(n):
             if sum(B[i][j] * y[i] for i in range(m)) % p:
                 raise DomainError("dual basis fails B^T y = 0")
-    return MdsCode(ctx, m, n, B, tuple(eval_points) if eval_points else None, tuple(dual))
+    return MdsCode(ctx, m, n, B, tuple(dual))
 
 
 def make_rs_code(ctx: FieldCtx, m: int, n: int, eval_points=None) -> MdsCode:
@@ -220,7 +213,7 @@ def make_rs_code(ctx: FieldCtx, m: int, n: int, eval_points=None) -> MdsCode:
     if len(set(pts)) != m:
         raise DomainError("duplicate evaluation points")
     B = [[pow(a, j, p) for j in range(n)] for a in pts]
-    return make_code(ctx, B, eval_points=pts)
+    return make_code(ctx, B)
 
 
 @dataclass(frozen=True)

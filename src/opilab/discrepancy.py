@@ -6,7 +6,7 @@ share a common density, it collapses to a function of the satisfied count.
 All identities come in two independently computed routes, and every checker
 raises IdentityViolationError (with the instance attached) on disagreement.
 Exact arithmetic lives in Q(r); the canonical square-root weights leave
-Q(r), so those paths run in high-precision floats instead.
+Q(r), so they enter in high-precision floats, after the exact checks.
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ from .codes import (
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
 from .kravchuk import HALF, build_family
 from .leakage import spectrum_table
-from .quadext import QuadExt, beta_abs_of, beta_of, r_of, sqrt_rho_one_minus_rho, zero
+from .quadext import QuadExt, beta_abs_of, beta_of, r_of, r_sq_of, zero
 from .rates import pair_count_exponent
 
 TWO_ROUTE_TOL = 1e-9
-# Floor on the canonical route's mpmath digits; below it the two routes can
-# disagree past TWO_ROUTE_TOL on a correct instance.
+# Floor on the mpmath digits of the canonical sampler's value.  Its routes
+# are compared exactly, before any weight enters, so the floor guards only
+# the working precision of the final ratio.
 MIN_PRECISION_DIGITS = 10
 
 
@@ -324,7 +325,7 @@ def _triple_numerator(k: int, kp: int, s: int, m: int, a: int, b: int, pair) -> 
 
 
 def _window_entries(m: int, a: int, b: int, window: range, t: int):
-    """The numerators of the weight-t window sums as (parity, integer) in
+    """The numerators of the weight-t window counts as (parity, integer) in
     (k, k') order over the window: the pair counts over b^(t//2) and the
     triple counts over b^(t//2+1).  Each pair count, k in the window
     widened by one on each side, is computed once by `_pair_numerator`."""
@@ -332,21 +333,11 @@ def _window_entries(m: int, a: int, b: int, window: range, t: int):
         raise DomainError("need 0 <= k < m")
     pair = {(k, kp): _pair_numerator(k, kp, t, m, a, b)
             for k in range(window[0] - 1, window[-1] + 2) for kp in window}
-    pairs = [((t + k - kp) % 2, pair[k, kp]) for k in window for kp in window]
-    triples = [((t + k + 1 - kp) % 2,
-                _triple_numerator(k, kp, t, m, a, b, lambda j: pair[j, kp]))
-               for k in window for kp in window]
+    pairs = tuple(((t + k - kp) % 2, pair[k, kp]) for k in window for kp in window)
+    triples = tuple(((t + k + 1 - kp) % 2,
+                     _triple_numerator(k, kp, t, m, a, b, lambda j: pair[j, kp]))
+                    for k in window for kp in window)
     return pairs, triples
-
-
-def _entry_to_mp(num: int, den: int, parity: int, beta: QuadExt, r_f):
-    """beta^parity num/den as an mpmath float, given r as one: the float
-    `_to_mp` makes of its `_lift`, from the same Fraction."""
-    if parity:
-        f = Fraction(num * beta.b.numerator, den * beta.b.denominator)
-        return mpmath.mpf(f.numerator) / f.denominator * r_f
-    f = Fraction(num, den)
-    return mpmath.mpf(f.numerator) / f.denominator
 
 
 def _to_mp(qe: QuadExt, r_f):
@@ -364,8 +355,8 @@ class SamplerSpec:
     """Window weights for the squared-combination sampler.
 
     In "canonical" mode u_k = C(m,k)^(-1/2) on [ell-sigma, ell] (irrational, so
-    that path runs in high-precision floats); "rational_test" mode takes
-    explicit rational weights and keeps every identity exact.
+    the final ratio is taken in high-precision floats); "rational_test" mode
+    takes explicit rational weights and keeps the ratio exact too.
     """
 
     ell: int
@@ -379,7 +370,7 @@ class SamplerSpec:
         if self.weight_mode not in ("canonical", "rational_test"):
             raise DomainError(f"unknown weight mode {self.weight_mode!r}")
         if self.rational_weights is not None:
-            # a tuple of Fractions keeps the spec hashable: it keys `_window_sums`
+            # a tuple of Fractions keeps the frozen spec hashable
             object.__setattr__(self, "rational_weights",
                                tuple(Fraction(v) for v in self.rational_weights))
         if self.weight_mode == "rational_test":
@@ -405,154 +396,130 @@ def make_sampler(ell: int, sigma: int | None = None, weight_mode: str = "canonic
 
 
 @lru_cache(maxsize=256)
-def _window_sums(m: int, rho: Fraction, spec: SamplerSpec, precision_digits: int):
-    """The instance-independent sums of the sampled-satisfaction expansion:
-    the squared direct-route row wsq[s] = (sum_k u_k q_k(s))^2, s = 0..m,
-    and for t <= min(m, 2 ell + 1) the window sums
-    T0[t] = sum u_k u_k' N(k,k';t) and T1[t], the same over the triple
-    counts, from one pass of `_window_entries` per t.
+def _pair_tables(m: int, rho: Fraction, window: range):
+    """The integers of the per-pair check; they depend on no sampler weight.
 
-    Q(r) values in rational_test mode, mpmath floats at `precision_digits`
-    in canonical mode; returned as tuples, so no caller can change what the
-    next one reads."""
-    window = spec.window
-    beta = beta_of(rho)
-    a, b = _beta_sq(beta)
-    entries = [_window_entries(m, a, b, window, t) for t in range(min(m, 2 * spec.ell + 1) + 1)]
+    For the window pairs (k, k') in row order: the direct rows, with
+    q_k(s) q_k'(s) = r^((k+k') mod 2) rows[i][s] / den for s = 0..m and
+    one den for every pair, and for t <= min(m, 2 window[-1] + 1) the
+    `_window_entries` of weight t.  Returned as tuples, so no caller can
+    change what the next one reads."""
     q = discrepancy_table(m, rho)
-    with mpmath.workdps(precision_digits):
-        if spec.weight_mode == "rational_test":
-            # weights over one denominator c: every sum below is on integers
-            c = math.lcm(*(u.denominator for u in spec.rational_weights))
-            u = {k: v.numerator * (c // v.denominator)
-                 for k, v in zip(window, spec.rational_weights)}
-            wsq = tuple(_square_row([q[k][s] for k in window], list(u.values()), c)
-                        for s in range(m + 1))
-
-            def window_sum(terms, den):
-                # one integer sum per beta parity class, lifted to Q(r) once
-                sums = [0, 0]
-                for w, (parity, num) in zip(uu, terms):
-                    sums[parity] += w * num
-                den *= c * c
-                return QuadExt(Fraction(sums[0], den), Fraction(
-                    sums[1] * beta.b.numerator, den * beta.b.denominator), beta.r_sq)
-        else:
-            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in window}
-            rho_f = mpmath.mpf(rho.numerator) / rho.denominator
-            r_f = mpmath.sqrt((1 - rho_f) / rho_f)
-            wsq = tuple(sum((_to_mp(q[k][s], r_f) * u[k] for k in window), mpmath.mpf(0)) ** 2
-                        for s in range(m + 1))
-
-            def window_sum(terms, den):
-                # k and k' inner, summed in this order: canonical residuals depend on it
-                return sum((_entry_to_mp(num, den, parity, beta, r_f) * w
-                            for w, (parity, num) in zip(uu, terms)), mpmath.mpf(0))
-
-        uu = [u[k] * u[kp] for k in window for kp in window]
-        return (wsq,
-                tuple(window_sum(pairs, b ** (t // 2)) for t, (pairs, _) in enumerate(entries)),
-                tuple(window_sum(triples, b ** (t // 2 + 1))
-                      for t, (_, triples) in enumerate(entries)))
-
-
-def _square_row(column: list[QuadExt], weights: list[int], c: int) -> QuadExt:
-    """(sum_k w_k q_k / c)^2 in Q(r), summed on integers over the lcm of the
-    column's denominators."""
-    d = math.lcm(*(v.denominator for qe in column for v in (qe.a, qe.b)))
-    x = sum(w * qe.a.numerator * (d // qe.a.denominator) for w, qe in zip(weights, column))
-    y = sum(w * qe.b.numerator * (d // qe.b.denominator) for w, qe in zip(weights, column))
-    r_sq, den = column[0].r_sq, (c * d) ** 2
-    return QuadExt(Fraction(x * x * r_sq.denominator + y * y * r_sq.numerator,
-                            den * r_sq.denominator), Fraction(2 * x * y, den), r_sq)
+    cols = [[v.b if k % 2 else v.a for v in q[k]] for k in window]
+    d = math.lcm(*(v.denominator for col in cols for v in col))
+    cols = [[v.numerator * (d // v.denominator) for v in col] for col in cols]
+    r_sq = r_sq_of(rho)
+    # q_k = r^(k mod 2) times a rational: two odd factors make r^2 = r_sq
+    rows = tuple(tuple(x * y * (r_sq.numerator if k % 2 and kp % 2 else r_sq.denominator)
+                       for x, y in zip(ck, ckp))
+                 for k, ck in zip(window, cols) for kp, ckp in zip(window, cols))
+    a, b = _beta_sq(beta_of(rho))
+    entries = tuple(_window_entries(m, a, b, window, t)
+                    for t in range(min(m, 2 * window[-1] + 1) + 1))
+    return rows, d * d * r_sq.denominator, entries
 
 
 def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: SamplerSpec,
                                   profile: SatisfactionProfile | None = None,
                                   precision_digits: int = 60) -> dict:
-    """E[s] under the squared-window-combination sampler, computed two ways.
+    """E[s] under the squared-window-combination sampler, its two routes
+    checked exactly for every window pair before the weights enter.
 
-    Route one enumerates solutions directly; route two expands through the
-    weighted counts and the uniform E[q_t] of `expected_discrepancy_exact`
-    (no dual pass).  Both modes run the same routes: rational_test in Q(r)
-    with its rational weights, and canonical in mpmath floats with weights
-    C(m,k)^(-1/2).  Agreement is exact (cross-multiplied in Q(r)) in
-    rational_test mode and 1e-9 relative in canonical mode.  The window
-    sums depend only on (m, rho, spec, precision_digits) and are read from
-    `_window_sums`; the per-instance work is the two histogram sums.  A
-    sampler whose direct denominator is zero on the instance is a
-    DomainError.
+    With h the histogram, E[s] = u^T M u / u^T D u over the window pairs,
+    D(k,k') = sum_s h_s q_k(s) q_k'(s) and M(k,k') the same sum with a
+    factor s/m.  Route one reads D and M from the histogram directly; route
+    two expands them through the weighted counts and the uniform E[q_t] of
+    `expected_discrepancy_exact` (no dual pass):
+    D = p^n sum_t E[q_t] N(k,k';t) and
+    M = p^n (rho sum_t E[q_t] N(k,k';t) + (rho r/m) sum_t E[q_t] Tri(k,k';t)).
+    Each side of each pair is r^((k+k') mod 2) times a rational, so the two
+    routes are compared as rationals; a disagreement raises
+    IdentityViolationError naming the pair.  The weights enter once, in the
+    final ratio: in Q(r) in rational_test mode, whose `exact_pair` is
+    (u^T M u, u^T D u), and in mpmath at `precision_digits` with weights
+    C(m,k)^(-1/2) in canonical mode.  The residual is 0 in both modes.  The
+    counts are integers read from `_pair_tables`, keyed by (m, rho,
+    window); the per-instance work is integer sums over the histogram and
+    over t.  A sampler whose direct denominator is zero on the instance is
+    a DomainError.
     """
     if profile is None:
         profile = brute_force_opi(code, lists)
     m, rho = code.m, lists.rho
     if spec.ell >= m:
         raise DomainError("window cutoff must stay below the code length")
-    exact_eq = expected_discrepancy_exact(code, lists, profile)
-    exact = spec.weight_mode == "rational_test"
-    if not exact and precision_digits < MIN_PRECISION_DIGITS:
+    canonical = spec.weight_mode == "canonical"
+    if canonical and precision_digits < MIN_PRECISION_DIGITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_DIGITS} digits, "
                           f"got {precision_digits}")
-    wsq, t0s, t1s = _window_sums(m, rho, spec, precision_digits)
+    window = spec.window
+    rows, den, entries = _pair_tables(m, rho, window)
+    bins = [(s, cnt) for s, cnt in enumerate(profile.histogram) if cnt]
+    direct_d = [sum(cnt * row[s] for s, cnt in bins) for row in rows]
+    direct_m = [sum(cnt * s * row[s] for s, cnt in bins) for row in rows]
 
-    with mpmath.workdps(precision_digits):
-        if exact:
-            rho_v, sq, zero_v = rho, sqrt_rho_one_minus_rho(rho), zero(rho)
-        else:
-            rho_f = mpmath.mpf(rho.numerator) / rho.denominator
-            r_f = mpmath.sqrt((1 - rho_f) / rho_f)
-            rho_v, sq, zero_v = rho_f, mpmath.sqrt(rho_f * (1 - rho_f)), mpmath.mpf(0)
-        direct_num = direct_den = zero_v
-        for s, cnt in enumerate(profile.histogram):
-            if cnt:
-                term = wsq[s] * cnt
-                direct_num += term * s / m
-                direct_den += term
-        exp_den = exp_num1 = zero_v
-        for t, (T0, T1) in enumerate(zip(t0s, t1s)):
-            if exact_eq[t].is_zero():
-                continue
-            eq_t = exact_eq[t] if exact else _to_mp(exact_eq[t], r_f)
-            exp_den += eq_t * T0
-            exp_num1 += eq_t * T1
-        exp_snum = rho_v * exp_den + sq * exp_num1 / m
-        total = profile.total
+    # p^n E[q_t] = e r^(t mod 2).  Each term of route two is e / b^(t//2)
+    # times an integer count of `_window_entries` and a factor set by the
+    # parity of t and the beta parity of the count: `pair` for D, rho times
+    # it for M, and `triple` for the triple terms of M.  Every term is
+    # r^((k+k') mod 2) times a rational: an integer over one denominator, lcd
+    beta = beta_of(rho)
+    a, b = _beta_sq(beta)
+    r_sq, tri = beta.r_sq, rho / (m * b)
+    factors = [((Fraction(1), beta.b * odd), (rho, rho * beta.b * odd),
+                (tri * odd, tri * beta.b * r_sq)) for odd in (1, r_sq)]
+    c = math.lcm(*(f.denominator for fs in factors for g in fs for f in g))
+    live = [(t, (eq.b if t % 2 else eq.a) * profile.total / b ** (t // 2))
+            for t, eq in zip(range(len(entries)), expected_discrepancy_exact(code, lists, profile))
+            if not eq.is_zero()]
+    e_den = math.lcm(*(e.denominator for _, e in live))
+    lcd = c * e_den
+    expanded_d, expanded_m = [0] * len(rows), [0] * len(rows)
+    for t, e in live:
+        e = e.numerator * (e_den // e.denominator)
+        pair, rho_pair, triple = ([e * f.numerator * (c // f.denominator) for f in g]
+                                  for g in factors[t % 2])
+        for i, ((pp, pn), (tp, tn)) in enumerate(zip(*entries[t])):
+            expanded_d[i] += pair[pp] * pn
+            expanded_m[i] += rho_pair[pp] * pn + triple[tp] * tn
+    keys = [(k, kp) for k in window for kp in window]
+    for (k, kp), dd, dm, ed, em in zip(keys, direct_d, direct_m, expanded_d, expanded_m):
+        if dd * lcd != ed * den or dm * lcd != em * m * den:
+            raise IdentityViolationError(
+                f"sampled-satisfaction routes disagree at window pair ({k}, {kp})",
+                instance=lists_to_json(lists),
+            )
 
-        if exact:
-            # real_equals: exact, and tolerant of the non-unique representation
-            # when r_sq happens to be a rational square (exactly balanced lists)
-            if not direct_num.real_equals(exp_snum * total) or not direct_den.real_equals(
-                exp_den * total
-            ):
-                raise IdentityViolationError(
-                    "direct and expanded sampled satisfaction disagree",
-                    instance=lists_to_json(lists),
-                )
-            residual = 0.0
-        else:
-            res1 = abs(direct_num / total - exp_snum) / max(1, abs(exp_snum))
-            res2 = abs(direct_den / total - exp_den) / max(1, abs(exp_den))
-            residual = float(max(res1, res2))
-            if residual > TWO_ROUTE_TOL:
-                raise IdentityViolationError(
-                    f"sampled-satisfaction routes disagree (rel {residual})",
-                    instance=lists_to_json(lists),
-                )
-        if direct_den.real_is_zero() if exact else direct_den == 0:
-            raise DomainError("zero sampler mass: the window weights vanish at every "
-                              "satisfied count the instance reaches")
-        if exact:
-            return {
-                "value": direct_num.to_float() / direct_den.to_float(),
-                "mode": "rational_test",
-                "exact_pair": (direct_num, direct_den),
-                "max_rel_residual": residual,
-            }
-        return {
-            "value": float(direct_num / direct_den),
-            "mode": "canonical",
-            "max_rel_residual": residual,
-        }
+    def form(u, values):
+        # u^T V u as its rational part and its r part: k + k' even, odd
+        sums = [0, 0]
+        for (k, kp), v in zip(keys, values):
+            sums[(k + kp) % 2] += u[k] * u[kp] * v
+        return sums
+
+    if canonical:
+        with mpmath.workdps(precision_digits):
+            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in window}
+            r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
+            (x, y), (xd, yd) = form(u, direct_m), form(u, direct_d)
+            mass = xd + yd * r_f
+            value = float((x + y * r_f) / (m * mass)) if mass else None
+    else:
+        # weights over one denominator c: both forms are integer sums
+        c = math.lcm(*(v.denominator for v in spec.rational_weights))
+        u = {k: v.numerator * (c // v.denominator) for k, v in zip(window, spec.rational_weights)}
+        scale = c * c * den
+        exact_pair = tuple(QuadExt(Fraction(x, s), Fraction(y, s), r_sq) for (x, y), s in (
+            (form(u, direct_m), scale * m), (form(u, direct_d), scale)))
+        value = (None if exact_pair[1].real_is_zero()
+                 else exact_pair[0].to_float() / exact_pair[1].to_float())
+    if value is None:
+        raise DomainError("zero sampler mass: the window weights vanish at every "
+                          "satisfied count the instance reaches")
+    if canonical:
+        return {"value": value, "mode": "canonical", "max_rel_residual": 0.0}
+    return {"value": value, "mode": "rational_test", "exact_pair": exact_pair,
+            "max_rel_residual": 0.0}
 
 
 def quadratic_form_satisfaction(m: int, ell: int, u) -> Fraction:
@@ -600,7 +567,7 @@ def leading_term_sums(m: int, ell: int, sigma: int, rho: Fraction):
         num = mpmath.mpf(0)
         for (k, kp), (parity, n1) in zip(keys, triples):
             if n1:
-                num += _entry_to_mp(n1, b, parity, beta, r_f) / mpmath.sqrt(
+                num += _to_mp(_lift(Fraction(n1, b), parity, beta), r_f) / mpmath.sqrt(
                     mpmath.binomial(m, k) * mpmath.binomial(m, kp))
         return den, num
 

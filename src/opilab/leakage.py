@@ -165,39 +165,24 @@ def certify_buckets(buckets, m: int, t: int, target: int,
                     seed: int = 0) -> dict:
     """min over |D| = t of max_j |D cap B_j|, exhaustive when C(m,t) is
     affordable, otherwise a sampled audit (reported as such)."""
-    n_sets = math.comb(m, t)
+    exhaustive = math.comb(m, t) <= min(enumeration_budget(budget), 10**6)
+    if exhaustive:
+        row_sets = combinations(range(m), t)
+        head = {"mode": "certified", "weight": t}
+    else:
+        rng = random.Random(seed)
+        row_sets = (rng.sample(range(m), t) for _ in range(samples))
+        head = {"mode": "audited", "weight": t, "samples": samples}
     masks = [sum(1 << i for i in b) for b in buckets]
-    if n_sets <= min(enumeration_budget(budget), 10**6):
-        worst = t
-        for subset in combinations(range(m), t):
-            d_mask = 0
-            for i in subset:
-                d_mask |= 1 << i
-            best = max(bin(d_mask & bm).count("1") for bm in masks)
-            worst = min(worst, best)
-            if worst < target:
-                break
-        return {
-            "mode": "certified",
-            "weight": t,
-            "min_intersection": worst,
-            "meets_target": worst >= target,
-        }
-    rng = random.Random(seed)
     worst = t
-    for _ in range(samples):
+    for subset in row_sets:
         d_mask = 0
-        for i in rng.sample(range(m), t):
+        for i in subset:
             d_mask |= 1 << i
-        best = max(bin(d_mask & bm).count("1") for bm in masks)
-        worst = min(worst, best)
-    return {
-        "mode": "audited",
-        "weight": t,
-        "samples": samples,
-        "min_intersection": worst,
-        "meets_target": worst >= target,
-    }
+        worst = min(worst, max(bin(d_mask & bm).count("1") for bm in masks))
+        if exhaustive and worst < target:
+            break
+    return {**head, "min_intersection": worst, "meets_target": worst >= target}
 
 
 def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
@@ -224,6 +209,8 @@ def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
             raise DomainError("random buckets need a lambda target")
         if eps is None:
             eps = 0.05
+        if not math.isfinite(eps):
+            raise DomainError(f"--eps must be a finite number, got {eps}")
         if n >= m:
             raise DomainError("random buckets need n < m: their rate divides by 2 - 4 mu")
         mu = n / (2 * m)
@@ -236,6 +223,9 @@ def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
             - (2 - 4 * mu) * binary_entropy((2 * mu - lambda_target) / (2 - 4 * mu))
             + eps
         )
+        # on the log scale: past the budget, exp(m rate) may overflow a float
+        if m * rate > math.log(enumeration_budget(budget)):
+            raise BudgetExceededError(f"J = exp({m * rate:.6g}) buckets exceed budget")
         J = max(1, math.ceil(math.exp(m * rate)))
         # The entropy formula drops m^O(1) prefactors that dominate at desk
         # scale; the finite-m union bound over all dual-distance sets needs

@@ -240,7 +240,7 @@ def _pointwise_collapse(inst):
 
 
 def _master_expansion(inst, mode):
-    # the exact mode raises on any disagreement, so its residual is 0
+    # both modes compare their routes exactly and raise on any disagreement
     m, n = inst.code.m, inst.code.n
     ell = min(m - 1, (n + 1) // 2 + (mode == "rational_test"))
     # weights 1/2, 1/3, ...: the rational route must clear their denominators
@@ -248,9 +248,9 @@ def _master_expansion(inst, mode):
     if mode == "rational_test":
         weights = [Fraction(1, j + 2) for j in range(min(2, ell) + 1)]
     spec = discrepancy.make_sampler(ell, weight_mode=mode, rational_weights=weights)
-    out = discrepancy.expected_sampled_satisfaction(inst.code, inst.lists, spec, inst.prof,
-                                                    precision_digits=inst.precision)
-    return out["max_rel_residual"], out["max_rel_residual"] < 1e-9
+    discrepancy.expected_sampled_satisfaction(inst.code, inst.lists, spec, inst.prof,
+                                              precision_digits=inst.precision)
+    return 0.0, True
 
 
 def _pair_count_enumeration(inst):
@@ -340,7 +340,7 @@ ROWS = (
     Row("pointwise_collapse", "discrepancy", "lists", "exact", _pointwise_collapse),
     Row("master_expansion_rational", "discrepancy", "lists", "exact",
         partial(_master_expansion, mode="rational_test")),
-    Row("master_expansion_canonical_weights", "discrepancy", "lists", "high_precision",
+    Row("master_expansion_canonical_weights", "discrepancy", "lists", "exact",
         partial(_master_expansion, mode="canonical")),
     Row("pair_count_enumeration", "discrepancy", "pair_counts", "exact",
         _pair_count_enumeration),

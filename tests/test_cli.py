@@ -198,6 +198,20 @@ def test_leakage_random_bucket_eps_defaults_to_five_hundredths(capsys):
     assert json.loads(run_cli(argv + ["--eps", "0.06"], capsys)[1])["J"] == 10
 
 
+@pytest.mark.parametrize("eps, message", [
+    ("nan", "--eps must be a finite number"), ("inf", "--eps must be a finite number"),
+    ("-inf", "--eps must be a finite number"), ("1000", "buckets exceed budget"),
+])
+def test_leakage_non_finite_or_huge_eps_exits_two_with_its_reason(capsys, eps, message):
+    # a huge eps overruns the bucket budget before exp(m rate) can overflow
+    code = main(["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "7",
+                 "--buckets", "random", "--lambda", "0.3", f"--eps={eps}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_thresholds_rho_outside_unit_interval_is_domain_error(capsys):
     code, out = run_cli(["thresholds", "--rho", "1.5", "--bound", "biased"], capsys)
     assert code == 2

@@ -6,13 +6,14 @@ Runs in process and starts no subprocess."""
 
 import io
 import json
+import math
 import os
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opilab.cli import main
@@ -107,14 +108,22 @@ def oracle_or_leakage_argv(draw):
     lam = draw(st.none() | st.floats(-0.5, 1.5, allow_nan=False))
     if lam is not None:
         argv.append(f"--lambda={lam!r}")  # "=" keeps "-1e-05" a value
-    eps = draw(st.none() | st.floats(-1.0, 5.0, allow_nan=False))
+    eps = draw(st.none() | st.floats(-1.0, 5.0, allow_nan=False)
+               | st.sampled_from([math.nan, math.inf, -math.inf, 1000.0]))
     if eps is not None:
         argv.append(f"--eps={eps!r}")
     return ["leakage", *argv], files
 
 
+_RANDOM_BUCKETS = ["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "7",
+                   "--buckets", "random", "--lambda", "0.3"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(oracle_or_leakage_argv())
+@example((_RANDOM_BUCKETS + ["--eps=inf"], {}))
+@example((_RANDOM_BUCKETS + ["--eps=1000.0"], {}))
+@example((_RANDOM_BUCKETS + ["--eps=nan"], {}))
 def test_cli_exit_code_and_stdout_contract(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,8 +17,8 @@ from opilab.codes import (
 from opilab import discrepancy
 from opilab.discrepancy import (
     SamplerSpec,
+    _pair_tables,
     _to_mp,
-    _window_sums,
     count_rate_report,
     count_sym_diff,
     count_sym_diff_zero_closed,
@@ -630,39 +632,74 @@ def test_window_counts_match_single_point_counts(m, rho, window, t_hi):
 
 def _criterion_7_window_keys():
     """(m, rho, ell) of every sampler criterion 7 and the desk_exact
-    benchmark build: both windows of each shape, every list size."""
-    keys = set()
+    benchmark build, both windows of each shape and every list size, each
+    mapped to the first (p, n) of the grid that builds it."""
+    keys = {}
     for p in (5, 7, 11):
         for m in range(2, min(p, 8) + 1):
             for n in range(1, m):
                 if p**n <= 20000 and p ** (m - n) <= 20000:
                     for size in range(1, p):
-                        for ell in {min(m - 1, (n + 1) // 2 + 1), min(m - 1, (n + 1) // 2)}:
-                            keys.add((m, Fraction(size, p), ell))
-    return sorted(keys)
+                        for ell in (min(m - 1, (n + 1) // 2 + 1), min(m - 1, (n + 1) // 2)):
+                            keys.setdefault((m, Fraction(size, p), ell), (p, n))
+    return dict(sorted(keys.items()))
 
 
-def _assert_window_sums_match(m, rho, specs, digits=60):
-    t_hi = max(min(m, 2 * spec.ell + 1) for spec in specs)
-    window = specs[0].window
-    counts = _window_counts(m, rho, window, t_hi)
+def reference_sampled_satisfaction(code, lists, spec, profile, digits=60, counts=None):
+    """The sampler's result by the reference route: the direct sums
+    num = sum_s h_s (s/m) wsq[s] and den = sum_s h_s wsq[s] over
+    `reference_window_sums`, term by term in s.  In rational_test mode
+    (num, den) in Q(r), after checking exactly that the expansion through
+    the reference window sums agrees; in canonical mode the float of
+    num / den at `digits`."""
+    m, rho = code.m, lists.rho
+    wsq, t0s, t1s = reference_window_sums(m, rho, spec, digits, counts)
+    rational = spec.weight_mode == "rational_test"
+    with mpmath.workdps(digits):
+        num = den = zero(rho) if rational else mpmath.mpf(0)
+        for s, cnt in enumerate(profile.histogram):
+            if cnt:
+                term = wsq[s] * cnt
+                num += term * s / m
+                den += term
+        if not rational:
+            return float(num / den)
+    eq = expected_discrepancy_exact(code, lists, profile)
+    exp_den = sum((q * t0 for q, t0 in zip(eq, t0s)), zero(rho)) * profile.total
+    exp_t1 = sum((q * t1 for q, t1 in zip(eq, t1s)), zero(rho)) * profile.total
+    exp_num = rho * exp_den + sqrt_rho_one_minus_rho(rho) * exp_t1 / m
+    assert num.real_equals(exp_num) and den.real_equals(exp_den)
+    return num, den
+
+
+def _assert_sampler_matches_reference(code, lists, specs, profile, digits=60):
+    """The sampler's exact pair (component by component) and canonical
+    value (by repr) equal the reference route's, and a sampler the
+    reference gives zero mass is a DomainError."""
+    t_hi = max(min(code.m, 2 * spec.ell + 1) for spec in specs)
+    counts = _window_counts(code.m, lists.rho, specs[0].window, t_hi)
     for spec in specs:
-        assert spec.window == window
-        got = _window_sums(m, rho, spec, digits)
-        want = reference_window_sums(m, rho, spec, digits, counts)
-        assert len(got[1]) == len(want[1])
+        assert spec.window == specs[0].window
+        want = reference_sampled_satisfaction(code, lists, spec, profile, digits, counts)
+        if spec.weight_mode == "rational_test" and want[1].real_is_zero():
+            with pytest.raises(DomainError, match="zero sampler mass"):
+                expected_sampled_satisfaction(code, lists, spec, profile, digits)
+            continue
+        got = expected_sampled_satisfaction(code, lists, spec, profile, digits)
+        assert got["max_rel_residual"] == 0.0
         if spec.weight_mode == "rational_test":
-            for got_row, want_row in zip(got, want):
-                assert all(same_components(g, w) for g, w in zip(got_row, want_row)), spec
+            assert all(same_components(g, w) for g, w in zip(got["exact_pair"], want)), spec
         else:
-            assert repr(got) == repr(want), spec
+            assert repr(got["value"]) == repr(want), spec
 
 
 def test_window_sums_match_reference_on_criterion_7_keys():
-    for m, rho, ell in _criterion_7_window_keys():
-        _assert_window_sums_match(m, rho, [
+    for (m, rho, ell), (p, n) in _criterion_7_window_keys().items():
+        code = make_rs_code(FieldCtx(p), m, n)
+        lists = random_lists(p, m, rho.numerator, m * 100 + ell)
+        _assert_sampler_matches_reference(code, lists, [
             make_sampler(ell, weight_mode="rational_test"),
-            make_sampler(ell, weight_mode="canonical")])
+            make_sampler(ell, weight_mode="canonical")], brute_force_opi(code, lists))
 
 
 @pytest.mark.parametrize("m, rho, ell, sigma", [
@@ -674,7 +711,15 @@ def test_window_sums_match_reference_on_criterion_7_keys():
     (12, Fraction(4, 11), 6, 2),
 ])
 def test_window_sums_match_reference_on_edge_keys(m, rho, ell, sigma):
+    # the sampler reads an instance only through m, rho and the histogram,
+    # and each pair's identity holds pointwise in s, so a drawn histogram
+    # over lists of density rho stands in for a code of length m
     rng = random.Random(m * 100 + ell)
+    code = SimpleNamespace(m=m)
+    lists = make_lists(rho.denominator, [range(rho.numerator)] * m)
+    hist = [rng.choice([0, rng.randint(1, 50)]) for _ in range(m + 1)]
+    hist[rng.randrange(m + 1)] += 1
+    profile = SimpleNamespace(histogram=tuple(hist), total=sum(hist))
     weights = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(sigma + 1))
                for _ in range(3)]
     weights.append((Fraction(0),) * (sigma + 1))
@@ -682,8 +727,9 @@ def test_window_sums_match_reference_on_edge_keys(m, rho, ell, sigma):
     specs = [make_sampler(ell, sigma, weight_mode="rational_test", rational_weights=w)
              for w in weights]
     specs.append(make_sampler(ell, sigma, weight_mode="canonical"))
-    _assert_window_sums_match(m, rho, specs)
-    _assert_window_sums_match(m, rho, [make_sampler(ell, sigma, weight_mode="canonical")], 25)
+    _assert_sampler_matches_reference(code, lists, specs, profile)
+    _assert_sampler_matches_reference(
+        code, lists, [make_sampler(ell, sigma, weight_mode="canonical")], profile, 25)
 
 
 @pytest.mark.parametrize("m, ell, sigma, rho", [
@@ -708,7 +754,7 @@ def test_sampled_satisfaction_computes_each_pair_count_once(monkeypatch, mode, e
         return original(*args)
 
     monkeypatch.setattr(discrepancy, "_pair_numerator", counting)
-    _window_sums.cache_clear()
+    _pair_tables.cache_clear()
     code, lists = rs_instance(p=11, m=8, n=5, seed=3, size=4)
     spec = make_sampler(ell, sigma, weight_mode=mode)
     first = expected_sampled_satisfaction(code, lists, spec)
@@ -719,7 +765,7 @@ def test_sampled_satisfaction_computes_each_pair_count_once(monkeypatch, mode, e
     assert {c[:3] for c in calls} == {
         (k, kp, t) for k in range(window[0] - 1, window[-1] + 2) for kp in window
         for t in range(t_hi + 1)}
-    # the same spec again reads the cached window sums
+    # the same spec again reads the cached tables
     calls.clear()
     again = expected_sampled_satisfaction(code, lists, spec)
     assert calls == []
@@ -731,14 +777,22 @@ def test_sampled_satisfaction_computes_each_pair_count_once(monkeypatch, mode, e
     (make_sampler(3, 2, weight_mode="canonical"), 40),
 ])
 def test_window_sums_are_cached_tuples(spec, digits):
-    first = _window_sums(8, Fraction(4, 11), spec, digits)
-    assert _window_sums(8, Fraction(4, 11), spec, digits) is first
-    assert isinstance(first, tuple) and len(first) == 3
-    assert all(isinstance(part, tuple) for part in first)
+    # the tables behind the window sums are keyed by (m, rho, window): no
+    # weight and no digit count enters them
+    code, lists = rs_instance(p=11, m=8, n=5, seed=3, size=4)
+    first = _pair_tables(8, Fraction(4, 11), spec.window)
+    expected_sampled_satisfaction(code, lists, spec, precision_digits=digits)
+    assert _pair_tables(8, Fraction(4, 11), spec.window) is first
+    rows, den, entries = first
+    assert isinstance(den, int) and den > 0
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    assert isinstance(entries, tuple) and all(
+        isinstance(part, tuple) and all(isinstance(entry, tuple) for entry in part)
+        for counts in entries for part in counts)
 
 
 def test_sampler_spec_weights_become_a_fraction_tuple():
-    # the spec keys the window-sum cache, so list weights must not make it unhashable
+    # list weights must not make the frozen spec unhashable
     spec = SamplerSpec(3, 1, "rational_test", [2, 1])
     assert spec == make_sampler(3, 1, weight_mode="rational_test",
                                 rational_weights=(Fraction(2), Fraction(1)))
@@ -755,25 +809,33 @@ def test_zero_mass_sampler_is_domain_error():
 
 
 def test_zero_mass_canonical_sampler_is_domain_error(monkeypatch):
-    # canonical weights C(m,k)^(-1/2) never vanish, so zero window sums are
-    # substituted to reach the canonical branch of the same check
+    # canonical weights C(m,k)^(-1/2) never vanish, so all-zero tables (on
+    # which both routes agree) are substituted to reach the canonical branch
+    # of the same check
     code, lists = rs_instance(seed=29)
-    zeros = tuple(mpmath.mpf(0) for _ in range(code.m + 1))
-    monkeypatch.setattr(discrepancy, "_window_sums", lambda *args: (zeros, zeros, zeros))
+
+    def zero_tables(m, rho, window):
+        rows, den, entries = _pair_tables(m, rho, window)
+        return (tuple((0,) * len(row) for row in rows), den,
+                tuple(tuple(tuple((parity, 0) for parity, _ in part) for part in counts)
+                      for counts in entries))
+
+    monkeypatch.setattr(discrepancy, "_pair_tables", zero_tables)
     with pytest.raises(DomainError, match="zero sampler mass"):
         expected_sampled_satisfaction(code, lists, make_sampler(2, 1, weight_mode="canonical"))
 
 
-# Recorded as strings before the two weight modes shared one expansion body.
+# Recorded as strings before the two weight modes shared one expansion body;
+# the canonical residual is 0.0 since each window pair is compared exactly.
 @pytest.mark.parametrize("p, m, n, seed, size, rational, canonical, pinned", [
     (7, 6, 3, 23, 2, (3, 1, (Fraction(2), Fraction(1))), (2, 1), (
         "(6175127/600 + 1023071/375*sqrt(5/2))",
         "(12598733/500 + -132398/125*sqrt(5/2))",
-        "0.6124065328610783", "1.31218693102944e-61")),
+        "0.6124065328610783", "0.0")),
     (11, 8, 5, 3, 4, (4, 2, None), (3, 2), (
         "(29173320369435/2458624 + 4067156376173/614656*sqrt(7/4))",
         "(7661487089157/307328 + 3447296655/76832*sqrt(7/4))",
-        "0.7524941281701397", "2.75237833061977e-61")),
+        "0.7524941281701397", "0.0")),
 ])
 def test_sampled_satisfaction_pinned_strings(p, m, n, seed, size, rational, canonical, pinned):
     code, lists = rs_instance(p, m, n, seed, size)
@@ -810,3 +872,32 @@ def test_sampler_with_a_profile_makes_no_dual_pass(monkeypatch):
     for mode in ("rational_test", "canonical"):
         expected_sampled_satisfaction(code, lists, make_sampler(2, weight_mode=mode), prof)
     assert passes == []
+
+
+def test_an_off_by_one_pair_count_is_named_in_both_weight_modes(monkeypatch, capsys):
+    # one pair count off by one at (k, k', t) = (1, 2, 0): E[q_0] = 1, so the
+    # expansion reads it, and k = 1 opens the window, so no earlier pair's
+    # triple count reads it
+    from opilab.cli import main
+    from opilab.codes import lists_to_json
+    from opilab.errors import IdentityViolationError
+
+    original = discrepancy._pair_numerator
+
+    def off_by_one(k, kp, t, m, a, b):
+        return original(k, kp, t, m, a, b) + ((k, kp, t) == (1, 2, 0))
+
+    monkeypatch.setattr(discrepancy, "_pair_numerator", off_by_one)
+    _pair_tables.cache_clear()
+    try:
+        code, lists = rs_instance(p=11, m=8, n=5, seed=3, size=4)
+        for mode in ("rational_test", "canonical"):
+            with pytest.raises(IdentityViolationError, match=r"window pair \(1, 2\)") as err:
+                expected_sampled_satisfaction(code, lists, make_sampler(3, 2, weight_mode=mode))
+            assert err.value.instance == lists_to_json(lists)
+        assert main(["verify", "--suite", "discrepancy"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = {r["identity"] for r in report["identities"] if r["status"] == "fail"}
+        assert {"master_expansion_rational", "master_expansion_canonical_weights"} <= failed
+    finally:
+        _pair_tables.cache_clear()
