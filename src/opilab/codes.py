@@ -6,10 +6,13 @@ oracle histogram is computed over the full solution space, and moment
 comparisons use rational arithmetic.  Enumerations are chunked through
 numpy for speed but their results do not depend on the chunking.
 
-The oracle splits each solution x into (x_hi, x_lo), x_hi its n // 2
-leading coordinates, so that B x = B_hi x_hi + B_lo x_lo (mod p) reads two
-per-code tables of p^(n // 2) and p^ceil(n / 2) columns; a batch of x_hi
-rows against every x_lo is then one table gather and no matmul.
+Both enumerations read a linear span from two per-code split tables.  The
+oracle splits each solution x into (x_hi, x_lo), x_hi its n // 2 leading
+coordinates, so that B x = B_hi x_hi + B_lo x_lo (mod p) reads tables of
+p^(n // 2) and p^ceil(n / 2) columns; a batch of x_hi rows against a slice
+of x_lo is then one table gather and no matmul.  The dual pass splits the
+coefficients of the dual basis the same way, so each chunk of dual
+codewords is broadcast adds of table columns and one reduction mod p.
 """
 
 from __future__ import annotations
@@ -290,20 +293,40 @@ class SatisfactionProfile:
         return self.p ** self.n
 
 
+def _span_tables(G: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H, L) for the column span of the m x k matrix G over F_p, split at
+    its k // 2 leading columns: H[:, h] = G_hi c_hi mod p over every c_hi
+    and L[:, l] = G_lo c_lo mod p over every c_lo, both in C order, so
+    that span vector h * L.shape[1] + l, coefficients in lexicographic
+    order, is (H[:, h] + L[:, l]) mod p.  k = 0 gives one zero column each.
+    Read-only, as its callers cache them per code."""
+    k = G.shape[1]
+    tables = []
+    for cols in (G[:, :k // 2], G[:, k // 2:]):
+        j = cols.shape[1]
+        table = cols @ np.indices((p,) * j).reshape(j, p**j)
+        table %= p
+        table.setflags(write=False)
+        tables.append(table)
+    return tuple(tables)
+
+
 @functools.lru_cache(maxsize=4)
 def _split_tables(code: MdsCode) -> tuple[np.ndarray, np.ndarray]:
-    """(C, V_lo): C[i] = B_hi x_hi mod p + 2 p i over every x_hi and
-    V_lo[i] = B_lo x_lo mod p over every x_lo, columns in C order; 2 p i
-    starts row i of the oracle's flat membership array.  Cached per code,
-    so read-only."""
-    p, m, n_hi = code.p, code.m, code.n // 2
-    B = np.array(code.B, dtype=np.int64)
-    C, V_lo = (cols @ np.indices((p,) * k).reshape(k, p**k) % p
-               for cols, k in ((B[:, :n_hi], n_hi), (B[:, n_hi:], code.n - n_hi)))
-    C += 2 * p * np.arange(m)[:, None]
+    """(C, V_lo): the span tables of B, with 2 p i added to row i of C, so
+    that it starts row i of the oracle's flat membership array."""
+    C, V_lo = _span_tables(np.array(code.B, dtype=np.int64), code.p)
+    C = C + 2 * code.p * np.arange(code.m)[:, None]
     C.setflags(write=False)
-    V_lo.setflags(write=False)
     return C, V_lo
+
+
+@functools.lru_cache(maxsize=4)
+def _dual_tables(code: MdsCode) -> tuple[np.ndarray, np.ndarray]:
+    """The span tables of the dual basis, as the columns of an m x (m - n)
+    matrix."""
+    G = np.array(code.dual_basis, dtype=np.int64).reshape(code.dual_dim, code.m).T
+    return _span_tables(G, code.p)
 
 
 def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None) -> SatisfactionProfile:
@@ -312,8 +335,9 @@ def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None)
 
     Each membership row is stored twice, so entry c + v of row i is
     member_i[(c + v) mod p] for table entries c, v < p.  A batch of x_hi
-    rows against every x_lo is one block of counts in C order, so its flat
-    argmax is the batch's lexicographically smallest best x."""
+    rows against a slice of at most 2^16 x_lo is one block of counts in C
+    order, so its flat argmax is the block's lexicographically smallest
+    best x."""
     p, m, n = code.p, code.m, code.n
     if lists.p != p or lists.m != m:
         raise DomainError("lists do not match the code")
@@ -326,17 +350,19 @@ def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None)
     member[:, p:] = member[:, :p]
     member = member.ravel()
     hi, lo = C.shape[1], V_lo.shape[1]
-    batch = max(1, _CHUNK // (m * lo))
+    width = min(lo, _CHUNK)
+    batch = max(1, _CHUNK // (m * width))
     count_dtype = np.min_scalar_type(m)  # the counts reach m
     hist = np.zeros(m + 1, dtype=np.int64)
     best_count, best_idx = -1, -1
     for start in range(0, hi, batch):
-        idx = C[:, start:start + batch, None] + V_lo[:, None]
-        sat = member[idx].sum(axis=0, dtype=count_dtype)
-        hist += np.bincount(sat.ravel(), minlength=m + 1)
-        loc = int(np.argmax(sat))
-        if int(sat.flat[loc]) > best_count:
-            best_count, best_idx = int(sat.flat[loc]), start * lo + loc
+        for lo_start in range(0, lo, width):
+            idx = C[:, start:start + batch, None] + V_lo[:, None, lo_start:lo_start + width]
+            sat = member[idx].sum(axis=0, dtype=count_dtype)
+            hist += np.bincount(sat.ravel(), minlength=m + 1)
+            row, col = divmod(int(np.argmax(sat)), sat.shape[1])
+            if int(sat[row, col]) > best_count:
+                best_count, best_idx = int(sat[row, col]), (start + row) * lo + lo_start + col
     return SatisfactionProfile(
         m=m, p=p, n=n,
         histogram=tuple(int(v) for v in hist),
@@ -346,40 +372,59 @@ def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None)
 
 
 def dual_codewords(code: MdsCode, budget: int | None = None):
-    """Yield chunks of dual codewords as (m x chunk) arrays, all p^{m-n} of them."""
+    """Yield all p^(m-n) dual codewords as C-contiguous (m x chunk) arrays,
+    coefficient vectors in lexicographic order.  A chunk is runs of L
+    columns on one H column each (`_dual_tables`): its whole runs take one
+    broadcast add, a partial run at either end one more."""
     p, m = code.p, code.m
-    k = code.dual_dim
-    total = p ** k
+    total = p ** code.dual_dim
     if total > enumeration_budget(budget):
         raise BudgetExceededError(f"p^(m-n) = {total} exceeds budget")
-    D = np.array(code.dual_basis, dtype=np.int64)  # k x m
-    if k == 0:
-        yield np.zeros((m, 1), dtype=np.int64)
-        return
+    H, L = _dual_tables(code)
+    width = L.shape[1]
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        C = np.array(np.unravel_index(np.arange(start, stop), (p,) * k))
-        yield (D.T @ C) % p
+        Y = np.empty((m, stop - start), dtype=np.int64)
+        pos = start
+        while pos < stop:
+            h, l = divmod(pos, width)
+            rows = max(1, (stop - pos) // width) if l == 0 else 1
+            cols = min(width - l, stop - pos)
+            at = pos - start
+            np.add(H[:, h:h + rows, None], L[:, None, l:l + cols],
+                   out=Y[:, at:at + rows * cols].reshape(m, rows, cols))
+            pos += rows * cols
+        Y %= p
+        yield Y
 
 
-def dual_weight_sums(code: MdsCode, table: np.ndarray, budget: int | None = None) -> np.ndarray:
-    """out[t] = sum over weight-t dual codewords y of prod_i table[i, y_i],
-    t = 0..m, for an m x p coordinate table."""
+def dual_weight_sums(code: MdsCode, tables: np.ndarray, budget: int | None = None) -> np.ndarray:
+    """out[..., t] = sum over weight-t dual codewords y of prod_i table[i, y_i],
+    t = 0..m, for one m x p coordinate table or a stack of them, all in
+    one dual pass.  Each product is formed row by row from row 0, as
+    np.prod(axis=0) forms it, one row's gather at a time: no m x chunk
+    block of table values."""
     m = code.m
-    rows = np.arange(m)[:, None]
-    out = np.zeros(m + 1, dtype=np.complex128)
+    tables = np.asarray(tables)
+    stack = tables.reshape(-1, m, code.p)
+    out = np.zeros((len(stack), m + 1), dtype=np.complex128)
     for Y in dual_codewords(code, budget):
         w = (Y != 0).sum(axis=0)
-        prod = np.prod(table[rows, Y], axis=0)
-        out += np.bincount(w, weights=prod.real, minlength=m + 1) + 1j * np.bincount(
-            w, weights=prod.imag, minlength=m + 1
-        )
-    return out
+        for sums, table in zip(out, stack):
+            prod = table[0][Y[0]]
+            for row, y in zip(table[1:], Y[1:]):
+                prod *= row[y]
+            sums += np.bincount(w, weights=prod.real, minlength=m + 1) + 1j * np.bincount(
+                w, weights=prod.imag, minlength=m + 1
+            )
+    return out.reshape(tables.shape[:-2] + (m + 1,))
 
 
 def min_dual_weight(code: MdsCode) -> int:
     """Smallest nonzero dual weight, m + 1 when the dual code is {0}."""
-    counts = dual_weight_sums(code, np.ones((code.m, code.p))).real
+    counts = np.zeros(code.m + 1, dtype=np.int64)
+    for Y in dual_codewords(code):
+        counts += np.bincount((Y != 0).sum(axis=0), minlength=code.m + 1)
     weights = np.flatnonzero(counts[1:]) + 1
     return int(weights[0]) if weights.size else code.m + 1
 

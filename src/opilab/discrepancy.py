@@ -26,13 +26,12 @@ from .codes import (
     MdsCode,
     SatisfactionProfile,
     brute_force_opi,
-    dual_weight_sums,
     enumeration_budget,
     lists_to_json,
 )
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
 from .kravchuk import HALF, build_family
-from .leakage import spectrum_table
+from .leakage import dual_character_sums
 from .quadext import QuadExt, beta_abs_of, beta_of, r_of, r_sq_of, zero
 from .rates import pair_count_exponent
 
@@ -130,11 +129,11 @@ def expected_discrepancy_exact(code: MdsCode, lists: InputLists,
 def expected_discrepancy_fourier(code: MdsCode, lists: InputLists,
                                  budget: int | None = None) -> np.ndarray:
     """E[q_t] for every t as the dual-code sum of products of normalized
-    indicator Fourier coefficients (complex arithmetic)."""
-    scale = 1.0 / math.sqrt(float(lists.rho) * float(1 - lists.rho))
-    ghat = spectrum_table(lists.sets, code.p) * scale
-    ghat[:, 0] = 1.0  # ghat at 0 set to 1: skips the factor
-    return dual_weight_sums(code, ghat, budget)
+    indicator Fourier coefficients (complex arithmetic): a copy of row 0 of
+    the instance's shared dual pass (`leakage.dual_character_sums`)."""
+    if lists.rho == 1:
+        raise DomainError("E[q_t] needs list density below 1")
+    return dual_character_sums(code, lists, budget)[0].copy()
 
 
 def discrepancy_routes(code: MdsCode, lists: InputLists,

@@ -293,15 +293,30 @@ def per_transcript_sum(code: MdsCode, lists: InputLists, t: int) -> complex:
     outside [0, m]: the sum is empty)."""
     if not 0 <= t <= code.m:
         return 0j
-    return complex(_transcript_sums(code, lists, enumeration_budget())[t])
+    return complex(dual_character_sums(code, lists)[1, t])
+
+
+def dual_character_sums(code: MdsCode, lists: InputLists, budget: int | None = None) -> np.ndarray:
+    """The instance's two dual-code character sums, every weight, from one
+    shared dual pass: row 0 sums the normalized spectrum (the spectrum over
+    sqrt(rho(1 - rho)), its zero coefficient set to 1), which is E[q_t];
+    row 1 the raw spectrum, the transcript sums.  Read-only: callers that
+    hand it on copy it."""
+    return _character_sums(code, lists, enumeration_budget(budget))
 
 
 @functools.lru_cache(maxsize=4)
-def _transcript_sums(code: MdsCode, lists: InputLists, budget: int) -> np.ndarray:
-    """Every weight's transcript sum from one dual pass, cached because
-    callers read them one t at a time.  The budget is part of the key, so
-    a lower cap still raises on a pair already summed."""
-    sums = dual_weight_sums(code, spectrum_table(lists.sets, code.p), budget)
+def _character_sums(code: MdsCode, lists: InputLists, budget: int) -> np.ndarray:
+    """`dual_character_sums`, cached because E[q_t], the transcript sums
+    and verify read the same pass.  The budget is part of the key, so a
+    lower cap still raises on a pair already summed."""
+    spec = spectrum_table(lists.sets, code.p)
+    # the normalized spectrum is undefined at density 1, where row 0 is nan
+    scale = (1.0 / math.sqrt(float(lists.rho) * float(1 - lists.rho))
+             if lists.rho < 1 else math.nan)
+    ghat = spec * scale
+    ghat[:, 0] = 1.0  # ghat at 0 set to 1: skips the factor
+    sums = dual_weight_sums(code, np.stack([ghat, spec]), budget)
     sums.setflags(write=False)
     return sums
 

@@ -277,8 +277,7 @@ def _dual_sum(inst):
 
 def _transcript_scaling(inst):
     code, lists = inst.code, inst.lists
-    fq = discrepancy.expected_discrepancy_fourier(code, lists)
-    ts = codes.dual_weight_sums(code, leakage.spectrum_table(lists.sets, code.p))
+    fq, ts = leakage.dual_character_sums(code, lists)  # both sides of one dual pass
     rho = float(lists.rho)
     worst = max(abs(rho ** (t / 2 - code.m) * (1 - rho) ** (-t / 2) * ts[t] - fq[t])
                 / max(1.0, abs(fq[t])) for t in range(code.m + 1))

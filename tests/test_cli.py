@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opilab import codes, verify
+from opilab import codes, leakage, verify
 from opilab.cli import main
 from opilab.errors import IdentityViolationError
 
@@ -332,6 +332,14 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def test_leakage_budget_obeys_a_lower_cap_after_a_cached_pass(capsys):
+    argv = ["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "7"]
+    assert run_cli(argv, capsys)[0] == 0  # caches the instance's dual pass
+    assert main([*argv, "--budget", "100"]) == 2  # p^(m-n) = 121
+    captured = capsys.readouterr()
+    assert captured.out == "" and "p^(m-n) = 121 exceeds budget" in captured.err
+
+
 def test_leakage_nonzero_dual_sum_below_dual_distance_is_violation(monkeypatch, capsys):
     from opilab import discrepancy
 
@@ -414,10 +422,11 @@ def test_flag_the_subcommand_never_reads_is_rejected(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_fourier_suite_makes_three_dual_passes_per_instance(monkeypatch):
-    # the dual-route check and transcript_scaling's two routes, where the
-    # scaling check used to make m + 1 more passes, one per weight; plus
-    # dual_distance's one pass per run
+def test_fourier_suite_makes_one_dual_pass_per_instance(monkeypatch):
+    # the dual-route check, transcript_scaling's two routes and the split
+    # bound all read the instance's one shared pass; plus dual_distance's
+    # one pass per run
+    leakage._character_sums.cache_clear()
     passes = []
     original = codes.dual_codewords
 
@@ -428,7 +437,7 @@ def test_fourier_suite_makes_three_dual_passes_per_instance(monkeypatch):
     monkeypatch.setattr(codes, "dual_codewords", counting)
     records = verify.run_suite("fourier", seed=3)
     assert [r["status"] for r in records] == ["pass"] * 7
-    assert len(passes) == 3 * 3 + 1
+    assert len(passes) == 3 * 1 + 1
 
 
 def test_verify_all_yields_a_record_for_every_row(capsys):

@@ -1,6 +1,8 @@
 
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +111,135 @@ def test_dual_weight_sums_match_a_product_over_listed_codewords(p, m, n):
     if n == m:  # only the zero codeword: the product of column 0
         assert abs(whole[0] - np.prod(table[:, 0])) <= 1e-12
         assert min_dual_weight(code) == m + 1
+
+
+def _matmul_dual_codewords(code):
+    """The dual codewords by the enumeration that the split tables
+    replaced: 2^16 coefficient vectors at a time unravelled in C order,
+    then one int64 matmul with the dual basis mod p."""
+    p, m, k = code.p, code.m, code.dual_dim
+    if k == 0:
+        yield np.zeros((m, 1), dtype=np.int64)
+        return
+    D = np.array(code.dual_basis, dtype=np.int64)
+    for start in range(0, p**k, 1 << 16):
+        C = np.array(np.unravel_index(np.arange(start, min(start + (1 << 16), p**k)), (p,) * k))
+        yield (D.T @ C) % p
+
+
+def _matmul_weight_sums(code, table):
+    """dual_weight_sums of one table by the matmul chunks and np.prod over
+    one m x chunk gather."""
+    m = code.m
+    out = np.zeros(m + 1, dtype=np.complex128)
+    for Y in _matmul_dual_codewords(code):
+        w = (Y != 0).sum(axis=0)
+        prod = np.prod(table[np.arange(m)[:, None], Y], axis=0)
+        out += np.bincount(w, weights=prod.real, minlength=m + 1) + 1j * np.bincount(
+            w, weights=prod.imag, minlength=m + 1)
+    return out
+
+
+# k = m - n = 0, 1, 2, 3, 4, 5; (11, 10, 5) spans three chunks and its
+# p^ceil(k/2) = 1331 does not divide 2^16
+_DUAL_SWEEP = [(5, 4, 4), (7, 6, 6), (7, 5, 4), (70001, 2, 1), (5, 4, 2), (7, 6, 4), (11, 5, 3),
+               (7, 6, 3), (13, 8, 5), (5, 5, 1), (7, 6, 2), (11, 10, 5), (17, 9, 5), (2, 2, 1),
+               (3, 3, 1)]
+
+
+@pytest.mark.parametrize("p, m, n", _DUAL_SWEEP)
+def test_dual_chunks_match_the_matmul_route(p, m, n):
+    rng = random.Random(p * 100 + m * 10 + n)
+    points = rng.sample(range(min(p, 50)), m)
+    code = make_rs_code(FieldCtx(p), m, n, points)
+    got, want = list(dual_codewords(code)), list(_matmul_dual_codewords(code))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        # a C-contiguous chunk keeps the row-by-row product equal to np.prod's
+        assert a.flags.c_contiguous and a.dtype == np.int64
+        assert np.array_equal(a, b)
+    counts = np.bincount(np.concatenate([(Y != 0).sum(axis=0) for Y in want]), minlength=m + 1)
+    weights = np.flatnonzero(counts[1:]) + 1
+    assert min_dual_weight(code) == (int(weights[0]) if weights.size else m + 1)
+
+
+@pytest.mark.parametrize("p, m, n", [s for s in _DUAL_SWEEP if s[0] < 1000])
+def test_dual_weight_sums_equal_the_matmul_route_bit_for_bit(p, m, n):
+    code = make_rs_code(FieldCtx(p), m, n)
+    rng = np.random.default_rng(p * 100 + m * 10 + n)
+    tables = rng.normal(size=(3, m, p)) + 1j * rng.normal(size=(3, m, p))
+    want = [_matmul_weight_sums(code, table) for table in tables]
+    stacked = dual_weight_sums(code, tables)
+    assert stacked.shape == (3, m + 1)
+    for i, table in enumerate(tables):
+        single = dual_weight_sums(code, table)
+        assert single.shape == (m + 1,)
+        assert np.array_equal(single, want[i]) and np.array_equal(stacked[i], want[i])
+    real = np.abs(tables[0])  # a real table, as parseval_split_identity passes
+    assert np.array_equal(dual_weight_sums(code, real), _matmul_weight_sums(code, real))
+
+
+def test_shared_pass_equals_the_matmul_route_on_every_criterion_7_instance():
+    # acceptance criterion 7's 1,000 instances, drawn as it draws them
+    rng = random.Random(20240811)
+    shapes = [(p, m, n) for p in (5, 7, 11) for m in range(2, min(p, 8) + 1)
+              for n in range(1, m) if p**n <= 20000 and p ** (m - n) <= 20000]
+    for _ in range(1000):
+        p, m, n = shapes[rng.randrange(len(shapes))]
+        size = rng.randint(1, p - 1)
+        code = make_rs_code(FieldCtx(p), m, n)
+        lists = random_lists(p, m, size, rng.randrange(2**32))
+        raw = leakage.spectrum_table(lists.sets, p)
+        ghat = raw * (1.0 / math.sqrt(float(lists.rho) * float(1 - lists.rho)))
+        ghat[:, 0] = 1.0
+        assert np.array_equal(discrepancy.expected_discrepancy_fourier(code, lists),
+                              _matmul_weight_sums(code, ghat))
+        transcripts = [leakage.per_transcript_sum(code, lists, t) for t in range(m + 1)]
+        assert np.array_equal(np.array(transcripts), _matmul_weight_sums(code, raw))
+
+
+def test_dual_tables_are_built_once_per_code_and_read_only():
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    codes._dual_tables.cache_clear()
+    for _ in range(3):
+        list(dual_codewords(code))
+    info = codes._dual_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    H, L = codes._dual_tables(code)
+    assert H.shape == (6, 7) and L.shape == (6, 49)
+    assert not H.flags.writeable and not L.flags.writeable
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_coordinate_enumerations_stay_in_bounded_blocks():
+    # at n = 1 (primal) and k = 1 (dual) one split table spans all p
+    # values; blocks of at most 2^16 columns keep the peak near that table
+    # (24 MB here), where one m x p index block took the oracle to 63 MB
+    p = 1_000_003
+    code = make_rs_code(FieldCtx(p), 3, 1)
+    lists = random_lists(p, 3, 5, 0)
+    codes._split_tables.cache_clear()
+    try:
+        prof, peak = _traced_peak_mb(lambda: brute_force_opi(code, lists))
+        assert peak <= 40
+        assert (prof.histogram, prof.best_x, prof.s_max) == _matmul_profile(code, lists)
+    finally:
+        codes._split_tables.cache_clear()
+    dual = make_rs_code(FieldCtx(p), 3, 2)
+    codes._dual_tables.cache_clear()
+    try:
+        chunks, peak = _traced_peak_mb(lambda: sum(1 for _ in dual_codewords(dual)))
+        assert peak <= 40 and chunks == -(-p // (1 << 16))
+    finally:
+        codes._dual_tables.cache_clear()
 
 
 def test_dual_min_distance_is_n_plus_1():
@@ -281,6 +412,17 @@ def test_split_kernel_argmax_tie_across_batches_goes_to_the_smaller_x():
     prof = brute_force_opi(code, lists)
     assert prof.s_max == 1 and prof.best_x == x1
     assert prof.histogram[m] == 2
+    _assert_split_kernel_matches_matmul(code, lists)
+
+
+def test_split_kernel_argmax_in_a_later_x_lo_slice():
+    # at n = 1 and p > 2^16 x_lo runs in slices of 2^16; only x = 69000,
+    # in the second slice, satisfies both constraints (B x = (x, x))
+    p = 70001
+    code = make_rs_code(FieldCtx(p), 2, 1)
+    lists = make_lists(p, [(5, 69000), (7, 69000)])
+    prof = brute_force_opi(code, lists)
+    assert prof.best_x == (69000,) and prof.s_max == 1
     _assert_split_kernel_matches_matmul(code, lists)
 
 

@@ -17,6 +17,7 @@ from opilab.leakage import (
     bucket_split_bound,
     certify_buckets,
     coverage_count,
+    dual_character_sums,
     indicator_spectrum,
     llr_rate_threshold,
     make_buckets,
@@ -229,6 +230,55 @@ def test_per_transcript_sum_obeys_a_lower_cap_after_a_cached_pass(monkeypatch):
     monkeypatch.setenv("OPILAB_BUDGET", "10")  # p^(m-n) = 343
     with pytest.raises(BudgetExceededError):
         per_transcript_sum(code, lists, 4)
+
+
+def test_expected_discrepancy_fourier_returns_a_copy_of_the_shared_pass():
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    lists = random_lists(7, 6, 3, 8)
+    first = expected_discrepancy_fourier(code, lists)
+    want = first.copy()
+    first[:] = 99.0
+    again = expected_discrepancy_fourier(code, lists)
+    assert again is not first and np.array_equal(again, want)
+    assert np.array_equal(dual_character_sums(code, lists)[0], want)
+
+
+def test_expected_discrepancy_fourier_obeys_a_lower_cap_after_a_cached_pass():
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    lists = random_lists(7, 6, 3, 10)
+    expected_discrepancy_fourier(code, lists)
+    with pytest.raises(BudgetExceededError):  # p^(m-n) = 343
+        expected_discrepancy_fourier(code, lists, budget=10)
+
+
+def test_the_fourier_route_and_the_transcript_sums_share_one_dual_pass(monkeypatch):
+    from opilab import codes, leakage
+
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    lists = random_lists(7, 6, 3, 11)
+    leakage._character_sums.cache_clear()
+    passes = []
+    original = codes.dual_codewords
+
+    def counting(code, budget=None):
+        passes.append(code.m)
+        return original(code, budget)
+
+    monkeypatch.setattr(codes, "dual_codewords", counting)
+    expected_discrepancy_fourier(code, lists)
+    for t in range(code.m + 1):
+        per_transcript_sum(code, lists, t)
+    assert passes == [6]
+
+
+def test_density_one_has_transcript_sums_but_no_normalized_route():
+    # every list is the whole field: only the zero codeword's product is 1
+    code = make_rs_code(FieldCtx(5), 4, 2)
+    lists = random_lists(5, 4, 5, 0)
+    assert per_transcript_sum(code, lists, 0) == 1
+    assert abs(per_transcript_sum(code, lists, 3)) < 1e-12
+    with pytest.raises(DomainError, match="density below 1"):
+        expected_discrepancy_fourier(code, lists)
 
 
 def test_parseval_split_identity():
