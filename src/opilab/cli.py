@@ -182,7 +182,7 @@ def cmd_leakage(args) -> int:
         "certified": fam.certification.get("mode", "analytic"),
     }
     if t < code.d_perp:
-        if lhs >= 1e-9:
+        if not eq[t].is_zero():
             raise IdentityViolationError(
                 f"dual sum {lhs} at weight {t} is nonzero below the dual distance "
                 f"{code.d_perp}",

@@ -13,6 +13,8 @@ p^(n // 2) and p^ceil(n / 2) columns; a batch of x_hi rows against a slice
 of x_lo is then one table gather and no matmul.  The dual pass splits the
 coefficients of the dual basis the same way, so each chunk of dual
 codewords is broadcast adds of table columns and one reduction mod p.
+Dual-code sums of tables over Z[omega], omega = e(1/p), are integers taken
+modulo primes P = 1 (mod p) and joined by CRT (`dual_weight_sums`).
 """
 
 from __future__ import annotations
@@ -311,6 +313,13 @@ def _span_tables(G: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(tables)
 
 
+def _span_tables_of(cached, code: MdsCode, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """cached(code) for the span tables of a k-column matrix, or its
+    uncached build when a table would span more than 2^16 columns, so that
+    no cache keeps a wide table after its call."""
+    return (cached if code.p ** -(-k // 2) <= _CHUNK else cached.__wrapped__)(code)
+
+
 @functools.lru_cache(maxsize=4)
 def _split_tables(code: MdsCode) -> tuple[np.ndarray, np.ndarray]:
     """(C, V_lo): the span tables of B, with 2 p i added to row i of C, so
@@ -344,7 +353,7 @@ def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None)
     total = p ** n
     if total > enumeration_budget(budget):
         raise BudgetExceededError(f"p^n = {total} exceeds budget")
-    C, V_lo = _split_tables(code)
+    C, V_lo = _span_tables_of(_split_tables, code, n)
     member = np.zeros((m, 2 * p), dtype=np.uint8)
     member[np.arange(m)[:, None], lists.sets] = 1
     member[:, p:] = member[:, :p]
@@ -380,7 +389,7 @@ def dual_codewords(code: MdsCode, budget: int | None = None):
     total = p ** code.dual_dim
     if total > enumeration_budget(budget):
         raise BudgetExceededError(f"p^(m-n) = {total} exceeds budget")
-    H, L = _dual_tables(code)
+    H, L = _span_tables_of(_dual_tables, code, code.dual_dim)
     width = L.shape[1]
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
@@ -398,35 +407,51 @@ def dual_codewords(code: MdsCode, budget: int | None = None):
         yield Y
 
 
-def dual_weight_sums(code: MdsCode, tables: np.ndarray, budget: int | None = None) -> np.ndarray:
-    """out[..., t] = sum over weight-t dual codewords y of prod_i table[i, y_i],
-    t = 0..m, for one m x p coordinate table or a stack of them, all in
-    one dual pass.  Each product is formed row by row from row 0, as
-    np.prod(axis=0) forms it, one row's gather at a time: no m x chunk
-    block of table values."""
-    m = code.m
-    tables = np.asarray(tables)
-    stack = tables.reshape(-1, m, code.p)
-    out = np.zeros((len(stack), m + 1), dtype=np.complex128)
+@functools.cache
+def _crt_prime(p: int, index: int) -> tuple[int, int]:
+    """The index-th largest prime P = 1 (mod p) below 2^31, and a g != 1
+    with g^p = 1 in F_P: omega = e(1/p) -> g maps Z[omega] onto F_P."""
+    P = _crt_prime(p, index - 1)[0] - p if index else 1 + ((1 << 31) - 2) // p * p
+    while P > p and not is_prime(P):
+        P -= p
+    if P <= p:
+        raise DomainError(f"too few primes P = 1 (mod {p}) below 2^31 for the dual sums")
+    return P, next(g for g in (pow(h, (P - 1) // p, P) for h in itertools.count(2)) if g != 1)
+
+
+def dual_weight_sums(code: MdsCode, tables_of, bound: int, budget: int | None = None) -> tuple[int, ...]:
+    """N_t = sum over weight-t dual codewords y of prod_i T[i, y_i], t = 0..m, for
+    an m x p table T over Z[omega] with integer |N_t| <= bound: one dual pass mod
+    `_crt_prime`s whose product exceeds 2 bound (`tables_of(primes)` gives T mod
+    each (P, g) as (primes, m, p) int64); a chunk's sums stay below 2^47."""
+    primes = [_crt_prime(code.p, 0)]
+    while math.prod(P for P, _ in primes) <= 2 * bound:
+        primes.append(_crt_prime(code.p, len(primes)))
+    tables, residues = None, np.zeros((len(primes), code.m + 1), dtype=np.int64)
     for Y in dual_codewords(code, budget):
-        w = (Y != 0).sum(axis=0)
-        for sums, table in zip(out, stack):
+        # built at the first chunk, once dual_codewords has checked the budget
+        tables = tables_of(primes) if tables is None else tables
+        w, buf = (Y != 0).sum(axis=0), np.empty(Y.shape[1], dtype=np.int64)
+        for (P, _), table, res in zip(primes, tables, residues):
             prod = table[0][Y[0]]
             for row, y in zip(table[1:], Y[1:]):
-                prod *= row[y]
-            sums += np.bincount(w, weights=prod.real, minlength=m + 1) + 1j * np.bincount(
-                w, weights=prod.imag, minlength=m + 1
-            )
-    return out.reshape(tables.shape[:-2] + (m + 1,))
+                # unbuffered take (y is in range); floor division is faster than %
+                prod *= np.take(row, y, out=buf, mode="clip")
+                prod -= np.multiply(np.floor_divide(prod, P, out=buf), P, out=buf)
+            res += np.bincount(w, weights=prod, minlength=code.m + 1).astype(np.int64)
+            res %= P
+    modulus = math.prod(P for P, _ in primes)  # CRT, then the symmetric residue
+    sums = [sum(r * (modulus // P) * pow(modulus // P, -1, P) for (P, _), r in zip(primes, col))
+            % modulus for col in residues.T.tolist()]
+    return tuple(x - modulus if 2 * x > modulus else x for x in sums)
 
 
 def min_dual_weight(code: MdsCode) -> int:
-    """Smallest nonzero dual weight, m + 1 when the dual code is {0}."""
-    counts = np.zeros(code.m + 1, dtype=np.int64)
-    for Y in dual_codewords(code):
-        counts += np.bincount((Y != 0).sum(axis=0), minlength=code.m + 1)
-    weights = np.flatnonzero(counts[1:]) + 1
-    return int(weights[0]) if weights.size else code.m + 1
+    """Smallest nonzero dual weight, m + 1 when the dual code is {0}: the
+    weight counts are the weight sums of a table of ones."""
+    ones = lambda primes: np.ones((len(primes), code.m, code.p), dtype=np.int64)
+    counts = dual_weight_sums(code, ones, code.p ** code.dual_dim)
+    return next((t for t in range(1, code.m + 1) if counts[t]), code.m + 1)
 
 
 def binomial_weights(m: int, rho: Fraction) -> list[Fraction]:

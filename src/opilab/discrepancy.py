@@ -5,8 +5,10 @@ normalized indicator values across the m constraints; because all lists
 share a common density, it collapses to a function of the satisfied count.
 All identities come in two independently computed routes, and every checker
 raises IdentityViolationError (with the instance attached) on disagreement.
-Exact arithmetic lives in Q(r); the canonical square-root weights leave
-Q(r), so they enter in high-precision floats, after the exact checks.
+Exact arithmetic lives in Q(r): both routes of E[q_t], the histogram and
+the integer dual character sums, are Q(r) values compared with ==.  The
+canonical square-root weights leave Q(r), so they enter in high-precision
+floats, after the exact checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import mpmath
-import numpy as np
 
 from .codes import (
     InputLists,
@@ -35,6 +36,9 @@ from .leakage import dual_character_sums
 from .quadext import QuadExt, beta_abs_of, beta_of, r_of, r_sq_of, zero
 from .rates import pair_count_exponent
 
+# Every route of this module is compared exactly.  The bound stays for
+# float checks outside the package that read it (the benchmark's
+# `desk_exact` and `large_instances` workloads).
 TWO_ROUTE_TOL = 1e-9
 # Floor on the mpmath digits of the canonical sampler's value.  Its routes
 # are compared exactly, before any weight enters, so the floor guards only
@@ -127,55 +131,31 @@ def expected_discrepancy_exact(code: MdsCode, lists: InputLists,
 
 
 def expected_discrepancy_fourier(code: MdsCode, lists: InputLists,
-                                 budget: int | None = None) -> np.ndarray:
+                                 budget: int | None = None) -> list[QuadExt]:
     """E[q_t] for every t as the dual-code sum of products of normalized
-    indicator Fourier coefficients (complex arithmetic): a copy of row 0 of
-    the instance's shared dual pass (`leakage.dual_character_sums`)."""
+    indicator Fourier coefficients, r F_i(y) / (p - |S|) off zero, exactly
+    in Q(r): r^t N_t / (p - |S|)^t for `leakage.dual_character_sums`' N_t."""
     if lists.rho == 1:
         raise DomainError("E[q_t] needs list density below 1")
-    return dual_character_sums(code, lists, budget)[0].copy()
-
-
-def discrepancy_routes(code: MdsCode, lists: InputLists,
-                       profile: SatisfactionProfile | None = None) -> tuple[list[QuadExt], float]:
-    """Both routes for E[q_t], t = 0..m, with agreement asserted.
-
-    Returns the exact values and the routes' largest relative difference,
-    imaginary residue included.  Below the dual distance the exact route
-    must be identically zero and the dual route has no codewords to sum.
-    """
-    exact = expected_discrepancy_exact(code, lists, profile)
-    fourier = expected_discrepancy_fourier(code, lists)
-    residual = 0.0
-    for t in range(code.m + 1):
-        ex = exact[t].to_float()
-        fo = fourier[t]
-        imag = abs(fo.imag) / max(1.0, abs(ex))
-        if imag > TWO_ROUTE_TOL:
-            raise IdentityViolationError(
-                f"dual sum at weight {t} has imaginary residue {fo.imag}",
-                instance=lists_to_json(lists),
-            )
-        real = abs(fo.real - ex) / max(1.0, abs(ex), abs(fo.real))
-        if real > TWO_ROUTE_TOL:
-            raise IdentityViolationError(
-                f"expected discrepancy routes disagree at weight {t}: "
-                f"exact {ex} vs dual sum {fo.real}",
-                instance=lists_to_json(lists),
-            )
-        residual = max(residual, imag, real)
-        if 0 < t < code.d_perp and not exact[t].real_is_zero():
-            raise IdentityViolationError(
-                f"expected discrepancy nonzero below the dual distance (t={t})",
-                instance=lists_to_json(lists),
-            )
-    return exact, residual
+    r, co_size = r_of(lists.rho), code.p - len(lists.sets[0])
+    return [_lift(Fraction(n, co_size ** t) * r.r_sq ** (t // 2), t % 2, r)
+            for t, n in enumerate(dual_character_sums(code, lists, budget))]
 
 
 def expected_discrepancy_all(code: MdsCode, lists: InputLists,
                              profile: SatisfactionProfile | None = None) -> list[QuadExt]:
-    """The exact values of `discrepancy_routes`."""
-    return discrepancy_routes(code, lists, profile)[0]
+    """E[q_t], t = 0..m, from the histogram, which must equal the dual
+    character sums' route in Q(r) and, below the dual distance, where the
+    dual code has no codewords to sum, be zero."""
+    exact = expected_discrepancy_exact(code, lists, profile)
+    for t, (ex, fo) in enumerate(zip(exact, expected_discrepancy_fourier(code, lists))):
+        below = 0 < t < code.d_perp and not ex.is_zero()
+        if ex != fo or below:
+            raise IdentityViolationError(
+                f"expected discrepancy nonzero below the dual distance (t={t})" if below else
+                f"expected discrepancy routes disagree at weight {t}: exact {ex} vs dual sum {fo}",
+                instance=lists_to_json(lists))
+    return exact
 
 
 # ---------- symmetric-difference counts ----------

@@ -2,8 +2,10 @@
 extremal bound, bucket covers, and the Cauchy-Schwarz split bound on the
 dual-code sum.
 
-Complex arithmetic is double precision; sums that are real by the y/-y
-pairing of the dual code are checked for small imaginary residue.
+The character sums F_i(y) = sum_{v in S_i} omega^(y v), omega = e(1/p), lie
+in Z[omega]; summed over the dual code (closed under F_p^* scaling, which
+permutes their conjugates) their products are integers, computed exactly by
+CRT (`codes.dual_weight_sums`).  Only the interval extremal check is complex.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .codes import (InputLists, MdsCode, dual_weight_sums,
 from .errors import BudgetExceededError, DomainError
 from .rates import binary_entropy, scan_max
 
-IMAG_RESIDUE_TOL = 1e-9
+_BLOCK = 1 << 16  # exponents gathered per block of a character table
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,6 @@ def indicator_spectrum(subset, p: int) -> IndicatorSpectrum:
     if abs((np.abs(coeffs) ** 2).sum() - rho) > 1e-10:
         raise DomainError("Parseval mass mismatch")
     return spec
-
-
-def spectrum_table(sets, p: int) -> np.ndarray:
-    """m x p table whose row i is the indicator DFT of sets[i]."""
-    return np.array([indicator_spectrum(s, p).coeffs for s in sets])
 
 
 def arc_bound(rho: Fraction, p: int) -> float:
@@ -287,52 +284,65 @@ def bucket_split_bound(code: MdsCode, lists: InputLists, buckets: BucketFamily,
     )
 
 
-def per_transcript_sum(code: MdsCode, lists: InputLists, t: int) -> complex:
-    """sum over weight-t dual codewords of prod_i spectrum_i(y_i), the
-    quantity shared with the leakage-resilience literature (0 for t
-    outside [0, m]: the sum is empty)."""
+def character_tables(sets, p: int, primes) -> np.ndarray:
+    """T[j, i, y] = F_i(y) = sum_{v in sets[i]} omega^(y v) mod P_j, y < p, for
+    each (P_j, g_j) of `primes`, omega sent to g_j, except T[j, i, 0] = 1: a
+    zero coordinate adds no factor.  Gathered in blocks of at most 2^16
+    exponents y v mod p (one y when a set is larger): O(m p) memory."""
+    mods = np.array([P for P, _ in primes], dtype=np.int64)[:, None]
+    powers, g = np.ones_like(mods), np.array([g for _, g in primes], dtype=np.int64)[:, None]
+    while powers.shape[1] < p:  # g^e for e < 2k from e < k, then g^(2k)
+        powers, g = np.hstack([powers, powers * g % mods]), g * g % mods
+    out = np.empty((len(primes), len(sets), p), dtype=np.int64)
+    for i, s in enumerate(sets):
+        rows = max(1, _BLOCK // len(s))
+        for y in range(0, p, rows):
+            exps = np.arange(y, min(y + rows, p))[:, None] * np.array(s) % p
+            out[:, i, y:y + rows] = powers[:, exps].sum(axis=2) % mods
+    out[:, :, 0] = 1
+    return out
+
+
+def per_transcript_sum(code: MdsCode, lists: InputLists, t: int) -> Fraction:
+    """sum over weight-t dual codewords of prod_i spectrum_i(y_i), shared with
+    the leakage-resilience literature: rho^(m-t) N_t / p^t, as the spectrum
+    is rho at 0 and F_i / p elsewhere (0 for t outside [0, m]: no codeword)."""
     if not 0 <= t <= code.m:
-        return 0j
-    return complex(dual_character_sums(code, lists)[1, t])
+        return Fraction(0)
+    return lists.rho ** (code.m - t) * Fraction(dual_character_sums(code, lists)[t], code.p ** t)
 
 
-def dual_character_sums(code: MdsCode, lists: InputLists, budget: int | None = None) -> np.ndarray:
-    """The instance's two dual-code character sums, every weight, from one
-    shared dual pass: row 0 sums the normalized spectrum (the spectrum over
-    sqrt(rho(1 - rho)), its zero coefficient set to 1), which is E[q_t];
-    row 1 the raw spectrum, the transcript sums.  Read-only: callers that
-    hand it on copy it."""
+def dual_character_sums(code: MdsCode, lists: InputLists, budget: int | None = None) -> tuple[int, ...]:
+    """N_t = sum over weight-t dual codewords y of prod_{i: y_i != 0} F_i(y_i),
+    t = 0..m: the integers behind E[q_t] and the transcript sums."""
     return _character_sums(code, lists, enumeration_budget(budget))
 
 
 @functools.lru_cache(maxsize=4)
-def _character_sums(code: MdsCode, lists: InputLists, budget: int) -> np.ndarray:
+def _character_sums(code: MdsCode, lists: InputLists, budget: int) -> tuple[int, ...]:
     """`dual_character_sums`, cached because E[q_t], the transcript sums
     and verify read the same pass.  The budget is part of the key, so a
-    lower cap still raises on a pair already summed."""
-    spec = spectrum_table(lists.sets, code.p)
-    # the normalized spectrum is undefined at density 1, where row 0 is nan
-    scale = (1.0 / math.sqrt(float(lists.rho) * float(1 - lists.rho))
-             if lists.rho < 1 else math.nan)
-    ghat = spec * scale
-    ghat[:, 0] = 1.0  # ghat at 0 set to 1: skips the factor
-    sums = dual_weight_sums(code, np.stack([ghat, spec]), budget)
-    sums.setflags(write=False)
-    return sums
+    lower cap still raises on a pair already summed.  Each product has at
+    most m factors, each of size at most |S|."""
+    return dual_weight_sums(code, lambda primes: character_tables(lists.sets, code.p, primes),
+                            code.p ** code.dual_dim * len(lists.sets[0]) ** code.m, budget)
 
 
-def parseval_split_identity(code: MdsCode, lists: InputLists, coords) -> tuple[float, float]:
-    """Both sides of the projection-bijection step: the dual-code sum of
-    squared coefficient products over `coords` (|coords| = m - n) vs the
-    product of the per-coordinate Parseval masses."""
-    coords = sorted(coords)
+def parseval_split_identity(code: MdsCode, lists: InputLists, coords) -> tuple[int, int]:
+    """Both sides of the projection-bijection step, as integers: the dual-code
+    sum of prod_{i in coords} F_i(y_i) F_i(-y_i) = |F_i(y_i)|^2 (|coords| =
+    m - n) vs the product of the Parseval masses sum_y |F_i(y)|^2 = p |S|."""
     if len(coords) != code.dual_dim:
         raise DomainError("need exactly m - n coordinates")
-    table = np.ones((code.m, code.p))
-    table[coords] = np.abs(spectrum_table(lists.sets, code.p)[coords]) ** 2
-    lhs = float(dual_weight_sums(code, table).sum().real)
-    rhs = float(lists.rho) ** len(coords)
-    return lhs, rhs
+    p, k, size = code.p, len(coords), len(lists.sets[0])
+
+    def tables_of(primes):
+        F = character_tables(lists.sets, p, primes)
+        F[:, :, 0] = size
+        squares = F * F[:, :, -np.arange(p) % p] % np.array([P for P, _ in primes])[:, None, None]
+        return np.where(np.isin(np.arange(code.m), coords)[:, None], squares, 1)
+
+    return sum(dual_weight_sums(code, tables_of, p ** k * size ** (2 * k))), (p * size) ** k
 
 
 def _log_comb(n: int, k: int) -> float:

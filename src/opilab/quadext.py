@@ -142,6 +142,9 @@ class QuadExt:
     def to_float(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(float(self.r_sq))
 
+    def __abs__(self) -> float:
+        return abs(self.to_float())
+
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.r_sq}))"
 

@@ -426,7 +426,11 @@ def tau_derivative_factor(rho: float, x: float) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError("x outside (0, 1)")
     beta_abs = abs(1.0 - 2.0 * rho) / math.sqrt(rho * (1.0 - rho))
-    return (beta_abs * math.sqrt(x / (1.0 - x)) + 2.0) ** 2 * (rho / (1.0 - rho)) * x * (1.0 - x)
+    try:
+        return (beta_abs * math.sqrt(x / (1.0 - x)) + 2.0) ** 2 * (rho / (1.0 - rho)) * x * (1.0 - x)
+    except OverflowError:  # the square overflows as rho -> 0, where rho / (1 - rho) cancels it
+        return ((abs(1.0 - 2.0 * rho) / (1.0 - rho)) * math.sqrt(x / (1.0 - x))
+                + 2.0 * math.sqrt(rho / (1.0 - rho))) ** 2 * x * (1.0 - x)
 
 
 def biased_mu_floor(rho: float) -> float:

@@ -30,7 +30,7 @@ from functools import cache, partial
 from itertools import combinations
 from types import SimpleNamespace
 
-from . import codes, discrepancy, kravchuk, leakage
+from . import codes, discrepancy, kravchuk, leakage, quadext
 from .errors import IdentityViolationError
 
 Row = namedtuple("Row", "identity suite kind mode check")
@@ -106,6 +106,19 @@ def _discrepancy_instances(code, seed, precision):
         yield "lists", desc, partial(_with_subset_sums, code, lists, xs, precision)
     yield "pair_counts", {"m": 6, "rho": str(rhos[0])}, partial(SimpleNamespace, rho=rhos[0])
     yield "sym_diff", {"m": 8}, SimpleNamespace
+    m = 11
+    sets = [[rng.randrange(2)] for _ in range(m)]
+    yield "parity", {"p": 2, "m": m, "n": m - 1, "sets": sets}, partial(
+        _parity_instance, sets, precision)
+
+
+def _parity_instance(sets, precision):
+    """The even-weight code over F_2 (generator rows e_1..e_(m-1) and the
+    all-ones row) with singleton lists: balanced, with dual distance m."""
+    m = len(sets)
+    B = [[int(i == j or i == m - 1) for j in range(m - 1)] for i in range(m)]
+    return SimpleNamespace(code=codes.make_code(codes.FieldCtx(2), B),
+                           lists=codes.make_lists(2, sets), precision=precision)
 
 
 def _leakage_instances(code, seed, precision):
@@ -261,6 +274,19 @@ def _pair_count_enumeration(inst):
         for k in range(3) for kp in range(3) for t in range(7)))
 
 
+def _canonical_closed_form(inst):
+    # below half the dual distance on balanced lists, E[s] is
+    # 1/2 + <w, A w> / (2m <w, w>) with the canonical weights' w_k = 1
+    m, ell, sigma = inst.code.m, 4, 2
+    spec = discrepancy.make_sampler(ell, sigma, weight_mode="canonical")
+    value = discrepancy.expected_sampled_satisfaction(
+        inst.code, inst.lists, spec, precision_digits=inst.precision)["value"]
+    want = 0.5 + sum(math.sqrt(k * (m + 1 - k))
+                     for k in range(ell - sigma + 1, ell + 1)) / (m * (sigma + 1))
+    # the value carries `precision` digits, a float at most 16
+    return abs(value - want), abs(value - want) <= 10.0 ** (2 - min(inst.precision, 14))
+
+
 def _sym_diff_closed_form(inst):
     return _exact("ks", (((ks,), discrepancy.count_sym_diff(ks, 0, 8)
                           == discrepancy.count_sym_diff_zero_closed(ks, 8))
@@ -270,18 +296,17 @@ def _sym_diff_closed_form(inst):
 # ---------- fourier ----------
 
 def _dual_sum(inst):
-    eq, residual = discrepancy.discrepancy_routes(inst.code, inst.lists, inst.prof)
-    _exact("t", [((0,), eq[0].real_equals(1))])
-    return residual, residual <= discrepancy.TWO_ROUTE_TOL
+    eq = discrepancy.expected_discrepancy_all(inst.code, inst.lists, inst.prof)
+    return _exact("t", [((0,), eq[0].real_equals(1))])
 
 
 def _transcript_scaling(inst):
+    # the dual pass's transcript sums = rho^m r^t E[q_t] by the histogram route
     code, lists = inst.code, inst.lists
-    fq, ts = leakage.dual_character_sums(code, lists)  # both sides of one dual pass
-    rho = float(lists.rho)
-    worst = max(abs(rho ** (t / 2 - code.m) * (1 - rho) ** (-t / 2) * ts[t] - fq[t])
-                / max(1.0, abs(fq[t])) for t in range(code.m + 1))
-    return worst, worst < 1e-9
+    eq = discrepancy.expected_discrepancy_exact(code, lists, inst.prof)
+    r, rho_m = quadext.r_of(lists.rho), lists.rho ** code.m
+    return _exact("t", (((t,), (eq[t] * r ** t * rho_m).real_equals(
+        leakage.per_transcript_sum(code, lists, t))) for t in range(code.m + 1)))
 
 
 def _dual_distance(inst):
@@ -310,10 +335,9 @@ def _split_bound(inst):
 
 
 def _parseval_chain(inst):
-    code = inst.code
-    lhs, rhs = leakage.parseval_split_identity(code, inst.lists, tuple(range(code.m - code.n)))
-    rel = abs(lhs - rhs) / max(1.0, rhs)
-    return rel, rel < 1e-9
+    coords = tuple(range(inst.code.dual_dim))
+    lhs, rhs = leakage.parseval_split_identity(inst.code, inst.lists, coords)
+    return _exact("coords", [((coords,), lhs == rhs)])
 
 
 def _coverage(inst):
@@ -344,12 +368,14 @@ ROWS = (
     Row("pair_count_enumeration", "discrepancy", "pair_counts", "exact",
         _pair_count_enumeration),
     Row("sym_diff_zero_closed_form", "discrepancy", "sym_diff", "exact", _sym_diff_closed_form),
-    Row("dual_sum_vs_enumeration", "fourier", "lists", "exact+float", _dual_sum),
-    Row("transcript_scaling", "fourier", "lists", "float", _transcript_scaling),
+    Row("canonical_weight_closed_form", "discrepancy", "parity", "float",
+        _canonical_closed_form),
+    Row("dual_sum_vs_enumeration", "fourier", "lists", "exact", _dual_sum),
+    Row("transcript_scaling", "fourier", "lists", "exact", _transcript_scaling),
     Row("dual_distance", "fourier", "code", "exact", _dual_distance),
     Row("interval_extremal_spectrum", "leakage", "arc", "float", _arc_extremal),
     Row("bucket_split_bound_dominates", "leakage", "buckets", "float", _split_bound),
-    Row("projection_parseval_chain", "leakage", "code", "float", _parseval_chain),
+    Row("projection_parseval_chain", "leakage", "code", "exact", _parseval_chain),
     Row("coverage_count_formula", "leakage", "coverage", "exact", _coverage),
 )
 

@@ -3,14 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from opilab import codes, leakage, verify
 from opilab.cli import main
 from opilab.errors import IdentityViolationError
+from opilab.quadext import QuadExt
 
 
 def run_cli(args, capsys):
@@ -343,8 +344,9 @@ def test_leakage_budget_obeys_a_lower_cap_after_a_cached_pass(capsys):
 def test_leakage_nonzero_dual_sum_below_dual_distance_is_violation(monkeypatch, capsys):
     from opilab import discrepancy
 
+    half = QuadExt.of(Fraction(1, 2), 0, 1)
     monkeypatch.setattr(discrepancy, "expected_discrepancy_fourier",
-                        lambda code, lists, budget=None: np.full(code.m + 1, 0.5 + 0j))
+                        lambda code, lists, budget=None: [half] * (code.m + 1))
     code, out = run_cli(["leakage", "--p", "11", "--m", "8", "--n", "6", "--t", "3"], capsys)
     assert code == 1
     obj = json.loads(out, parse_constant=_reject_constant)
@@ -444,13 +446,12 @@ def test_verify_all_yields_a_record_for_every_row(capsys):
     code, out = run_cli(["verify", "--suite", "all"], capsys)
     report = json.loads(out)
     assert code == 0 and report["passed"]
-    assert report["checks"] == 54
+    assert report["checks"] == 55
     assert {r["identity"] for r in report["identities"]} == {row.identity for row in verify.ROWS}
-    from opilab.discrepancy import TWO_ROUTE_TOL
-
-    dual = [r["max_abs_residual"] for r in report["identities"]
-            if r["identity"] == "dual_sum_vs_enumeration"]
-    assert len(dual) == 3 and all(0 <= v <= TWO_ROUTE_TOL for v in dual)
+    fourier = [(r["mode"], r["max_abs_residual"]) for r in report["identities"]
+               if r["identity"] in ("dual_sum_vs_enumeration", "transcript_scaling",
+                                    "projection_parseval_chain")]
+    assert fourier == [("exact", 0.0)] * 7
 
 
 def _broken_orthogonality(fam):

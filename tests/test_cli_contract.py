@@ -142,6 +142,7 @@ def test_thresholds_contract(bound, rho):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.integers(-2, 4), st.none() | _rho())
+@example(4, 1, 2.2250738585e-313)  # a subnormal density: f_rho's square overflowed a float
 def test_curve_contract(figure, grid, rho):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["curve", "--figure", str(figure), "--grid", str(grid),

@@ -88,28 +88,30 @@ def enumerate_dual_by_weight(code, t):
 
 
 def _python_weight_sums(code, table):
-    out = [0j] * (code.m + 1)
+    out = [0] * (code.m + 1)
     for t in range(code.m + 1):
         for y in enumerate_dual_by_weight(code, t):
-            term = 1 + 0j
-            for i, v in enumerate(y):
-                term *= table[i, v]
-            out[t] += term
+            out[t] += math.prod(int(table[i, v]) for i, v in enumerate(y))
     return out
+
+
+def _residue_tables(table):
+    """tables_of for a fixed integer table: its residues mod each prime."""
+    return lambda primes: np.stack([np.asarray(table, dtype=np.int64) % P for P, _ in primes])
 
 
 @pytest.mark.parametrize("p, m, n", [(7, 6, 3), (5, 4, 1), (5, 4, 4)])
 def test_dual_weight_sums_match_a_product_over_listed_codewords(p, m, n):
+    # signed integer entries: the CRT must return negative sums as such
     code = make_rs_code(FieldCtx(p), m, n)
     rng = np.random.default_rng(p * 100 + m * 10 + n)
-    table = rng.normal(size=(m, p)) + 1j * rng.normal(size=(m, p))
+    table = rng.integers(-50, 51, size=(m, p))
     want = _python_weight_sums(code, table)
-    whole = dual_weight_sums(code, table)
-    assert whole.shape == (m + 1,)
-    for t in range(m + 1):
-        assert abs(whole[t] - want[t]) <= 1e-12 * max(1.0, abs(want[t]))
+    got = dual_weight_sums(code, _residue_tables(table), p ** (m - n) * 50**m)
+    assert got == tuple(want) and all(type(v) is int for v in got)
+    assert n == m or any(v < 0 for v in want)
     if n == m:  # only the zero codeword: the product of column 0
-        assert abs(whole[0] - np.prod(table[:, 0])) <= 1e-12
+        assert got[0] == math.prod(int(v) for v in table[:, 0])
         assert min_dual_weight(code) == m + 1
 
 
@@ -127,17 +129,23 @@ def _matmul_dual_codewords(code):
         yield (D.T @ C) % p
 
 
-def _matmul_weight_sums(code, table):
-    """dual_weight_sums of one table by the matmul chunks and np.prod over
-    one m x chunk gather."""
+def _matmul_weight_sums(code, table, P=0):
+    """The weight sums of one integer table by the matmul chunks and one
+    m x chunk gather each: exact for small entries, or mod P when P is
+    given, reduced after each row."""
     m = code.m
-    out = np.zeros(m + 1, dtype=np.complex128)
+    out = [0] * (m + 1)
     for Y in _matmul_dual_codewords(code):
+        vals = table[np.arange(m)[:, None], Y]
+        prod = vals[0].copy()
+        for row in vals[1:]:
+            prod *= row
+            if P:
+                prod %= P
         w = (Y != 0).sum(axis=0)
-        prod = np.prod(table[np.arange(m)[:, None], Y], axis=0)
-        out += np.bincount(w, weights=prod.real, minlength=m + 1) + 1j * np.bincount(
-            w, weights=prod.imag, minlength=m + 1)
-    return out
+        for t in range(m + 1):
+            out[t] += int(prod[w == t].sum())
+    return [v % P for v in out] if P else out
 
 
 # k = m - n = 0, 1, 2, 3, 4, 5; (11, 10, 5) spans three chunks and its
@@ -167,20 +175,30 @@ def test_dual_chunks_match_the_matmul_route(p, m, n):
 def test_dual_weight_sums_equal_the_matmul_route_bit_for_bit(p, m, n):
     code = make_rs_code(FieldCtx(p), m, n)
     rng = np.random.default_rng(p * 100 + m * 10 + n)
-    tables = rng.normal(size=(3, m, p)) + 1j * rng.normal(size=(3, m, p))
-    want = [_matmul_weight_sums(code, table) for table in tables]
-    stacked = dual_weight_sums(code, tables)
-    assert stacked.shape == (3, m + 1)
-    for i, table in enumerate(tables):
-        single = dual_weight_sums(code, table)
-        assert single.shape == (m + 1,)
-        assert np.array_equal(single, want[i]) and np.array_equal(stacked[i], want[i])
-    real = np.abs(tables[0])  # a real table, as parseval_split_identity passes
-    assert np.array_equal(dual_weight_sums(code, real), _matmul_weight_sums(code, real))
+    # a small integer table: the int64 matmul products are exact
+    table = rng.integers(-3, 4, size=(m, p))
+    got = dual_weight_sums(code, _residue_tables(table), p ** (m - n) * 3**m)
+    assert list(got) == _matmul_weight_sums(code, table)
+    # character tables over Z[omega]: every prime's residues, one pass for all
+    lists = random_lists(p, m, max(1, p // 2), p * m + n)
+    used = []
+
+    def tables_of(primes):
+        used.extend(primes)
+        return leakage.character_tables(lists.sets, p, primes)
+
+    sums = dual_weight_sums(code, tables_of, p ** (m - n) * len(lists.sets[0]) ** m)
+    assert used == [codes._crt_prime(p, j) for j in range(len(used))]
+    for P, g in used:
+        table = leakage.character_tables(lists.sets, p, [(P, g)])[0]
+        assert [v % P for v in sums] == _matmul_weight_sums(code, table, P)
+    assert sums == leakage.dual_character_sums(code, lists)
 
 
 def test_shared_pass_equals_the_matmul_route_on_every_criterion_7_instance():
-    # acceptance criterion 7's 1,000 instances, drawn as it draws them
+    # acceptance criterion 7's 1,000 instances, drawn as it draws them: the
+    # shared pass mod its first prime against the matmul route, and both
+    # of its readers against the histogram route, exactly
     rng = random.Random(20240811)
     shapes = [(p, m, n) for p in (5, 7, 11) for m in range(2, min(p, 8) + 1)
               for n in range(1, m) if p**n <= 20000 and p ** (m - n) <= 20000]
@@ -189,13 +207,16 @@ def test_shared_pass_equals_the_matmul_route_on_every_criterion_7_instance():
         size = rng.randint(1, p - 1)
         code = make_rs_code(FieldCtx(p), m, n)
         lists = random_lists(p, m, size, rng.randrange(2**32))
-        raw = leakage.spectrum_table(lists.sets, p)
-        ghat = raw * (1.0 / math.sqrt(float(lists.rho) * float(1 - lists.rho)))
-        ghat[:, 0] = 1.0
-        assert np.array_equal(discrepancy.expected_discrepancy_fourier(code, lists),
-                              _matmul_weight_sums(code, ghat))
-        transcripts = [leakage.per_transcript_sum(code, lists, t) for t in range(m + 1)]
-        assert np.array_equal(np.array(transcripts), _matmul_weight_sums(code, raw))
+        sums = leakage.dual_character_sums(code, lists)
+        P, g = codes._crt_prime(p, 0)
+        table = leakage.character_tables(lists.sets, p, [(P, g)])[0]
+        assert [v % P for v in sums] == _matmul_weight_sums(code, table, P)
+        exact = discrepancy.expected_discrepancy_exact(code, lists)
+        assert discrepancy.expected_discrepancy_fourier(code, lists) == exact
+        r = discrepancy.r_of(lists.rho)
+        for t in range(m + 1):
+            assert (exact[t] * r**t * lists.rho**m).real_equals(
+                leakage.per_transcript_sum(code, lists, t))
 
 
 def test_dual_tables_are_built_once_per_code_and_read_only():
@@ -240,6 +261,62 @@ def test_one_coordinate_enumerations_stay_in_bounded_blocks():
         assert peak <= 40 and chunks == -(-p // (1 << 16))
     finally:
         codes._dual_tables.cache_clear()
+
+
+def test_no_wide_span_table_stays_cached_after_its_call():
+    # at n = 1 (oracle) and k = m - n = 1 (dual pass) a span table covers
+    # all p values, 24 MB each here: such tables are rebuilt per call
+    p = 1_000_003
+    code, dual = make_rs_code(FieldCtx(p), 3, 1), make_rs_code(FieldCtx(p), 3, 2)
+    lists = random_lists(p, 3, 5, 0)
+    codes._split_tables.cache_clear()
+    codes._dual_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        brute_force_opi(code, lists)
+        sum(1 for _ in dual_codewords(dual))
+        held = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+        codes._split_tables.cache_clear()
+        codes._dual_tables.cache_clear()
+    assert held <= 4
+
+
+def _mds_weight_count(q, m, d, w):
+    """A_w of a length-m MDS code over F_q with minimum distance d."""
+    if w == 0:
+        return 1
+    return math.comb(m, w) * sum((-1) ** j * math.comb(w, j) * (q ** (w - d + 1 - j) - 1)
+                                 for j in range(w - d + 1))
+
+
+def test_constant_table_sums_follow_the_mds_weight_enumerator():
+    # every nonzero entry c: the weight-t sum is A_t c^t, A_t from the
+    # weight enumerator of the dual [m, m - n, n + 1] MDS code.  c^6 needs
+    # five CRT primes; with one fewer the largest sums come back wrong.
+    p, m, n = 7, 6, 3
+    code = make_rs_code(FieldCtx(p), m, n)
+    c = -(2**20) - 3
+
+    def tables_of(primes):
+        tables = np.stack([np.full((m, p), c % P, dtype=np.int64) for P, _ in primes])
+        tables[:, :, 0] = 1
+        return tables
+
+    want = [_mds_weight_count(p, m, n + 1, t) * c**t for t in range(m + 1)]
+    assert dual_weight_sums(code, tables_of, p ** (m - n) * abs(c) ** m) == tuple(want)
+    assert abs(want[m]) > math.prod(codes._crt_prime(p, j)[0] for j in range(4))
+
+
+def test_dual_character_sums_can_be_negative():
+    # a seeded (7, 6, 3) draw whose weight-5 sum is negative: the CRT
+    # returns it signed, and E[q_t] by the histogram route agrees
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    lists = random_lists(7, 6, 2, 5)
+    assert leakage.dual_character_sums(code, lists) == (1, 0, 0, 0, 5, -16, -52)
+    assert (discrepancy.expected_discrepancy_fourier(code, lists)
+            == discrepancy.expected_discrepancy_exact(code, lists))
 
 
 def test_dual_min_distance_is_n_plus_1():

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from opilab.codes import FieldCtx, dual_weight_sums, make_rs_code, random_lists
-from opilab.discrepancy import expected_discrepancy_fourier
+from opilab import codes, leakage
+from opilab.codes import FieldCtx, dual_codewords, make_rs_code, random_lists
+from opilab.discrepancy import expected_discrepancy_exact, expected_discrepancy_fourier
 from opilab.errors import BudgetExceededError, DomainError
 from opilab.leakage import (
     BucketFamily,
@@ -16,6 +18,7 @@ from opilab.leakage import (
     arc_extremal_check,
     bucket_split_bound,
     certify_buckets,
+    character_tables,
     coverage_count,
     dual_character_sums,
     indicator_spectrum,
@@ -23,8 +26,8 @@ from opilab.leakage import (
     make_buckets,
     parseval_split_identity,
     per_transcript_sum,
-    spectrum_table,
 )
+from opilab.quadext import r_of
 
 
 def test_spectrum_full_set_and_singleton():
@@ -167,15 +170,13 @@ def test_split_bound_requires_dual_weight():
 
 
 def test_transcript_scaling_identity():
-    # E[q_t] = rho^(t/2-m) (1-rho)^(-t/2) * transcript sum
+    # E[q_t] = rho^(t/2-m) (1-rho)^(-t/2) * transcript sum = rho^-m r^-t * transcript sum
     code = make_rs_code(FieldCtx(7), 6, 3)
     lists = random_lists(7, 6, 2, 9)
-    rho = float(lists.rho)
+    r, rho = r_of(lists.rho), lists.rho
     eq = expected_discrepancy_fourier(code, lists)
     for t in range(code.m + 1):
-        ts = per_transcript_sum(code, lists, t)
-        scaled = rho ** (t / 2 - code.m) * (1 - rho) ** (-t / 2) * ts
-        assert abs(scaled - eq[t]) < 1e-9 * max(1.0, abs(eq[t]))
+        assert (eq[t] * r**t * rho**code.m).real_equals(per_transcript_sum(code, lists, t))
 
 
 def test_near_balanced_transcript_factor():
@@ -193,20 +194,59 @@ def test_near_balanced_transcript_factor():
         assert (1 - 2 / p) ** m <= ratio <= (1 + 2 / p) ** m
 
 
-def test_spectrum_table_rows_are_indicator_spectra():
-    sets = [[0, 3], [], [1, 2, 4], list(range(5))]
-    table = spectrum_table(sets, 5)
-    assert table.shape == (4, 5) and table.dtype == np.complex128
-    for row, s in zip(table, sets):
-        assert np.array_equal(row, indicator_spectrum(s, 5).coeffs)
+@pytest.mark.parametrize("block", [1 << 16, 4])
+def test_character_tables_are_power_sums_mod_each_prime(block, monkeypatch):
+    # at a block of 4 exponents a set larger than it takes one y per block
+    monkeypatch.setattr(leakage, "_BLOCK", block)
+    p = 101
+    sets = [[0], [3, 5, 99], list(range(0, p, 2))]
+    primes = [codes._crt_prime(p, j) for j in range(2)]
+    tables = character_tables(sets, p, primes)
+    assert tables.shape == (2, 3, p) and tables.dtype == np.int64
+    for (P, g), table in zip(primes, tables):
+        assert pow(g, p, P) == 1 != g
+        for row, s in zip(table, sets):
+            # column 0 is 1: a zero coordinate of a codeword adds no factor
+            want = [1] + [sum(pow(g, y * v % p, P) for v in s) % P for y in range(1, p)]
+            assert row.tolist() == want
+
+
+def test_character_tables_stay_in_blocks_at_large_p():
+    # |S| = p/2 at p = 4001: one p x |S| block per row would take 128 MB
+    p = 4001
+    code = make_rs_code(FieldCtx(p), 3, 2)
+    lists = random_lists(p, 3, p // 2, 0)
+    leakage._character_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        sums = dual_character_sums(code, lists)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16
+    assert sums[:3] == (1, 0, 0) and sums[3] != 0  # the dual distance is 3
+
+
+def _complex_transcript_sums(code, lists):
+    """The transcript sums in complex doubles: the indicator spectra's
+    products over every dual codeword, summed by weight."""
+    table = np.array([indicator_spectrum(s, code.p).coeffs for s in lists.sets])
+    out = np.zeros(code.m + 1, dtype=np.complex128)
+    for Y in dual_codewords(code):
+        prod = np.prod(table[np.arange(code.m)[:, None], Y], axis=0)
+        np.add.at(out, (Y != 0).sum(axis=0), prod)
+    return out
 
 
 def test_per_transcript_sum_is_one_entry_of_the_weight_sums():
     code = make_rs_code(FieldCtx(7), 6, 3)
     lists = random_lists(7, 6, 3, 5)
-    sums = dual_weight_sums(code, spectrum_table(lists.sets, 7))
+    sums = leakage.dual_character_sums(code, lists)
+    floats = _complex_transcript_sums(code, lists)
     for t in range(code.m + 1):
-        assert abs(per_transcript_sum(code, lists, t) - sums[t]) < 1e-15
+        ts = per_transcript_sum(code, lists, t)
+        assert ts == lists.rho ** (code.m - t) * Fraction(sums[t], 7**t)
+        assert abs(complex(ts) - floats[t]) < 1e-15 and ts.imag == 0
     for t in (-1, code.m + 1):  # no dual codeword has that weight
         assert per_transcript_sum(code, lists, t) == 0j
 
@@ -217,10 +257,10 @@ def test_per_transcript_sum_never_shares_a_cached_entry_between_lists():
     assert first != second
     got = {}
     for lists in (first, second, first, second):
-        sums = dual_weight_sums(code, spectrum_table(lists.sets, 7))
-        got[lists] = np.array([per_transcript_sum(code, lists, t) for t in range(code.m + 1)])
-        assert np.array_equal(got[lists], sums)
-    assert np.abs(got[first] - got[second]).max() > 1e-6
+        sums = leakage._character_sums.__wrapped__(code, lists, codes.enumeration_budget())
+        got[lists] = [per_transcript_sum(code, lists, t) for t in range(code.m + 1)]
+        assert got[lists] == [lists.rho ** (6 - t) * Fraction(v, 7**t) for t, v in enumerate(sums)]
+    assert got[first] != got[second]
 
 
 def test_per_transcript_sum_obeys_a_lower_cap_after_a_cached_pass(monkeypatch):
@@ -236,11 +276,14 @@ def test_expected_discrepancy_fourier_returns_a_copy_of_the_shared_pass():
     code = make_rs_code(FieldCtx(7), 6, 3)
     lists = random_lists(7, 6, 3, 8)
     first = expected_discrepancy_fourier(code, lists)
-    want = first.copy()
-    first[:] = 99.0
+    want = list(first)
+    first[:] = [first[0]] * len(first)
     again = expected_discrepancy_fourier(code, lists)
-    assert again is not first and np.array_equal(again, want)
-    assert np.array_equal(dual_character_sums(code, lists)[0], want)
+    assert again is not first and again == want
+    # the shared pass is an immutable tuple of integers
+    sums = dual_character_sums(code, lists)
+    assert isinstance(sums, tuple) and all(type(v) is int for v in sums)
+    assert again == expected_discrepancy_exact(code, lists)
 
 
 def test_expected_discrepancy_fourier_obeys_a_lower_cap_after_a_cached_pass():
@@ -286,7 +329,7 @@ def test_parseval_split_identity():
     lists = random_lists(7, 6, 3, 4)
     for coords in ((0, 1, 2), (3, 4, 5), (0, 2, 4)):
         lhs, rhs = parseval_split_identity(code, lists, coords)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert lhs == rhs == (7 * 3) ** 3
 
 
 def test_audited_certificates_never_tighten_the_guarantee():
