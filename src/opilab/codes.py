@@ -1,20 +1,22 @@
-"""Prime-field arithmetic, MDS code construction, dual enumeration, and the
-brute-force satisfaction oracle.
+"""Prime-field arithmetic, MDS code construction, and the one codeword
+enumeration behind the brute-force satisfaction oracle and the dual pass.
 
 Everything here is exact: matrices are tuples of ints reduced mod p, the
 oracle histogram is computed over the full solution space, and moment
 comparisons use rational arithmetic.  Enumerations are chunked through
 numpy for speed but their results do not depend on the chunking.
 
-Both enumerations read a linear span from two per-code split tables.  The
-oracle splits each solution x into (x_hi, x_lo), x_hi its n // 2 leading
-coordinates, so that B x = B_hi x_hi + B_lo x_lo (mod p) reads tables of
-p^(n // 2) and p^ceil(n / 2) columns; a batch of x_hi rows against a slice
-of x_lo is then one table gather and no matmul.  The dual pass splits the
-coefficients of the dual basis the same way, so each chunk of dual
-codewords is broadcast adds of table columns and one reduction mod p.
-Dual-code sums of tables over Z[omega], omega = e(1/p), are integers taken
-modulo primes P = 1 (mod p) and joined by CRT (`dual_weight_sums`).
+One generator, `_codeword_chunks`, enumerates the span of any m x k
+generator matrix G.  It splits each coefficient vector c into (c_hi, c_lo),
+c_hi its k // 2 leading coordinates, so that G c = G_hi c_hi + G_lo c_lo
+(mod p) reads two cached tables of p^(k // 2) and p^ceil(k / 2) columns
+(`_span_tables`).  A chunk of about 2^16 entries is one broadcast add of
+table columns and no reduction: row i holds H + L in [0, 2p) plus 2 p i,
+so the chunk indexes the ravel of any m x 2p table that stores each row
+twice.  The oracle gathers a doubled membership table at the codewords
+B x; the dual pass gathers doubled tables over Z[omega], omega = e(1/p),
+modulo primes P = 1 (mod p) and joins the integer sums by CRT
+(`dual_weight_sums`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 
 DEFAULT_ENUM_BUDGET = 10_000_000
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # entries per enumeration chunk; columns of the widest cached span table
 
 # Witnesses making Miller-Rabin deterministic below 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -270,12 +272,15 @@ def lists_to_json(lists: InputLists) -> str:
 
 
 def lists_from_json(text: str) -> InputLists:
-    """InputLists from the file format {"p": int, "sets": [[int]]}."""
+    """InputLists from the file format {"p": int, "sets": [[int]]}: p and
+    every element must be JSON integers, not floats, strings or booleans."""
     obj = json.loads(text)
-    if not (isinstance(obj, dict) and isinstance(obj.get("p"), int)
-            and isinstance(obj.get("sets"), list)
+    if not (isinstance(obj, dict) and "p" in obj and isinstance(obj.get("sets"), list)
             and all(isinstance(s, list) for s in obj["sets"])):
         raise DomainError('lists must be a JSON object {"p": int, "sets": [[int]]}')
+    for v in (obj["p"], *itertools.chain.from_iterable(obj["sets"])):
+        if type(v) is not int:
+            raise DomainError(f"p and list elements must be JSON integers, got {json.dumps(v)}")
     return make_lists(obj["p"], obj["sets"])
 
 
@@ -295,83 +300,68 @@ class SatisfactionProfile:
         return self.p ** self.n
 
 
-def _span_tables(G: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H, L) for the column span of the m x k matrix G over F_p, split at
-    its k // 2 leading columns: H[:, h] = G_hi c_hi mod p over every c_hi
-    and L[:, l] = G_lo c_lo mod p over every c_lo, both in C order, so
-    that span vector h * L.shape[1] + l, coefficients in lexicographic
-    order, is (H[:, h] + L[:, l]) mod p.  k = 0 gives one zero column each.
-    Read-only, as its callers cache them per code."""
-    k = G.shape[1]
-    tables = []
-    for cols in (G[:, :k // 2], G[:, k // 2:]):
-        j = cols.shape[1]
-        table = cols @ np.indices((p,) * j).reshape(j, p**j)
-        table %= p
-        table.setflags(write=False)
-        tables.append(table)
-    return tuple(tables)
+@functools.lru_cache(maxsize=8)
+def _span_tables(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H, L) for the column span of the m x k matrix G over F_p given by its
+    `rows`, split at its k // 2 leading columns: H[i, h] = (G_hi c_hi)_i mod p
+    + 2 p i over every c_hi and L[i, l] = (G_lo c_lo)_i mod p over every
+    c_lo, both in C order.  k = 0 gives one column each.  Read-only, as the
+    cache shares them."""
+    G = np.array(rows, dtype=np.int64)
+    m, k = G.shape
+    H, L = (G[:, c] @ np.indices((p,) * len(c)).reshape(len(c), p ** len(c))
+            for c in (range(k // 2), range(k // 2, k)))
+    H %= p
+    L %= p
+    H += 2 * p * np.arange(m)[:, None]
+    H.setflags(write=False)
+    L.setflags(write=False)
+    return H, L
 
 
-def _span_tables_of(cached, code: MdsCode, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """cached(code) for the span tables of a k-column matrix, or its
-    uncached build when a table would span more than 2^16 columns, so that
-    no cache keeps a wide table after its call."""
-    return (cached if code.p ** -(-k // 2) <= _CHUNK else cached.__wrapped__)(code)
-
-
-@functools.lru_cache(maxsize=4)
-def _split_tables(code: MdsCode) -> tuple[np.ndarray, np.ndarray]:
-    """(C, V_lo): the span tables of B, with 2 p i added to row i of C, so
-    that it starts row i of the oracle's flat membership array."""
-    C, V_lo = _span_tables(np.array(code.B, dtype=np.int64), code.p)
-    C = C + 2 * code.p * np.arange(code.m)[:, None]
-    C.setflags(write=False)
-    return C, V_lo
-
-
-@functools.lru_cache(maxsize=4)
-def _dual_tables(code: MdsCode) -> tuple[np.ndarray, np.ndarray]:
-    """The span tables of the dual basis, as the columns of an m x (m - n)
-    matrix."""
-    G = np.array(code.dual_basis, dtype=np.int64).reshape(code.dual_dim, code.m).T
-    return _span_tables(G, code.p)
+def _codeword_chunks(rows, p: int):
+    """Yield (start, S) over the p^k vectors G c of the span of the m x k
+    matrix G given by its `rows`, coefficient vectors c in lexicographic
+    order: column j of the m x c int64 array S is vector start + j, as
+    H[:, h] + L[:, l] from `_span_tables`.  So S holds unreduced sums in
+    [2 p i, 2 p i + 2 p) on row i: it indexes the ravel of any m x 2p table
+    that stores each row twice, and S % p is the vectors.  A chunk holds
+    about 2^16 entries; no table wider than 2^16 columns stays cached."""
+    m = len(rows)
+    k = len(rows[0])
+    H, L = (_span_tables if p ** -(-k // 2) <= _CHUNK else _span_tables.__wrapped__)(rows, p)
+    width = L.shape[1]
+    size = max(1, _CHUNK // m)  # vectors per chunk
+    batch, step = max(1, size // width), min(size, width)
+    for h in range(0, H.shape[1], batch):
+        for l in range(0, width, step):
+            yield h * width + l, (H[:, h:h + batch, None] + L[:, None, l:l + step]).reshape(m, -1)
 
 
 def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None) -> SatisfactionProfile:
     """Enumerate all p^n solutions; ties in the argmax go to the
-    lexicographically smallest x.
-
-    Each membership row is stored twice, so entry c + v of row i is
-    member_i[(c + v) mod p] for table entries c, v < p.  A batch of x_hi
-    rows against a slice of at most 2^16 x_lo is one block of counts in C
-    order, so its flat argmax is the block's lexicographically smallest
-    best x."""
+    lexicographically smallest x, the first maximum of the first chunk
+    that holds one.  Each chunk is one gather of the doubled membership
+    table at the chunk's codewords B x."""
     p, m, n = code.p, code.m, code.n
     if lists.p != p or lists.m != m:
         raise DomainError("lists do not match the code")
     total = p ** n
     if total > enumeration_budget(budget):
         raise BudgetExceededError(f"p^n = {total} exceeds budget")
-    C, V_lo = _span_tables_of(_split_tables, code, n)
     member = np.zeros((m, 2 * p), dtype=np.uint8)
     member[np.arange(m)[:, None], lists.sets] = 1
     member[:, p:] = member[:, :p]
     member = member.ravel()
-    hi, lo = C.shape[1], V_lo.shape[1]
-    width = min(lo, _CHUNK)
-    batch = max(1, _CHUNK // (m * width))
     count_dtype = np.min_scalar_type(m)  # the counts reach m
     hist = np.zeros(m + 1, dtype=np.int64)
     best_count, best_idx = -1, -1
-    for start in range(0, hi, batch):
-        for lo_start in range(0, lo, width):
-            idx = C[:, start:start + batch, None] + V_lo[:, None, lo_start:lo_start + width]
-            sat = member[idx].sum(axis=0, dtype=count_dtype)
-            hist += np.bincount(sat.ravel(), minlength=m + 1)
-            row, col = divmod(int(np.argmax(sat)), sat.shape[1])
-            if int(sat[row, col]) > best_count:
-                best_count, best_idx = int(sat[row, col]), (start + row) * lo + lo_start + col
+    for start, S in _codeword_chunks(code.B, p):
+        sat = member[S].sum(axis=0, dtype=count_dtype)
+        hist += np.bincount(sat, minlength=m + 1)
+        j = int(np.argmax(sat))
+        if sat[j] > best_count:
+            best_count, best_idx = int(sat[j]), start + j
     return SatisfactionProfile(
         m=m, p=p, n=n,
         histogram=tuple(int(v) for v in hist),
@@ -381,30 +371,15 @@ def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None)
 
 
 def dual_codewords(code: MdsCode, budget: int | None = None):
-    """Yield all p^(m-n) dual codewords as C-contiguous (m x chunk) arrays,
-    coefficient vectors in lexicographic order.  A chunk is runs of L
-    columns on one H column each (`_dual_tables`): its whole runs take one
-    broadcast add, a partial run at either end one more."""
-    p, m = code.p, code.m
-    total = p ** code.dual_dim
+    """Yield the p^(m-n) dual codewords in lexicographic coefficient order,
+    as the chunks S of `_codeword_chunks`: S % p is the codewords, and S
+    indexes a raveled m x 2p table that stores each row twice."""
+    total = code.p ** code.dual_dim
     if total > enumeration_budget(budget):
         raise BudgetExceededError(f"p^(m-n) = {total} exceeds budget")
-    H, L = _span_tables_of(_dual_tables, code, code.dual_dim)
-    width = L.shape[1]
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        Y = np.empty((m, stop - start), dtype=np.int64)
-        pos = start
-        while pos < stop:
-            h, l = divmod(pos, width)
-            rows = max(1, (stop - pos) // width) if l == 0 else 1
-            cols = min(width - l, stop - pos)
-            at = pos - start
-            np.add(H[:, h:h + rows, None], L[:, None, l:l + cols],
-                   out=Y[:, at:at + rows * cols].reshape(m, rows, cols))
-            pos += rows * cols
-        Y %= p
-        yield Y
+    rows = tuple(tuple(y[i] for y in code.dual_basis) for i in range(code.m))
+    for _, S in _codeword_chunks(rows, code.p):
+        yield S
 
 
 @functools.cache
@@ -423,20 +398,22 @@ def dual_weight_sums(code: MdsCode, tables_of, bound: int, budget: int | None = 
     """N_t = sum over weight-t dual codewords y of prod_i T[i, y_i], t = 0..m, for
     an m x p table T over Z[omega] with integer |N_t| <= bound: one dual pass mod
     `_crt_prime`s whose product exceeds 2 bound (`tables_of(primes)` gives T mod
-    each (P, g) as (primes, m, p) int64); a chunk's sums stay below 2^47."""
+    each (P, g) as (primes, m, p) int64, held doubled, 2 m p entries per prime, so
+    the chunks index it unreduced); a chunk's sums stay below 2^47."""
     primes = [_crt_prime(code.p, 0)]
     while math.prod(P for P, _ in primes) <= 2 * bound:
         primes.append(_crt_prime(code.p, len(primes)))
+    nonzero = np.tile(np.arange(code.p) != 0, 2 * code.m)
     tables, residues = None, np.zeros((len(primes), code.m + 1), dtype=np.int64)
-    for Y in dual_codewords(code, budget):
+    for S in dual_codewords(code, budget):
         # built at the first chunk, once dual_codewords has checked the budget
-        tables = tables_of(primes) if tables is None else tables
-        w, buf = (Y != 0).sum(axis=0), np.empty(Y.shape[1], dtype=np.int64)
+        tables = np.tile(tables_of(primes), 2).reshape(len(primes), -1) if tables is None else tables
+        w, buf = nonzero[S].sum(axis=0), np.empty(S.shape[1], dtype=np.int64)
         for (P, _), table, res in zip(primes, tables, residues):
-            prod = table[0][Y[0]]
-            for row, y in zip(table[1:], Y[1:]):
-                # unbuffered take (y is in range); floor division is faster than %
-                prod *= np.take(row, y, out=buf, mode="clip")
+            prod = table[S[0]]
+            for s in S[1:]:
+                # unbuffered take (s is in range); floor division is faster than %
+                prod *= np.take(table, s, out=buf, mode="clip")
                 prod -= np.multiply(np.floor_divide(prod, P, out=buf), P, out=buf)
             res += np.bincount(w, weights=prod, minlength=code.m + 1).astype(np.int64)
             res %= P

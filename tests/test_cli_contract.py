@@ -133,6 +133,26 @@ def test_cli_exit_code_and_stdout_contract(case):
         _run_and_check([a.format(tmp=tmp) for a in argv])
 
 
+def test_a_lists_file_value_that_is_not_a_json_integer_exits_2_naming_it():
+    # such values were once read through int(): 2.5 as 2, true as 1, "3" as 3
+    sets = [[0, 1], [2, 3], [4, 5], [6, 0], [1, 2], [3, 4]]
+    cases = [("oracle", 7, [2.5, 1], "2.5"), ("oracle", 7, [True, 2], "true"),
+             ("leakage", 7, ["3", 4], '"3"'), ("oracle", 7.0, [0, 1], "7.0"),
+             ("leakage", True, [0, 1], "true")]
+    for command, p, first, named in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lists.json")
+            with open(path, "w") as fh:
+                json.dump({"p": p, "sets": [first] + sets[1:]}, fh)
+            argv = [command, "--p", "7", "--m", "6", "--n", "4", "--lists", path]
+            argv += ["--t", "4"] if command == "leakage" else []
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert (code, out.getvalue()) == (2, ""), (command, p, first)
+        assert err.getvalue().startswith("error: ") and f"got {named}" in err.getvalue()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(BOUND_KINDS), _rho())
 def test_thresholds_contract(bound, rho):

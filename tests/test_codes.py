@@ -69,7 +69,11 @@ def test_shape_is_checked_before_the_evaluation_points():
 
 def test_dual_codewords_follow_the_lexicographic_coefficient_order():
     code = make_rs_code(FieldCtx(5), 5, 2)
-    got = np.concatenate(list(dual_codewords(code)), axis=1)
+    chunks = list(dual_codewords(code))
+    # row i of a chunk holds unreduced sums in [2 p i, 2 p i + 2 p)
+    offsets = 10 * np.arange(5)[:, None]
+    assert all(((S >= offsets) & (S < offsets + 10)).all() for S in chunks)
+    got = np.concatenate([S % 5 for S in chunks], axis=1)
     basis = np.array(code.dual_basis)
     coeffs = itertools.product(range(5), repeat=code.dual_dim)
     want = np.array([np.array(c) @ basis % 5 for c in coeffs]).T
@@ -80,7 +84,8 @@ def enumerate_dual_by_weight(code, t):
     """All dual codewords of Hamming weight exactly t: the listing route
     the dual-sum kernels are checked against."""
     out = []
-    for Y in dual_codewords(code):
+    for S in dual_codewords(code):
+        Y = S % code.p
         w = (Y != 0).sum(axis=0)
         sel = Y[:, w == t]
         out.extend(tuple(int(v) for v in sel[:, j]) for j in range(sel.shape[1]))
@@ -116,7 +121,7 @@ def test_dual_weight_sums_match_a_product_over_listed_codewords(p, m, n):
 
 
 def _matmul_dual_codewords(code):
-    """The dual codewords by the enumeration that the split tables
+    """The dual codewords by the enumeration that the span tables
     replaced: 2^16 coefficient vectors at a time unravelled in C order,
     then one int64 matmul with the dual basis mod p."""
     p, m, k = code.p, code.m, code.dual_dim
@@ -148,11 +153,30 @@ def _matmul_weight_sums(code, table, P=0):
     return [v % P for v in out] if P else out
 
 
-# k = m - n = 0, 1, 2, 3, 4, 5; (11, 10, 5) spans three chunks and its
-# p^ceil(k/2) = 1331 does not divide 2^16
+# k = m - n = 0, 1, 2, 3, 4, 5; (11, 10, 5) spans 31 chunks of four H
+# columns each, and its p^ceil(k/2) = 1331 does not divide 2^16 // m
 _DUAL_SWEEP = [(5, 4, 4), (7, 6, 6), (7, 5, 4), (70001, 2, 1), (5, 4, 2), (7, 6, 4), (11, 5, 3),
                (7, 6, 3), (13, 8, 5), (5, 5, 1), (7, 6, 2), (11, 10, 5), (17, 9, 5), (2, 2, 1),
                (3, 3, 1)]
+
+
+def _assert_enumerations_match_the_matmul_routes(code, lists):
+    """Both readers of the one codeword enumeration against their matmul
+    routes: the oracle's profile, and the dual codeword stream S % p over
+    all chunks (not their boundaries) while p^(m - n) is small enough to
+    list, with the smallest dual weight it implies."""
+    _assert_split_kernel_matches_matmul(code, lists)
+    if code.p ** code.dual_dim > 10**6:
+        return
+    chunks = list(dual_codewords(code))
+    # a C-contiguous chunk keeps the row-by-row product equal to np.prod's
+    assert all(S.flags.c_contiguous and S.dtype == np.int64 for S in chunks)
+    got = np.concatenate([S % code.p for S in chunks], axis=1)
+    want = np.concatenate(list(_matmul_dual_codewords(code)), axis=1)
+    assert np.array_equal(got, want)
+    counts = np.bincount((want != 0).sum(axis=0), minlength=code.m + 1)
+    weights = np.flatnonzero(counts[1:]) + 1
+    assert min_dual_weight(code) == (int(weights[0]) if weights.size else code.m + 1)
 
 
 @pytest.mark.parametrize("p, m, n", _DUAL_SWEEP)
@@ -160,15 +184,8 @@ def test_dual_chunks_match_the_matmul_route(p, m, n):
     rng = random.Random(p * 100 + m * 10 + n)
     points = rng.sample(range(min(p, 50)), m)
     code = make_rs_code(FieldCtx(p), m, n, points)
-    got, want = list(dual_codewords(code)), list(_matmul_dual_codewords(code))
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        # a C-contiguous chunk keeps the row-by-row product equal to np.prod's
-        assert a.flags.c_contiguous and a.dtype == np.int64
-        assert np.array_equal(a, b)
-    counts = np.bincount(np.concatenate([(Y != 0).sum(axis=0) for Y in want]), minlength=m + 1)
-    weights = np.flatnonzero(counts[1:]) + 1
-    assert min_dual_weight(code) == (int(weights[0]) if weights.size else m + 1)
+    lists = random_lists(p, m, rng.randint(1, p - 1), rng.randrange(2**32))
+    _assert_enumerations_match_the_matmul_routes(code, lists)
 
 
 @pytest.mark.parametrize("p, m, n", [s for s in _DUAL_SWEEP if s[0] < 1000])
@@ -219,16 +236,20 @@ def test_shared_pass_equals_the_matmul_route_on_every_criterion_7_instance():
                 leakage.per_transcript_sum(code, lists, t))
 
 
-def test_dual_tables_are_built_once_per_code_and_read_only():
+def test_span_tables_are_built_once_per_matrix_and_read_only():
+    # one cache serves both enumerations: one entry for B, one for the dual
     code = make_rs_code(FieldCtx(7), 6, 3)
-    codes._dual_tables.cache_clear()
-    for _ in range(3):
+    codes._span_tables.cache_clear()
+    for seed in range(3):
+        brute_force_opi(code, random_lists(7, 6, 2, seed))
         list(dual_codewords(code))
-    info = codes._dual_tables.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    H, L = codes._dual_tables(code)
-    assert H.shape == (6, 7) and L.shape == (6, 49)
-    assert not H.flags.writeable and not L.flags.writeable
+    info = codes._span_tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    dual_rows = tuple(zip(*code.dual_basis))
+    for rows in (code.B, dual_rows):
+        H, L = codes._span_tables(rows, 7)
+        assert H.shape == (6, 7) and L.shape == (6, 49)
+        assert not H.flags.writeable and not L.flags.writeable
 
 
 def _traced_peak_mb(fn):
@@ -242,25 +263,22 @@ def _traced_peak_mb(fn):
 
 def test_one_coordinate_enumerations_stay_in_bounded_blocks():
     # at n = 1 (primal) and k = 1 (dual) one split table spans all p
-    # values; blocks of at most 2^16 columns keep the peak near that table
+    # values; chunks of about 2^16 entries keep the peak near that table
     # (24 MB here), where one m x p index block took the oracle to 63 MB
     p = 1_000_003
     code = make_rs_code(FieldCtx(p), 3, 1)
     lists = random_lists(p, 3, 5, 0)
-    codes._split_tables.cache_clear()
+    codes._span_tables.cache_clear()
     try:
         prof, peak = _traced_peak_mb(lambda: brute_force_opi(code, lists))
         assert peak <= 40
         assert (prof.histogram, prof.best_x, prof.s_max) == _matmul_profile(code, lists)
-    finally:
-        codes._split_tables.cache_clear()
-    dual = make_rs_code(FieldCtx(p), 3, 2)
-    codes._dual_tables.cache_clear()
-    try:
+        dual = make_rs_code(FieldCtx(p), 3, 2)
         chunks, peak = _traced_peak_mb(lambda: sum(1 for _ in dual_codewords(dual)))
-        assert peak <= 40 and chunks == -(-p // (1 << 16))
+        # a chunk holds 2^16 // m codewords
+        assert peak <= 40 and chunks == -(-p // ((1 << 16) // 3))
     finally:
-        codes._dual_tables.cache_clear()
+        codes._span_tables.cache_clear()
 
 
 def test_no_wide_span_table_stays_cached_after_its_call():
@@ -269,8 +287,7 @@ def test_no_wide_span_table_stays_cached_after_its_call():
     p = 1_000_003
     code, dual = make_rs_code(FieldCtx(p), 3, 1), make_rs_code(FieldCtx(p), 3, 2)
     lists = random_lists(p, 3, 5, 0)
-    codes._split_tables.cache_clear()
-    codes._dual_tables.cache_clear()
+    codes._span_tables.cache_clear()
     tracemalloc.start()
     try:
         brute_force_opi(code, lists)
@@ -278,8 +295,7 @@ def test_no_wide_span_table_stays_cached_after_its_call():
         held = tracemalloc.get_traced_memory()[0] / 1e6
     finally:
         tracemalloc.stop()
-        codes._split_tables.cache_clear()
-        codes._dual_tables.cache_clear()
+        codes._span_tables.cache_clear()
     assert held <= 4
 
 
@@ -463,7 +479,7 @@ def test_split_kernel_matches_matmul_on_the_large_shapes(seed):
 
 @pytest.mark.parametrize("p, m, n, size", [
     (7, 5, 1, 3),  # x_hi is empty
-    (70001, 2, 1, 3),  # m p^ceil(n/2) > 2^16: the one-row batch floor
+    (70001, 2, 1, 3),  # p^ceil(n/2) > 2^16 // m: one H column per chunk
     (7, 4, 4, 3),  # n = m
     (2, 2, 1, 1), (2, 2, 2, 1), (3, 3, 2, 2),  # p = 2, 3
     (5, 1, 1, 2),  # m = 1
@@ -472,14 +488,14 @@ def test_split_kernel_matches_matmul_on_the_large_shapes(seed):
 def test_split_kernel_matches_matmul_on_edge_shapes(p, m, n, size):
     code = make_rs_code(FieldCtx(p), m, n)
     lists = random_lists(p, m, size, 0)
-    _assert_split_kernel_matches_matmul(code, lists)
+    _assert_enumerations_match_the_matmul_routes(code, lists)
     if m >= 256:
         assert brute_force_opi(code, lists).s_max == 1
 
 
 def test_split_kernel_argmax_tie_across_batches_goes_to_the_smaller_x():
-    # at (17, 9, 5) a batch is one x_hi row: the planted solutions x1 < x2
-    # sit in batches 88 and 187, and only they satisfy every constraint
+    # at (17, 9, 5) a chunk is one x_hi row: the planted solutions x1 < x2
+    # sit in chunks 88 and 187, and only they satisfy every constraint
     p, m, n = 17, 9, 5
     code = make_rs_code(FieldCtx(p), m, n)
     B = np.array(code.B)
@@ -493,8 +509,8 @@ def test_split_kernel_argmax_tie_across_batches_goes_to_the_smaller_x():
 
 
 def test_split_kernel_argmax_in_a_later_x_lo_slice():
-    # at n = 1 and p > 2^16 x_lo runs in slices of 2^16; only x = 69000,
-    # in the second slice, satisfies both constraints (B x = (x, x))
+    # at n = 1 and m = 2 x_lo runs in slices of 2^15; only x = 69000, in
+    # the third slice, satisfies both constraints (B x = (x, x))
     p = 70001
     code = make_rs_code(FieldCtx(p), 2, 1)
     lists = make_lists(p, [(5, 69000), (7, 69000)])
@@ -503,23 +519,14 @@ def test_split_kernel_argmax_in_a_later_x_lo_slice():
     _assert_split_kernel_matches_matmul(code, lists)
 
 
-def test_split_tables_are_built_once_per_code_and_read_only():
-    code = make_rs_code(FieldCtx(7), 6, 3)
-    codes._split_tables.cache_clear()
-    for seed in range(3):
-        brute_force_opi(code, random_lists(7, 6, 2, seed))
-    info = codes._split_tables.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    for table in codes._split_tables(code):
-        assert not table.flags.writeable
-
-
 def test_budget_is_checked_before_the_tables_are_built():
-    code = make_rs_code(FieldCtx(11), 8, 6)
-    codes._split_tables.cache_clear()
+    code = make_rs_code(FieldCtx(11), 8, 2)
+    codes._span_tables.cache_clear()
     with pytest.raises(BudgetExceededError):
-        brute_force_opi(code, make_lists(11, [[0]] * 8), budget=1000)
-    assert codes._split_tables.cache_info().misses == 0
+        brute_force_opi(make_rs_code(FieldCtx(11), 8, 6), make_lists(11, [[0]] * 8), budget=1000)
+    with pytest.raises(BudgetExceededError):
+        next(dual_codewords(code, budget=1000))
+    assert codes._span_tables.cache_info().misses == 0
 
 
 def test_budget_errors():

@@ -227,12 +227,29 @@ def test_character_tables_stay_in_blocks_at_large_p():
     assert sums[:3] == (1, 0, 0) and sums[3] != 0  # the dual distance is 3
 
 
+def test_a_dual_pass_holds_one_small_chunk_at_a_time():
+    # (11, 10, 5): 161,051 dual codewords; with warm span tables the pass
+    # keeps one chunk of about 2^16 entries and its row products alive
+    code = make_rs_code(FieldCtx(11), 10, 5)
+    lists = random_lists(11, 10, 5, 0)
+    budget = codes.enumeration_budget()
+    want = leakage._character_sums.__wrapped__(code, lists, budget)
+    tracemalloc.start()
+    try:
+        sums = leakage._character_sums.__wrapped__(code, lists, budget)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert sums == want and peak <= 3
+
+
 def _complex_transcript_sums(code, lists):
     """The transcript sums in complex doubles: the indicator spectra's
     products over every dual codeword, summed by weight."""
     table = np.array([indicator_spectrum(s, code.p).coeffs for s in lists.sets])
     out = np.zeros(code.m + 1, dtype=np.complex128)
-    for Y in dual_codewords(code):
+    for S in dual_codewords(code):
+        Y = S % code.p
         prod = np.prod(table[np.arange(code.m)[:, None], Y], axis=0)
         np.add.at(out, (Y != 0).sum(axis=0), prod)
     return out
