@@ -236,20 +236,33 @@ def test_shared_pass_equals_the_matmul_route_on_every_criterion_7_instance():
                 leakage.per_transcript_sum(code, lists, t))
 
 
-def test_span_tables_are_built_once_per_matrix_and_read_only():
-    # one cache serves both enumerations: one entry for B, one for the dual
+def test_dual_tables_are_built_once_per_code_and_read_only():
+    # the dual pass caches one span-table entry, for the dual basis
+    code = make_rs_code(FieldCtx(7), 6, 3)
+    codes._span_tables.cache_clear()
+    for _ in range(3):
+        list(dual_codewords(code))
+    info = codes._span_tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    H, L = codes._span_tables(tuple(zip(*code.dual_basis)), 7)
+    assert H.shape == (6, 7) and L.shape == (6, 49)
+    assert not H.flags.writeable and not L.flags.writeable
+
+
+def test_split_tables_are_built_once_per_code_and_read_only():
+    # the oracle caches one span-table entry, for B, in the same cache the
+    # dual pass uses: the two enumerations keep one entry each
     code = make_rs_code(FieldCtx(7), 6, 3)
     codes._span_tables.cache_clear()
     for seed in range(3):
         brute_force_opi(code, random_lists(7, 6, 2, seed))
-        list(dual_codewords(code))
     info = codes._span_tables.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
-    dual_rows = tuple(zip(*code.dual_basis))
-    for rows in (code.B, dual_rows):
-        H, L = codes._span_tables(rows, 7)
-        assert H.shape == (6, 7) and L.shape == (6, 49)
-        assert not H.flags.writeable and not L.flags.writeable
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    H, L = codes._span_tables(code.B, 7)
+    assert H.shape == (6, 7) and L.shape == (6, 49)
+    assert not H.flags.writeable and not L.flags.writeable
+    list(dual_codewords(code))
+    assert codes._span_tables.cache_info().currsize == 2
 
 
 def _traced_peak_mb(fn):
