@@ -6,6 +6,8 @@ The character sums F_i(y) = sum_{v in S_i} omega^(y v), omega = e(1/p), lie
 in Z[omega]; summed over the dual code (closed under F_p^* scaling, which
 permutes their conjugates) their products are integers, computed exactly by
 CRT (`codes.dual_weight_sums`).  Only the interval extremal check is complex.
+The finite-m llr rate threshold bisects mu but computes its exponent once
+per even n (and lam_hi) within a call.
 """
 
 from __future__ import annotations
@@ -365,13 +367,19 @@ def _coverage_log_tails(m: int, n: int) -> np.ndarray:
 def llr_rate_threshold(m: int = 4096, grid: int = 160) -> float:
     """Rate at which the balanced random-bucket split stops decaying,
     rebuilt from finite-m coverage counts (via log binomials) rather than
-    the closed-form exponents.  Each mu reads every coverage tail from one
-    _coverage_log_tails table."""
+    the closed-form exponents.  Each n reads every coverage tail from one
+    _coverage_log_tails table.  The exponent reads mu only through the even
+    n and lam_hi, so each call computes it once per (n, lam_hi)."""
+    known: dict[tuple[int, float], float] = {}
+
     def exponent(mu: float) -> float:
         n = round(2 * mu * m) // 2 * 2  # even n keeps b = 2n - m even
         b = 2 * n - m
         if b <= 0:
             return math.inf
+        lam_hi = min(b / m, 2 * mu) - 2.0 / m
+        if (n, lam_hi) in known:
+            return known[n, lam_hi]
         d_perp = n + 1
         tails = _coverage_log_tails(m, n).tolist()
 
@@ -386,9 +394,9 @@ def llr_rate_threshold(m: int = 4096, grid: int = 160) -> float:
                 + (hits / m) * math.log(2.0 / math.pi)
             )
 
-        lam_hi = min(b / m, 2 * mu) - 2.0 / m
         lams = [lam_hi * (i + 1) / grid for i in range(grid)]
         _, neg = scan_max(lambda l: -split_rate(l), lams, tol=1e-6)
+        known[n, lam_hi] = -neg
         return -neg
 
     lo, hi = 0.26, 0.49

@@ -3,7 +3,9 @@ improvement and saturation thresholds.
 
 Everything here is double precision.  Feasibility predicates are open
 strict inequalities in the underlying analysis, so they are certified with
-an explicit margin (FEAS_MARGIN) rather than at equality.
+an explicit margin (FEAS_MARGIN) rather than at equality.  One builder,
+_exponent_in_delta, gives feasible and delta_max the exponent sum as a
+function of delta, with its delta-free terms computed once per mu.
 """
 
 from __future__ import annotations
@@ -56,14 +58,30 @@ def semicircle_law(rho: float, mu_arg: float) -> float:
 def pair_count_exponent(mu: float, delta: float) -> float:
     """Exponential rate of the weighted subset-pair count in the balanced
     master expansion: (mu+d)H(mu/(mu+d)) + (1-mu-d)H(mu/(1-mu-d)) - H(2mu)."""
-    if delta < -_EDGE_EPS or mu < 0.0:
+    return _pair_count_in_delta(mu)(delta)
+
+
+def _pair_count_in_delta(mu: float, dual: float = 0.0):
+    """delta -> pair_count_exponent(mu, delta) + dual, with H(2mu) taken once
+    per mu.  The sum is formed as (first + second - H(2mu)) + dual, so the
+    default dual = 0.0 leaves every value bit for bit (none is -0.0)."""
+    if mu < 0.0:
         raise DomainError("mu and delta must be nonnegative")
-    if mu + delta > 0.5 + _EDGE_EPS:
+    if mu > 0.5 + _EDGE_EPS:
         raise DomainError("need mu + delta <= 1/2")
-    delta = max(delta, 0.0)
-    s = mu + delta
-    first = s * binary_entropy(mu / s) if s > 0 else 0.0
-    return first + (1.0 - s) * binary_entropy(mu / (1.0 - s)) - binary_entropy(2.0 * mu)
+    h_two_mu = binary_entropy(2.0 * mu)
+
+    def exponent(delta: float) -> float:
+        if delta < -_EDGE_EPS:
+            raise DomainError("mu and delta must be nonnegative")
+        if mu + delta > 0.5 + _EDGE_EPS:
+            raise DomainError("need mu + delta <= 1/2")
+        delta = max(delta, 0.0)
+        s = mu + delta
+        first = s * binary_entropy(mu / s) if s > 0 else 0.0
+        return first + (1.0 - s) * binary_entropy(mu / (1.0 - s)) - h_two_mu + dual
+
+    return exponent
 
 
 def dual_sum_exponent_avg(mu: float) -> float:
@@ -299,32 +317,38 @@ def dual_sum_exponent_biased(mu: float, tau: float, rho: float) -> float:
     )
 
 
-def _total_exponent(mu: float, delta: float, rho: float, kind: str) -> float:
-    if kind == "green":
-        return pair_count_exponent(mu, delta) + dual_sum_exponent_green(mu)
-    if kind == "avg":
-        return pair_count_exponent(mu, delta) + dual_sum_exponent_avg(mu)
-    if kind == "best":
-        if mu <= 0.25:
-            return math.inf
-        return pair_count_exponent(mu, delta) + dual_sum_exponent_best(mu, lambda_star(mu))
-    if kind == "biased":
+def _exponent_in_delta(mu: float, rho: float, bound_kind: str):
+    """delta -> the exponent sum of the bound at (mu, rho): the pair-count
+    rate plus the dual-sum rate, with every delta-free term (the dual-sum
+    rate, lambda_star for "best", H(2mu)) computed once.  The kind and rho
+    are taken as checked (see _check_kind)."""
+    if bound_kind == "biased":
         # tau_star = 0 throughout the regime where the bound is nonvacuous.
-        value, _, _ = pair_count_exponent_biased(mu, delta, 0.0, rho)
-        return value + dual_sum_exponent_biased(mu, 0.0, rho)
-    raise DomainError(f"unknown bound kind {kind!r}")
+        dual = dual_sum_exponent_biased(mu, 0.0, rho)
+        return lambda delta: pair_count_exponent_biased(mu, delta, 0.0, rho)[0] + dual
+    if bound_kind == "green":
+        return _pair_count_in_delta(mu, dual_sum_exponent_green(mu))
+    if bound_kind == "avg":
+        return _pair_count_in_delta(mu, dual_sum_exponent_avg(mu))
+    if mu <= 0.25:
+        return lambda delta: math.inf
+    return _pair_count_in_delta(mu, dual_sum_exponent_best(mu, lambda_star(mu)))
+
+
+def _check_kind(rho: float, bound_kind: str) -> None:
+    if bound_kind not in BOUND_KINDS:
+        raise DomainError(f"unknown bound kind {bound_kind!r}")
+    if bound_kind != "biased" and abs(rho - 0.5) > 1e-12:
+        raise DomainError(f"bound kind {bound_kind!r} is for rho = 1/2")
 
 
 def feasible(mu: float, delta: float, rho: float, bound_kind: str) -> bool:
     """True iff the exponent sum for the given bound sits strictly below
     -FEAS_MARGIN, i.e. the correction terms decay exponentially."""
-    if bound_kind not in BOUND_KINDS:
-        raise DomainError(f"unknown bound kind {bound_kind!r}")
-    if bound_kind != "biased" and abs(rho - 0.5) > 1e-12:
-        raise DomainError(f"bound kind {bound_kind!r} is for rho = 1/2")
+    _check_kind(rho, bound_kind)
     if delta < -_EDGE_EPS or delta > delta_cap(mu, rho, bound_kind) + _EDGE_EPS:
         raise DomainError(f"delta={delta} outside [0, cap]")
-    return _total_exponent(mu, max(delta, 0.0), rho, bound_kind) < -FEAS_MARGIN
+    return _exponent_in_delta(mu, rho, bound_kind)(max(delta, 0.0)) < -FEAS_MARGIN
 
 
 def delta_cap(mu: float, rho: float, bound_kind: str) -> float:
@@ -337,15 +361,19 @@ def delta_max(mu: float, rho: float, bound_kind: str) -> float:
     works.
 
     Feasibility must form a prefix interval in delta on a 256-step scan (the
-    pair-count exponent increases with delta); any violation aborts.
+    pair-count exponent increases with delta); any violation aborts.  Every
+    scan and bisection point lies in [0, cap], so feasible's range check is
+    not repeated per point.
     """
+    _check_kind(rho, bound_kind)
     cap = delta_cap(mu, rho, bound_kind)
     if cap <= 0.0:
         return 0.0
+    exponent = _exponent_in_delta(mu, rho, bound_kind)
     scan = 256
     try:
         bracket = scan_first_true(
-            lambda d: not feasible(mu, d, rho, bound_kind),
+            lambda d: not exponent(d) < -FEAS_MARGIN,
             [cap * i / scan for i in range(scan + 1)], 1e-6,
         )
     except IdentityViolationError as exc:
@@ -396,7 +424,8 @@ def thresholds(rho: float, bound_kind: str) -> ThresholdResult:
         bracket = scan_first_true(pred, mus, 5e-5)
         return None if bracket is None else bracket[1]
 
-    mu0, mu1 = threshold(pred0), threshold(pred1)
+    # 1 - rho < 2e-6 leaves no mu to scan
+    mu0, mu1 = (threshold(pred0), threshold(pred1)) if lo <= hi else (None, None)
     if mu0 is None and mu1 is None:
         return ThresholdResult(bound_kind, rho, None, None, {}, "no finite threshold")
     witness = {}

@@ -43,6 +43,16 @@ def test_thresholds_no_finite(capsys):
     assert obj["two_mu0"] is None
 
 
+@pytest.mark.parametrize("rho", [1 - 1e-7, 1 - 1e-12, 0.999999])
+def test_thresholds_with_no_mu_to_scan_have_no_finite_threshold(rho, capsys):
+    # 1 - rho < 2e-6 empties the mu scan [1e-6, 1 - rho - 1e-6]
+    code, out = run_cli(["thresholds", "--rho", repr(rho), "--bound", "biased"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["status"] == "no finite threshold"
+    assert obj["two_mu0"] is None and obj["two_mu1"] is None
+
+
 def test_thresholds_domain_error(capsys):
     code, _ = run_cli(["thresholds", "--rho", "0.3", "--bound", "avg"], capsys)
     assert code == 2  # balanced bound at non-balanced density

@@ -28,6 +28,7 @@ from opilab.leakage import (
     per_transcript_sum,
 )
 from opilab.quadext import r_of
+from opilab.rates import scan_max
 
 
 def test_spectrum_full_set_and_singleton():
@@ -413,3 +414,51 @@ def test_llr_threshold_matches_rate_module():
     rate_side = thresholds(0.5, "best").two_mu1
     assert leak_side == pytest.approx(rate_side, abs=0.01)
     assert leak_side == pytest.approx(0.7496, abs=0.01)
+
+
+def _unmemoised_llr_rate_threshold(m, grid):
+    """llr_rate_threshold with the exponent rebuilt at every bisection step."""
+    def exponent(mu):
+        n = round(2 * mu * m) // 2 * 2
+        b = 2 * n - m
+        if b <= 0:
+            return math.inf
+        tails = _coverage_log_tails(m, n).tolist()
+
+        def split_rate(lam):
+            hits = math.ceil(lam * m)
+            if hits > b:
+                return math.inf
+            log_j = _log_comb(m, n + 1) - tails[hits]
+            return log_j / m + (1.0 - n / m) * math.log(2.0) + (hits / m) * math.log(2.0 / math.pi)
+
+        lam_hi = min(b / m, 2 * mu) - 2.0 / m
+        lams = [lam_hi * (i + 1) / grid for i in range(grid)]
+        _, neg = scan_max(lambda l: -split_rate(l), lams, tol=1e-6)
+        return -neg
+
+    lo, hi = 0.26, 0.49
+    for _ in range(40):
+        mid = (lo + hi) / 2.0
+        if exponent(mid) < 0:
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 * ((lo + hi) / 2.0)
+
+
+@pytest.mark.parametrize("m,grid", [(512, 40), (1024, 80)])
+def test_llr_threshold_matches_the_unmemoised_route(m, grid):
+    assert llr_rate_threshold(m, grid) == _unmemoised_llr_rate_threshold(m, grid)
+
+
+def test_llr_threshold_builds_one_tail_table_per_n(monkeypatch):
+    built = []
+
+    def counting(m, n):
+        built.append(n)
+        return _coverage_log_tails(m, n)
+
+    monkeypatch.setattr(leakage, "_coverage_log_tails", counting)
+    llr_rate_threshold(512, 40)
+    assert len(built) == len(set(built)) == 7, built  # 40 bisection steps, 7 distinct n

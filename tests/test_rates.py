@@ -1,11 +1,14 @@
 import math
 import random
+import struct
 
 import pytest
 
+from opilab import rates
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.rates import (
     FEAS_MARGIN,
+    _exponent_in_delta,
     _pair_count_exponent_biased_scan,
     binary_entropy,
     curve_series,
@@ -474,3 +477,105 @@ def test_curve_figure4():
     header2, rows2 = curve_series(4, 50, rho=0.3)
     assert header2 == ["x_or_rho", "f_rho_at_x"]
     assert all(len(r) == 2 and math.isfinite(r[1]) for r in rows2)
+
+
+# ---------- the delta-free builder against the route it replaced ----------
+
+def _reference_pair_count_exponent(mu, delta):
+    """pair_count_exponent as it was before the delta-free builder."""
+    if delta < -1e-12 or mu < 0.0:
+        raise DomainError("mu and delta must be nonnegative")
+    if mu + delta > 0.5 + 1e-12:
+        raise DomainError("need mu + delta <= 1/2")
+    delta = max(delta, 0.0)
+    s = mu + delta
+    first = s * binary_entropy(mu / s) if s > 0 else 0.0
+    return first + (1.0 - s) * binary_entropy(mu / (1.0 - s)) - binary_entropy(2.0 * mu)
+
+
+def _reference_total_exponent(mu, delta, rho, kind):
+    """The exponent sum recomputed whole at every delta."""
+    if kind == "green":
+        return _reference_pair_count_exponent(mu, delta) + dual_sum_exponent_green(mu)
+    if kind == "avg":
+        return _reference_pair_count_exponent(mu, delta) + dual_sum_exponent_avg(mu)
+    if kind == "best":
+        if mu <= 0.25:
+            return math.inf
+        return (_reference_pair_count_exponent(mu, delta)
+                + dual_sum_exponent_best(mu, lambda_star(mu)))
+    value, _, _ = pair_count_exponent_biased(mu, delta, 0.0, rho)
+    return value + dual_sum_exponent_biased(mu, 0.0, rho)
+
+
+def _reference_feasible(mu, delta, rho, kind):
+    if delta < -1e-12 or delta > delta_cap(mu, rho, kind) + 1e-12:
+        raise DomainError(f"delta={delta} outside [0, cap]")
+    return _reference_total_exponent(mu, max(delta, 0.0), rho, kind) < -FEAS_MARGIN
+
+
+def _reference_delta_max(mu, rho, kind):
+    """delta_max with every scan and bisection point through the range-checked
+    _reference_feasible."""
+    cap = delta_cap(mu, rho, kind)
+    if cap <= 0.0:
+        return 0.0
+    bracket = scan_first_true(lambda d: not _reference_feasible(mu, d, rho, kind),
+                              [cap * i / 256 for i in range(257)], 1e-6)
+    return cap if bracket is None else bracket[0]
+
+
+def _outcome(f, *args):
+    """The bits of f(*args), or the type and message of what it raised."""
+    try:
+        value = f(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+_BUILDER_CASES = [("green", 0.5), ("avg", 0.5), ("best", 0.5),
+                  ("biased", 0.3), ("biased", 0.5 + 1e-6), ("biased", 0.6)]
+
+
+@pytest.mark.parametrize("kind,rho", _BUILDER_CASES)
+def test_delta_free_builder_matches_the_whole_sum_bit_for_bit(kind, rho):
+    rng = random.Random(f"{kind}-{rho}")
+    mu_cap = min(0.5, 1.0 - rho) if kind == "biased" else 0.5
+    mus = [rng.uniform(0.0, mu_cap) for _ in range(24)] + [0.0, 0.25, 0.3, mu_cap]
+    for mu in mus:
+        cap = delta_cap(mu, rho, kind)
+        for delta in [0.0, cap] + [rng.uniform(0.0, cap) for _ in range(6)]:
+            point = (mu, delta, rho, kind)
+            want = _outcome(_reference_total_exponent, *point)
+            assert _outcome(lambda: _exponent_in_delta(mu, rho, kind)(delta)) == want, point
+            assert _outcome(feasible, *point) == _outcome(_reference_feasible, *point), point
+            if kind != "biased":
+                assert (_outcome(pair_count_exponent, mu, delta)
+                        == _outcome(_reference_pair_count_exponent, mu, delta)), point
+        assert (_outcome(delta_max, mu, rho, kind)
+                == _outcome(_reference_delta_max, mu, rho, kind)), mu
+
+
+def test_delta_max_runs_the_whole_scan_check(monkeypatch):
+    # feasible below cap / 2, infeasible above it, and feasible again at the
+    # last scan point alone: only a check of all 257 points sees the flip
+    def non_interval(mu, rho, kind):
+        cap = delta_cap(mu, rho, kind)
+        return lambda d: -1.0 if d < cap / 2 or d == cap else 1.0
+
+    monkeypatch.setattr(rates, "_exponent_in_delta", non_interval)
+    for mu, rho, kind in ((0.36, 0.5, "avg"), (0.33, 0.4, "biased")):
+        with pytest.raises(IdentityViolationError) as err:
+            delta_max(mu, rho, kind)
+        message = str(err.value)
+        for part in (f"mu={mu}", f"rho={rho}", f"kind={kind}", "scan index 256"):
+            assert part in message, message
+
+
+def test_delta_max_checks_kind_and_density_even_with_nothing_to_scan():
+    for mu in (0.3, 0.5, 0.7):  # cap > 0, cap = 0 and cap clamped to 0
+        with pytest.raises(DomainError, match="unknown bound kind"):
+            delta_max(mu, 0.5, "nope")
+        with pytest.raises(DomainError, match="is for rho = 1/2"):
+            delta_max(mu, 0.4, "avg")
