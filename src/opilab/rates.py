@@ -4,8 +4,8 @@ improvement and saturation thresholds.
 Everything here is double precision.  Feasibility predicates are open
 strict inequalities in the underlying analysis, so they are certified with
 an explicit margin (FEAS_MARGIN) rather than at equality.  One builder,
-_exponent_in_delta, gives feasible and delta_max the exponent sum as a
-function of delta, with its delta-free terms computed once per mu.
+_exponent_in_delta, gives every feasibility and exponent scan the exponent
+sum as a function of delta, with its delta-free terms computed once per mu.
 """
 
 from __future__ import annotations
@@ -151,6 +151,22 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
     return x, f(x)
 
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """steps + 1 evenly spaced points from lo to hi, lo + (hi - lo) * i / steps."""
+    return [lo + (hi - lo) * i / steps for i in range(steps + 1)]
+
+
+def _bisect(pred, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Halve [a, b], pred(a) False and pred(b) True, until b - a <= tol."""
+    while b - a > tol:
+        mid = (a + b) / 2.0
+        if pred(mid):
+            b = mid
+        else:
+            a = mid
+    return a, b
+
+
 def scan_max(f, xs, tol: float = 1e-10):
     """(x, f(x)) maximizing f: the best of the sorted scan points xs, refined
     by golden section between its neighbours; the scan point is kept when
@@ -186,14 +202,7 @@ def scan_first_true(pred, xs, tol: float):
         )
     if first == 0:
         return xs[0], xs[0]
-    a, b = xs[first - 1], xs[first]
-    while b - a > tol:
-        mid = (a + b) / 2.0
-        if pred(mid):
-            b = mid
-        else:
-            a = mid
-    return a, b
+    return _bisect(pred, xs[first - 1], xs[first], tol)
 
 
 def pair_count_exponent_biased(mu: float, delta: float, tau: float, rho: float):
@@ -229,7 +238,7 @@ def _biased_exponent(mu: float, delta: float, tau: float, rho: float, argmax):
     if w <= 0.0:
         raise DomainError("need mu + tau < 1/2")
     base = 2.0 * (mu + tau) * LOG2 - binary_entropy(mu + delta)
-    beta_abs = abs(1.0 - 2.0 * rho) / math.sqrt(rho * (1.0 - rho))
+    beta_abs = _beta_abs(rho)
     log_half_beta = math.log(beta_abs / 2.0) if beta_abs > 0.0 else -math.inf
     a, d = 2.0 * (mu + tau), delta - tau
     # Both entropy arguments must land in [0, 1], which confines gamma to
@@ -284,8 +293,12 @@ def _stationary_gamma(objective, slope, lo: float, hi: float) -> float:
 
 
 def _scanned_gamma(objective, slope, lo: float, hi: float) -> float:
-    grid = 256
-    return scan_max(objective, [lo + (hi - lo) * i / grid for i in range(grid + 1)])[0]
+    return scan_max(objective, _grid(lo, hi, 256))[0]
+
+
+def _beta_abs(rho: float) -> float:
+    """|beta| = |1 - 2rho| / sqrt(rho(1 - rho)), the bias weight at density rho."""
+    return abs(1.0 - 2.0 * rho) / math.sqrt(rho * (1.0 - rho))
 
 
 def stationarity_residual(mu: float, delta: float, tau: float, rho: float, gamma: float) -> float:
@@ -300,8 +313,7 @@ def stationarity_residual(mu: float, delta: float, tau: float, rho: float, gamma
     w = 1.0 - 2.0 * mu - 2.0 * tau
     free, filled = delta - tau - gamma / 2.0, w - (delta - tau) + gamma / 2.0
     y = gamma / (2.0 * (mu + tau))
-    beta_abs = abs(1.0 - 2.0 * rho) / math.sqrt(rho * (1.0 - rho))
-    return 1.0 - (beta_abs / 2.0) * ((1.0 - y) / y) * math.sqrt(free / filled)
+    return 1.0 - (_beta_abs(rho) / 2.0) * ((1.0 - y) / y) * math.sqrt(free / filled)
 
 
 def dual_sum_exponent_biased(mu: float, tau: float, rho: float) -> float:
@@ -317,15 +329,16 @@ def dual_sum_exponent_biased(mu: float, tau: float, rho: float) -> float:
     )
 
 
-def _exponent_in_delta(mu: float, rho: float, bound_kind: str):
+def _exponent_in_delta(mu: float, rho: float, bound_kind: str, tau: float = 0.0):
     """delta -> the exponent sum of the bound at (mu, rho): the pair-count
     rate plus the dual-sum rate, with every delta-free term (the dual-sum
     rate, lambda_star for "best", H(2mu)) computed once.  The kind and rho
-    are taken as checked (see _check_kind)."""
+    are taken as checked (see _check_kind).  Only "biased" reads tau; its
+    default 0 is tau_star throughout the regime where that bound is
+    nonvacuous."""
     if bound_kind == "biased":
-        # tau_star = 0 throughout the regime where the bound is nonvacuous.
-        dual = dual_sum_exponent_biased(mu, 0.0, rho)
-        return lambda delta: pair_count_exponent_biased(mu, delta, 0.0, rho)[0] + dual
+        dual = dual_sum_exponent_biased(mu, tau, rho)
+        return lambda delta: pair_count_exponent_biased(mu, delta, tau, rho)[0] + dual
     if bound_kind == "green":
         return _pair_count_in_delta(mu, dual_sum_exponent_green(mu))
     if bound_kind == "avg":
@@ -370,12 +383,9 @@ def delta_max(mu: float, rho: float, bound_kind: str) -> float:
     if cap <= 0.0:
         return 0.0
     exponent = _exponent_in_delta(mu, rho, bound_kind)
-    scan = 256
     try:
-        bracket = scan_first_true(
-            lambda d: not exponent(d) < -FEAS_MARGIN,
-            [cap * i / scan for i in range(scan + 1)], 1e-6,
-        )
+        bracket = scan_first_true(lambda d: not exponent(d) < -FEAS_MARGIN,
+                                  _grid(0.0, cap, 256), 1e-6)
     except IdentityViolationError as exc:
         raise IdentityViolationError(
             f"feasibility is not an interval in delta at mu={mu} rho={rho} "
@@ -403,29 +413,26 @@ def _mu_cap(rho: float, bound_kind: str) -> float:
 def thresholds(rho: float, bound_kind: str) -> ThresholdResult:
     """Improvement threshold (smallest rate with a feasible delta > 0) and
     saturation threshold (smallest rate feasible at delta = cap), as rates
-    2*mu, each located to 1e-4 by bisection after a 128-step scan."""
+    2*mu, each located to 1e-4 by bisection after a 128-step scan.  Every
+    point's delta lies in [0, cap], so only the kind and rho are checked."""
     if bound_kind not in BOUND_KINDS:
         raise DomainError(f"unknown bound kind {bound_kind!r}")
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho={rho} outside (0, 1)")
-
-    def pred0(mu: float) -> bool:
-        return feasible(mu, 0.0, rho, bound_kind)
-
-    def pred1(mu: float) -> bool:
-        return feasible(mu, delta_cap(mu, rho, bound_kind), rho, bound_kind)
-
-    grid = 128
+    _check_kind(rho, bound_kind)
     lo = 1e-6
     hi = _mu_cap(rho, bound_kind) - 1e-6  # stay off the degenerate mu = cap endpoint
-    mus = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
+    mus = _grid(lo, hi, 128)
 
-    def threshold(pred) -> float | None:
-        bracket = scan_first_true(pred, mus, 5e-5)
+    def threshold(delta_at) -> float | None:
+        bracket = scan_first_true(
+            lambda mu: _exponent_in_delta(mu, rho, bound_kind)(delta_at(mu)) < -FEAS_MARGIN,
+            mus, 5e-5)
         return None if bracket is None else bracket[1]
 
-    # 1 - rho < 2e-6 leaves no mu to scan
-    mu0, mu1 = (threshold(pred0), threshold(pred1)) if lo <= hi else (None, None)
+    mu0 = mu1 = None  # 1 - rho < 2e-6 leaves no mu to scan
+    if lo <= hi:
+        mu0, mu1 = threshold(lambda mu: 0.0), threshold(lambda mu: delta_cap(mu, rho, bound_kind))
     if mu0 is None and mu1 is None:
         return ThresholdResult(bound_kind, rho, None, None, {}, "no finite threshold")
     witness = {}
@@ -454,7 +461,7 @@ def tau_derivative_factor(rho: float, x: float) -> float:
     * (rho/(1-rho)) x(1-x)."""
     if not 0.0 < x < 1.0:
         raise DomainError("x outside (0, 1)")
-    beta_abs = abs(1.0 - 2.0 * rho) / math.sqrt(rho * (1.0 - rho))
+    beta_abs = _beta_abs(rho)
     try:
         return (beta_abs * math.sqrt(x / (1.0 - x)) + 2.0) ** 2 * (rho / (1.0 - rho)) * x * (1.0 - x)
     except OverflowError:  # the square overflows as rho -> 0, where rho / (1 - rho) cancels it
@@ -483,8 +490,7 @@ def f_bar(rho: float) -> float:
 
 def f_bar_max():
     """(rho_star, f_bar(rho_star)) over [0.5, 0.67]."""
-    lo, hi, scan = 0.5, 0.67, 512
-    return scan_max(f_bar, [lo + (hi - lo) * i / scan for i in range(scan + 1)])
+    return scan_max(f_bar, _grid(0.5, 0.67, 512))
 
 
 def tau_star_analysis(rho: float, grid: int = 400) -> dict:
@@ -515,14 +521,9 @@ def improvement_possible(rho: float) -> bool:
     exponent sum collapses to 2 mu log 2 - H(mu) + the dual-sum rate.
     """
     mu_hi = min(0.5, 1.0 - rho)
-
-    def expo(mu: float) -> float:
-        value, _, _ = pair_count_exponent_biased(mu, 0.0, 0.0, rho)
-        return value + dual_sum_exponent_biased(mu, 0.0, rho)
-
     scan = 400
     mus = [mu_hi * (i + 1) / (scan + 2) for i in range(scan + 1)]
-    _, neg = scan_max(lambda mu: -expo(mu), mus)
+    _, neg = scan_max(lambda mu: -_exponent_in_delta(mu, rho, "biased")(0.0), mus)
     return -neg < -FEAS_MARGIN
 
 
@@ -536,12 +537,7 @@ def improvement_density_boundary() -> float:
         hi += 0.05
         if hi >= 0.99:
             raise DomainError("improvement persists to rho ~ 1")
-    while hi - lo > 5e-4:
-        mid = (lo + hi) / 2.0
-        if improvement_possible(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda r: not improvement_possible(r), lo, hi, 5e-4)
     return (lo + hi) / 2.0
 
 
@@ -559,26 +555,25 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
         raise DomainError(f"grid size must be at least 1, got {grid_size}")
     if rho is not None and not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
+    if rho is not None and figure_id in (1, 2):
+        raise DomainError(f"figure {figure_id} reads no density; drop --rho")
+
+    def axis(lo: float, hi: float, single: float) -> list[float]:
+        return _grid(lo, hi, grid_size - 1) if grid_size > 1 else [single]
+
     if figure_id == 1:
         header = ["two_mu", "scl", "green", "avg", "best"]
-        rows = []
-        for i in range(grid_size):
-            two_mu = i / (grid_size - 1) if grid_size > 1 else 0.5
-            mu = two_mu / 2.0
-            rows.append([
-                two_mu,
-                semicircle_law(0.5, mu),
-                _improved_curve_value(two_mu, "green"),
-                _improved_curve_value(two_mu, "avg"),
-                _improved_curve_value(two_mu, "best"),
-            ])
+        rows = [
+            [two_mu, semicircle_law(0.5, two_mu / 2.0),
+             *(_improved_curve_value(two_mu, kind) for kind in ("green", "avg", "best"))]
+            for two_mu in axis(0.0, 1.0, 0.5)
+        ]
         return header, rows
     if figure_id == 2:
         header = ["rho", "two_mu0_biased", "two_mu1_biased_raw", "two_mu1_biased_repaired"]
         rows = []
         running_min = math.inf
-        for i in range(grid_size):
-            r = 0.05 + (0.80 - 0.05) * i / (grid_size - 1) if grid_size > 1 else 0.5
+        for r in axis(0.05, 0.80, 0.5):
             res = thresholds(r, "biased")
             if res.two_mu0 is None or res.two_mu1 is None:
                 continue
@@ -590,8 +585,7 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
             raise DomainError("figure 3 needs a density rho")
         header = ["rho", "two_mu", "scl_rho", "improved", "delta_star", "tau_star", "gamma_star"]
         rows = []
-        for i in range(grid_size):
-            two_mu = i / (grid_size - 1) if grid_size > 1 else 0.5
+        for two_mu in axis(0.0, 1.0, 0.5):
             mu = two_mu / 2.0
             dm = delta_max(mu, rho, "biased") if mu < min(0.5, 1.0 - rho) else 0.0
             tau_s, gamma_s = 0.0, 0.0
@@ -612,22 +606,14 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
             ]
             return header, rows
         header = ["x_or_rho", "f_bar"]
-        rows = []
-        for i in range(grid_size):
-            r = 0.5 + (0.67 - 0.5) * i / (grid_size - 1) if grid_size > 1 else 0.56
-            rows.append([r, f_bar(r)])
-        return header, rows
+        return header, [[r, f_bar(r)] for r in axis(0.5, 0.67, 0.56)]
     raise DomainError(f"unknown figure id {figure_id}")
 
 
 def _tau_argmax(mu: float, delta: float, rho: float) -> float:
-    def total(tau: float) -> float:
-        value, _, _ = pair_count_exponent_biased(mu, delta, tau, rho)
-        return value + dual_sum_exponent_biased(mu, tau, rho)
-
     hi = min(delta, (1.0 - 2.0 * mu) / 2.0 - 1e-9)
     if hi <= 0.0:
         return 0.0
-    scan = 64
-    t_star, _ = scan_max(total, [hi * i / scan for i in range(scan + 1)])
+    t_star, _ = scan_max(lambda tau: _exponent_in_delta(mu, rho, "biased", tau)(delta),
+                         _grid(0.0, hi, 64))
     return t_star

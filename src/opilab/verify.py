@@ -31,7 +31,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 from . import codes, discrepancy, kravchuk, leakage, quadext
-from .errors import IdentityViolationError
+from .errors import DomainError, IdentityViolationError
 
 Row = namedtuple("Row", "identity suite kind mode check")
 
@@ -400,9 +400,14 @@ def run_suite(name: str, p=None, m=None, n=None, seed: int = 0,
               precision: int = 60) -> list[dict]:
     """The records of every row of suite `name` ("all": every suite, in
     table order), on instances of shape (p, m, n); a flag left as None
-    takes the suite's default, and a 0 or negative one is a DomainError."""
+    takes the suite's default, and a 0 or negative one is a DomainError, as
+    is any flag given to a suite that reads no code."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if name != "all" and _SOURCES[name][0] is None:
+        for flag, value in (("--p", p), ("--m", m), ("--n", n)):
+            if value is not None:
+                raise DomainError(f"suite {name!r} reads no code; drop {flag}")
     records = []
     for suite, (default, source) in _SOURCES.items():
         if name not in (suite, "all"):

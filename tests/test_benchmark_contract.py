@@ -2,7 +2,9 @@
 (`discrepancy.TWO_ROUTE_TOL`, `expected_discrepancy_all`, the `.real` and
 `.imag` of `per_transcript_sum`, ...).  Each workload's tiny pass runs here
 in-process, so a change under `src/` that breaks one of those reads fails
-a test rather than every op of a benchmark run."""
+a test rather than every op of a benchmark run.  The two workloads with
+committed references also run their full pass, so a printed float that
+drifts from its reference fails here too."""
 
 import sys
 from pathlib import Path
@@ -28,5 +30,13 @@ def workloads(monkeypatch):
 def test_tiny_workload_pass_has_no_failed_op(workloads, name, tmp_path):
     one_pass, table = workloads
     result = one_pass.run_pass(table[name](1, "tiny", tmp_path), False)
+    assert result["failed"] == 0, result["errors"]
+    assert result["attempted"] > 0
+
+
+@pytest.mark.parametrize("name", ["asymptotic", "finite_m"])
+def test_full_workload_pass_matches_its_committed_reference(workloads, name, tmp_path):
+    one_pass, table = workloads
+    result = one_pass.run_pass(table[name](1, "full", tmp_path), False)
     assert result["failed"] == 0, result["errors"]
     assert result["attempted"] > 0

@@ -13,6 +13,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -194,3 +195,33 @@ def test_verify_contract(argv):
     # verify reads its enumeration cap from the environment only
     with mock.patch.dict(os.environ, {"OPILAB_BUDGET": "5000"}):
         _run_and_check(argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["curve", "--figure", "1", "--grid", "3", "--rho", "0.3"], "--rho"),
+    (["curve", "--figure", "2", "--grid", "3", "--rho", "0.3"], "--rho"),
+    (["verify", "--suite", "kravchuk", "--p", "7"], "--p"),
+    (["verify", "--suite", "kravchuk", "--m", "6"], "--m"),
+    (["verify", "--suite", "kravchuk", "--n", "3"], "--n"),
+])
+def test_a_flag_the_figure_or_suite_never_reads_exits_two_naming_it(argv, flag):
+    # figures 1 and 2 are at rho = 1/2 and over a density grid; the kravchuk
+    # suite reads no code.  Each used to drop the flag and exit 0.
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--out", os.path.join(tmp, "out")])
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert err.getvalue().startswith("error: ") and flag in err.getvalue(), err.getvalue()
+        assert not os.listdir(tmp)
+
+
+def test_suite_all_still_applies_the_code_shape():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--suite", "all", "--seed", "1", "--p", "5", "--m", "5", "--n", "3"])
+    report = json.loads(out.getvalue())
+    assert code == 0 and report["passed"]
+    instances = [r["instance"] for r in report["identities"]]
+    assert {"p": 5, "m": 5, "n": 3}.items() <= next(i for i in instances if "p" in i).items()
+    assert any(r["identity"] == "orthogonality" for r in report["identities"])

@@ -520,8 +520,8 @@ def _reference_delta_max(mu, rho, kind):
     cap = delta_cap(mu, rho, kind)
     if cap <= 0.0:
         return 0.0
-    bracket = scan_first_true(lambda d: not _reference_feasible(mu, d, rho, kind),
-                              [cap * i / 256 for i in range(257)], 1e-6)
+    bracket = _reference_scan_first_true(lambda d: not _reference_feasible(mu, d, rho, kind),
+                                         [cap * i / 256 for i in range(257)], 1e-6)
     return cap if bracket is None else bracket[0]
 
 
@@ -579,3 +579,203 @@ def test_delta_max_checks_kind_and_density_even_with_nothing_to_scan():
             delta_max(mu, 0.5, "nope")
         with pytest.raises(DomainError, match="is for rho = 1/2"):
             delta_max(mu, 0.4, "avg")
+
+
+# ---------- one grid, one bisection and one exponent builder ----------
+# The routes below are the scans as they were written before _grid, _bisect
+# and the builder served them: every grid, bisection loop and exponent sum
+# spelled out, every threshold point through the range-checked feasible.
+
+def _reference_scan_first_true(pred, xs, tol):
+    flags = [pred(x) for x in xs]
+    if not any(flags):
+        return None
+    first = flags.index(True)
+    assert all(flags[first:])
+    if first == 0:
+        return xs[0], xs[0]
+    a, b = xs[first - 1], xs[first]
+    while b - a > tol:
+        mid = (a + b) / 2.0
+        if pred(mid):
+            b = mid
+        else:
+            a = mid
+    return a, b
+
+
+def _reference_thresholds(rho, kind):
+    if kind not in rates.BOUND_KINDS:
+        raise DomainError(f"unknown bound kind {kind!r}")
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho={rho} outside (0, 1)")
+    lo = 1e-6
+    hi = (min(0.5, 1.0 - rho) if kind == "biased" else 0.5) - 1e-6
+    mus = [lo + (hi - lo) * i / 128 for i in range(129)]
+
+    def threshold(pred):
+        bracket = _reference_scan_first_true(pred, mus, 5e-5)
+        return None if bracket is None else bracket[1]
+
+    mu0 = mu1 = None
+    if lo <= hi:
+        mu0 = threshold(lambda mu: feasible(mu, 0.0, rho, kind))
+        mu1 = threshold(lambda mu: feasible(mu, delta_cap(mu, rho, kind), rho, kind))
+    if mu0 is None and mu1 is None:
+        return [None, None, {}, "no finite threshold"]
+    witness = {}
+    if mu1 is not None:
+        witness = {
+            "delta": delta_cap(mu1, rho, kind),
+            "lambda": lambda_star(mu1) if kind == "best" and mu1 > 0.25 else 0.0,
+            "gamma": (_pair_count_exponent_biased_scan(mu1, delta_cap(mu1, rho, kind), 0.0, rho)[1]
+                      if kind == "biased" else 0.0),
+        }
+    return [None if mu0 is None else 2.0 * mu0, None if mu1 is None else 2.0 * mu1,
+            witness, "ok"]
+
+
+def _reference_tau_argmax(mu, delta, rho):
+    def total(tau):
+        value, _, _ = pair_count_exponent_biased(mu, delta, tau, rho)
+        return value + dual_sum_exponent_biased(mu, tau, rho)
+
+    hi = min(delta, (1.0 - 2.0 * mu) / 2.0 - 1e-9)
+    if hi <= 0.0:
+        return 0.0
+    return scan_max(total, [hi * i / 64 for i in range(65)])[0]
+
+
+def _reference_curve_series(figure_id, grid_size, rho=None):
+    if figure_id == 1:
+        rows = []
+        for i in range(grid_size):
+            two_mu = i / (grid_size - 1) if grid_size > 1 else 0.5
+            mu = two_mu / 2.0
+            rows.append([two_mu, semicircle_law(0.5, mu)] + [
+                semicircle_law(0.5, mu + _reference_delta_max(mu, 0.5, kind))
+                for kind in ("green", "avg", "best")])
+        return rows
+    if figure_id == 2:
+        rows, running_min = [], math.inf
+        for i in range(grid_size):
+            r = 0.05 + (0.80 - 0.05) * i / (grid_size - 1) if grid_size > 1 else 0.5
+            two_mu0, two_mu1, _, _ = _reference_thresholds(r, "biased")
+            if two_mu0 is None or two_mu1 is None:
+                continue
+            running_min = min(running_min, two_mu1)
+            rows.append([r, two_mu0, two_mu1, running_min])
+        return rows
+    if figure_id == 3:
+        rows = []
+        for i in range(grid_size):
+            two_mu = i / (grid_size - 1) if grid_size > 1 else 0.5
+            mu = two_mu / 2.0
+            dm = _reference_delta_max(mu, rho, "biased") if mu < min(0.5, 1.0 - rho) else 0.0
+            tau_s, gamma_s = 0.0, 0.0
+            if dm > 0.0:
+                tau_s = _reference_tau_argmax(mu, dm, rho)
+                _, gamma_s, _ = _pair_count_exponent_biased_scan(mu, dm, tau_s, rho)
+            rows.append([rho, two_mu, semicircle_law(rho, mu), semicircle_law(rho, mu + dm),
+                         dm, tau_s, gamma_s])
+        return rows
+    if rho is not None:
+        return [[x, tau_derivative_factor(rho, x)]
+                for x in ((i + 1) / (grid_size + 1) for i in range(grid_size))]
+    rows = []
+    for i in range(grid_size):
+        r = 0.5 + (0.67 - 0.5) * i / (grid_size - 1) if grid_size > 1 else 0.56
+        rows.append([r, f_bar(r)])
+    return rows
+
+
+def _reference_improvement_possible(rho):
+    mu_hi = min(0.5, 1.0 - rho)
+
+    def expo(mu):
+        value, _, _ = pair_count_exponent_biased(mu, 0.0, 0.0, rho)
+        return value + dual_sum_exponent_biased(mu, 0.0, rho)
+
+    mus = [mu_hi * (i + 1) / 402 for i in range(401)]
+    _, neg = scan_max(lambda mu: -expo(mu), mus)
+    return -neg < -FEAS_MARGIN
+
+
+def _reference_improvement_density_boundary():
+    lo, hi = 0.5, 0.9
+    assert _reference_improvement_possible(lo)
+    while _reference_improvement_possible(hi):
+        hi += 0.05
+    while hi - lo > 5e-4:
+        mid = (lo + hi) / 2.0
+        if _reference_improvement_possible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def _bits(value):
+    """value with every float replaced by its eight bytes."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+_ASYMPTOTIC_DENSITIES = [round(0.05 + (0.80 - 0.05) * i / 15, 6) for i in range(16)]
+
+
+@pytest.mark.parametrize("rho, kind", [(rho, "biased") for rho in _ASYMPTOTIC_DENSITIES]
+                         + [(1e-300, "biased"), (0.9999999, "biased"),
+                            (0.5, "green"), (0.5, "avg"), (0.5, "best")])
+def test_thresholds_match_the_feasible_route_bit_for_bit(rho, kind):
+    res = thresholds(rho, kind)
+    got = [res.two_mu0, res.two_mu1, res.witness, res.status]
+    assert _bits(got) == _bits(_reference_thresholds(rho, kind))
+
+
+@pytest.mark.parametrize("figure, grid, rho", [
+    *((figure, grid, None) for figure in (1, 2) for grid in (1, 2, 7)),
+    *((3, grid, rho) for rho in (0.6, 0.3) for grid in (1, 2, 7)),
+    (4, 200, None), (4, 200, 0.3),
+])
+def test_curve_series_matches_the_hand_written_grids_bit_for_bit(figure, grid, rho):
+    _, rows = curve_series(figure, grid, rho=rho)
+    assert _bits(rows) == _bits(_reference_curve_series(figure, grid, rho))
+
+
+def test_improvement_scans_match_their_hand_written_routes_bit_for_bit():
+    for rho in (0.64, 0.68):
+        assert improvement_possible(rho) is _reference_improvement_possible(rho)
+    assert (_bits(improvement_density_boundary())
+            == _bits(_reference_improvement_density_boundary()))
+    assert _bits(f_bar_max()) == _bits(scan_max(f_bar, [0.5 + (0.67 - 0.5) * i / 512
+                                                        for i in range(513)]))
+
+
+def test_thresholds_never_calls_feasible(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(rates, "feasible", counting)
+    for kind in rates.BOUND_KINDS:
+        thresholds(0.5, kind)
+    thresholds(0.3, "biased")
+    assert calls == []
+
+
+@pytest.mark.parametrize("rho, kind", [(0.3, "green"), (2.0, "nope"), (1.5, "biased")])
+def test_thresholds_raises_what_the_feasible_route_raised(rho, kind):
+    def raised(f):
+        with pytest.raises(DomainError) as err:
+            f(rho, kind)
+        return str(err.value)
+
+    assert raised(thresholds) == raised(_reference_thresholds)
