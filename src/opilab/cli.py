@@ -49,6 +49,10 @@ def _list_size(args) -> int:
 
 
 def _build_code(args) -> codes.MdsCode:
+    # oracle and leakage enumerate at least p elements
+    budget = codes.enumeration_budget(args.budget)
+    if args.p > budget:
+        raise BudgetExceededError(f"--p {args.p} exceeds the enumeration budget {budget}")
     ctx = codes.FieldCtx(args.p)
     points = None
     if args.points is not None:

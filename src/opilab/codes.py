@@ -37,8 +37,10 @@ from .errors import BudgetExceededError, DomainError
 DEFAULT_ENUM_BUDGET = 10_000_000
 _CHUNK = 1 << 16  # entries per enumeration chunk; columns of the widest cached span table
 
-# Witnesses making Miller-Rabin deterministic below 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses making Miller-Rabin deterministic below _MR_LIMIT, the least
+# strong pseudoprime to all of them (1287836182261 * 2575672364521).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def enumeration_budget(override: int | None = None) -> int:
@@ -52,9 +54,11 @@ def enumeration_budget(override: int | None = None) -> int:
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin for the desk-scale range."""
+    """Deterministic Miller-Rabin below _MR_LIMIT; DomainError from there up."""
     if p < 2:
         return False
+    if p >= _MR_LIMIT:
+        raise DomainError(f"{p} is past the deterministic primality range (below {_MR_LIMIT})")
     for w in _MR_WITNESSES:
         if p == w:
             return True
@@ -118,39 +122,17 @@ def _nullspace_mod_p(rows: list[list[int]], width: int, p: int) -> list[tuple[in
     return basis
 
 
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det % p
-        det = det * mat[col][col] % p
-        inv = pow(mat[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            if mat[r][col] % p:
-                f = mat[r][col] * inv % p
-                mat[r] = [(v - f * w) % p for v, w in zip(mat[r], mat[col])]
-    return det
-
-
 def _mds_check(B, p: int):
-    """Every n-row minor of the m x n matrix B must be invertible mod p.
-
-    Exhaustive up to 12 rows, 200 seeded random row sets above.
-    """
+    """Every one of the C(m, n) n-row minors of the m x n matrix B must be
+    invertible mod p, checked in lexicographic order; refused past the
+    enumeration budget before any is checked."""
     m, n = len(B), len(B[0])
-    if m <= 12:
-        rowsets = itertools.combinations(range(m), n)
-    else:
-        rng = random.Random(0)
-        rowsets = (tuple(sorted(rng.sample(range(m), n))) for _ in range(200))
-    for rows in rowsets:
-        if _det_mod_p([list(B[i]) for i in rows], p) == 0:
+    minors = math.comb(m, n)
+    budget = enumeration_budget()
+    if minors > budget:
+        raise BudgetExceededError(f"C({m}, {n}) = {minors} minors exceed budget {budget}")
+    for rows in itertools.combinations(range(m), n):
+        if _nullspace_mod_p([B[i] for i in rows], n, p):
             raise DomainError(f"rows {rows} are dependent: matrix is not MDS")
 
 
@@ -191,6 +173,13 @@ def make_code(ctx: FieldCtx, B) -> MdsCode:
     if 2 <= n <= m - 2 and p < max(m - n + 1, n - 1):
         raise DomainError(f"no [{m},{n}] MDS code exists over F_{p}")
     _mds_check(B, p)
+    return _with_dual(ctx, B)
+
+
+def _with_dual(ctx: FieldCtx, B) -> MdsCode:
+    """The MdsCode of the m x n matrix B (a tuple of reduced rows, taken as
+    MDS), with a dual basis self-checked against B^T y = 0."""
+    p, m, n = ctx.p, len(B), len(B[0])
     dual = _nullspace_mod_p([[B[i][j] for i in range(m)] for j in range(n)], m, p)
     if len(dual) != m - n:
         raise DomainError("dual dimension mismatch")
@@ -219,8 +208,8 @@ def make_rs_code(ctx: FieldCtx, m: int, n: int, eval_points=None) -> MdsCode:
         raise DomainError(f"need {m} evaluation points, got {len(pts)}")
     if len(set(pts)) != m:
         raise DomainError("duplicate evaluation points")
-    B = [[pow(a, j, p) for j in range(n)] for a in pts]
-    return make_code(ctx, B)
+    # Each n-row minor is a Vandermonde determinant on distinct points: nonzero.
+    return _with_dual(ctx, tuple(tuple(pow(a, j, p) for j in range(n)) for a in pts))
 
 
 @dataclass(frozen=True)

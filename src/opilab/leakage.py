@@ -78,11 +78,8 @@ def arc_extremal_check(p: int, rho: Fraction, trials: int = 1000, seed: int = 0)
         raise DomainError("rho * p must be an integer")
     size = int(s)
     starts = range(0, p, max(1, p // 16)) if p <= 512 else (0,)
-    interval_peak = max(
-        indicator_spectrum([(start + i) % p for i in range(size)], p).magnitude(z)
-        for start in starts
-        for z in range(1, p)
-    )
+    spectra = [indicator_spectrum([(start + i) % p for i in range(size)], p) for start in starts]
+    interval_peak = max(spec.magnitude(z) for spec in spectra for z in range(1, p))
     bound = arc_bound(rho, p)
     rng = random.Random(seed)
     random_peak = 0.0

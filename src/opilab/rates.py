@@ -351,6 +351,8 @@ def _exponent_in_delta(mu: float, rho: float, bound_kind: str, tau: float = 0.0)
 def _check_kind(rho: float, bound_kind: str) -> None:
     if bound_kind not in BOUND_KINDS:
         raise DomainError(f"unknown bound kind {bound_kind!r}")
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho={rho} outside (0, 1)")
     if bound_kind != "biased" and abs(rho - 0.5) > 1e-12:
         raise DomainError(f"bound kind {bound_kind!r} is for rho = 1/2")
 
@@ -415,10 +417,6 @@ def thresholds(rho: float, bound_kind: str) -> ThresholdResult:
     saturation threshold (smallest rate feasible at delta = cap), as rates
     2*mu, each located to 1e-4 by bisection after a 128-step scan.  Every
     point's delta lies in [0, cap], so only the kind and rho are checked."""
-    if bound_kind not in BOUND_KINDS:
-        raise DomainError(f"unknown bound kind {bound_kind!r}")
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho={rho} outside (0, 1)")
     _check_kind(rho, bound_kind)
     lo = 1e-6
     hi = _mu_cap(rho, bound_kind) - 1e-6  # stay off the degenerate mu = cap endpoint

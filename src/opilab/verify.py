@@ -31,7 +31,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 from . import codes, discrepancy, kravchuk, leakage, quadext
-from .errors import DomainError, IdentityViolationError
+from .errors import BudgetExceededError, DomainError, IdentityViolationError
 
 Row = namedtuple("Row", "identity suite kind mode check")
 
@@ -415,6 +415,10 @@ def run_suite(name: str, p=None, m=None, n=None, seed: int = 0,
         code = None
         if default is not None:
             fp, fm, fn = (d if v is None else v for v, d in zip((p, m, n), default))
+            # every code-reading suite enumerates at least p elements
+            budget = codes.enumeration_budget()
+            if fp > budget:
+                raise BudgetExceededError(f"--p {fp} exceeds the enumeration budget {budget}")
             code = codes.make_rs_code(codes.FieldCtx(fp), fm, fn)
         for kind, desc, build in source(code, seed, precision):
             # built once for all its rows; a build that raises is not

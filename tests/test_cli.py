@@ -351,6 +351,21 @@ def test_leakage_budget_obeys_a_lower_cap_after_a_cached_pass(capsys):
     assert captured.out == "" and "p^(m-n) = 121 exceeds budget" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--p", "9223372036854775837", "--m", "2", "--n", "1", "--search", "1"],
+    ["leakage", "--p", "9223372036854775837", "--m", "3", "--n", "2", "--t", "3"],
+    ["verify", "--suite", "moments", "--p", "9223372036854775837", "--m", "2", "--n", "1"],
+    ["verify", "--suite", "moments", "--p", "2305843009213693951", "--m", "2", "--n", "1"],
+])
+def test_a_field_past_the_budget_exits_two_naming_p_before_any_list_is_drawn(argv, capsys):
+    # both are primes; each command enumerates at least p elements
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --p {argv[argv.index('--p') + 1]} exceeds the " \
+                           f"enumeration budget {codes.DEFAULT_ENUM_BUDGET}\n"
+
+
 def test_leakage_nonzero_dual_sum_below_dual_distance_is_violation(monkeypatch, capsys):
     from opilab import discrepancy
 

@@ -35,6 +35,11 @@ def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(2**31 - 1)
     assert not is_prime(561)  # Carmichael
+    # 399165290221 * 798330580441, a strong pseudoprime to every prime base up to 37
+    assert not is_prime(318665857834031151167461)
+    # 1287836182261 * 2575672364521 passes base 41 as well: the witnesses end there
+    with pytest.raises(DomainError, match="past the deterministic primality range"):
+        is_prime(3317044064679887385961981)
 
 
 def test_field_ctx_rejects_composite():
@@ -387,6 +392,33 @@ def test_dependent_minor_is_rejected_by_its_rows():
     # are proportional, so their 2-row minor is singular
     with pytest.raises(DomainError, match=r"rows \(2, 3\) are dependent"):
         make_code(FieldCtx(7), [[1, 0], [0, 1], [1, 1], [2, 2]])
+
+
+def test_dependent_minor_past_twelve_rows_is_rejected():
+    # rows 5 and 19 are proportional; a sample of row sets could miss them
+    B = [[1, a] for a in range(19)] + [[2, 10]]
+    with pytest.raises(DomainError, match=r"rows \(5, 19\) are dependent"):
+        make_code(FieldCtx(101), B)
+
+
+def _refuse(*args):
+    raise AssertionError("a minor was checked")
+
+
+def test_minor_check_past_the_budget_is_refused_before_it_starts(monkeypatch):
+    monkeypatch.setenv("OPILAB_BUDGET", "100")
+    monkeypatch.setattr(codes, "_nullspace_mod_p", _refuse)
+    with pytest.raises(BudgetExceededError, match=r"C\(20, 2\) = 190 "):
+        make_code(FieldCtx(101), [[1, a] for a in range(20)])
+
+
+@pytest.mark.parametrize("p, m, n", [(11, 10, 5), (13, 12, 6), (31, 12, 9)])
+def test_rs_code_runs_no_minor_check(p, m, n, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(codes, "_mds_check", _refuse)
+        code = make_rs_code(FieldCtx(p), m, n)
+    # the same code as its matrix checked on every minor
+    assert make_code(FieldCtx(p), code.B) == code
 
 
 def test_lists_validation():

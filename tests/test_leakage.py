@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -61,6 +62,56 @@ def test_arc_extremal_check():
     assert rep["within_exact_bound"]
     rep = arc_extremal_check(53, Fraction(20, 53), trials=300, seed=6)
     assert rep["interval_attains_max"]
+
+
+def _reference_arc_extremal_check(p, rho, trials, seed):
+    """arc_extremal_check with one interval spectrum per (start, z)."""
+    size = int(rho * p)
+    starts = range(0, p, max(1, p // 16)) if p <= 512 else (0,)
+    interval_peak = max(
+        indicator_spectrum([(start + i) % p for i in range(size)], p).magnitude(z)
+        for start in starts
+        for z in range(1, p)
+    )
+    bound = arc_bound(rho, p)
+    rng = random.Random(seed)
+    random_peak = 0.0
+    for _ in range(trials):
+        spec = indicator_spectrum(rng.sample(range(p), size), p)
+        random_peak = max(random_peak, float(np.abs(spec.coeffs[1:]).max()))
+    peak = max(interval_peak, random_peak)
+    excess = (random_peak - interval_peak - 1e-12, peak - bound - 1e-12)
+    asym = abs(math.sin(float(rho) * math.pi)) / math.pi
+    return {
+        "p": p,
+        "rho": float(rho),
+        "interval_peak": interval_peak,
+        "random_peak": random_peak,
+        "exact_bound": bound,
+        "interval_attains_max": excess[0] <= 0,
+        "within_exact_bound": excess[1] <= 0,
+        "violation": max(0.0, *excess),
+        "correction_constant": max(0.0, peak - asym) * p * p,
+    }
+
+
+@pytest.mark.parametrize("p, size", [(53, 20), (101, 50)])
+def test_arc_extremal_check_matches_the_per_start_and_z_route(p, size):
+    rho = Fraction(size, p)
+    assert arc_extremal_check(p, rho, trials=40, seed=3) == \
+        _reference_arc_extremal_check(p, rho, trials=40, seed=3)
+
+
+def test_arc_extremal_check_builds_one_spectrum_per_start_and_trial(monkeypatch):
+    calls = []
+
+    def counting(subset, p):
+        calls.append(p)
+        return indicator_spectrum(subset, p)
+
+    monkeypatch.setattr(leakage, "indicator_spectrum", counting)
+    arc_extremal_check(101, Fraction(50, 101), trials=30, seed=1)
+    assert len(calls) == len(range(0, 101, 101 // 16)) + 30
 
 
 def test_bucket_preconditions():

@@ -581,6 +581,14 @@ def test_delta_max_checks_kind_and_density_even_with_nothing_to_scan():
             delta_max(mu, 0.4, "avg")
 
 
+def test_delta_max_and_feasible_reject_a_density_above_one_by_its_value():
+    # rho > 1 clamps the biased cap to 0, which returned before rho was checked
+    with pytest.raises(DomainError, match=r"rho=1\.5 outside \(0, 1\)"):
+        delta_max(0.3, 1.5, "biased")
+    with pytest.raises(DomainError, match=r"rho=1\.5 outside \(0, 1\)"):
+        feasible(0.3, 0.0, 1.5, "biased")
+
+
 # ---------- one grid, one bisection and one exponent builder ----------
 # The routes below are the scans as they were written before _grid, _bisect
 # and the builder served them: every grid, bisection loop and exponent sum
