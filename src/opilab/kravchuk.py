@@ -65,14 +65,6 @@ def poly_derivative(c: Poly) -> Poly:
     return poly_trim([i * c[i] for i in range(1, len(c))])
 
 
-def _falling_binomial(shift: Fraction, sign: int, j: int) -> Poly:
-    """C(shift + sign*x, j) as a polynomial in x."""
-    out: Poly = (Fraction(1),)
-    for i in range(j):
-        out = poly_mul(out, (shift - i, Fraction(sign)))
-    return poly_scale(out, Fraction(1, math.factorial(j)))
-
-
 # ---------- the family ----------
 
 @dataclass(frozen=True)
@@ -90,10 +82,7 @@ class KravchukFamily:
     degree_max: int
     coeffs: tuple[Poly, ...]
     norms: tuple[Fraction, ...]  # E[K_l^2] under Bin(m, rho)
-
-    @property
-    def r_sq(self) -> Fraction:
-        return (1 - self.rho) / self.rho
+    steps: tuple[tuple[int, int, int], ...]  # _recurrence_steps(m, rho, degree_max)
 
     def evaluate(self, ell: int, x) -> Fraction:
         return poly_eval(self.coeffs[ell], x)
@@ -116,21 +105,13 @@ def inner_product(m: int, rho: Fraction, a: Poly, b: Poly) -> Fraction:
     )
 
 
-def kravchuk_coeffs(m: int, rho: Fraction, ell: int) -> Poly:
-    """Coefficient vector of the degree-ell family member by the closed-form
-    sum; an independent route to the coefficients `build_family` stores."""
+def closed_form_value(m: int, rho: Fraction, ell: int, x: int) -> Fraction:
+    """K_ell(x) at an integer point x by the closed-form sum
+    sum_j (-r^2)^j C(x, j) C(m-x, ell-j), r^2 = (1-rho)/rho; an independent
+    route to the values of the recurrence.  K_ell has degree ell <= m, so
+    its values at x = 0..m fix every coefficient."""
     r_sq = (1 - Fraction(rho)) / Fraction(rho)
-    out: Poly = ()
-    a = Fraction(1)
-    for j in range(ell + 1):
-        term = poly_scale(
-            poly_mul(_falling_binomial(Fraction(0), 1, j),
-                     _falling_binomial(Fraction(m), -1, ell - j)),
-            a,
-        )
-        out = poly_add(out, term)
-        a *= -r_sq
-    return out
+    return sum((-r_sq) ** j * math.comb(x, j) * math.comb(m - x, ell - j) for j in range(ell + 1))
 
 
 def _recurrence_steps(m: int, rho: Fraction, ell_max: int):
@@ -148,15 +129,15 @@ def _recurrence_steps(m: int, rho: Fraction, ell_max: int):
         yield m * b - (b - a) * ell, a + b, a * b * ell * (m - ell + 1)
 
 
-def _recurrence_coeffs(m: int, rho: Fraction, ell_max: int) -> tuple[Poly, ...]:
-    """K_0..K_ell_max by the recurrence of `_recurrence_steps`, run on the
-    integer coefficients of H_l; each becomes a Fraction once, by one
+def _recurrence_coeffs(steps, rho: Fraction) -> tuple[Poly, ...]:
+    """K_0..K_len(steps) by the recurrence steps of `_recurrence_steps`, run
+    on the integer coefficients of H_l; each becomes a Fraction once, by one
     division by l! B^l."""
     prev: list[int] = []
     cur = [1]
     scale = 1  # l! B^l
     out = [(Fraction(1),)]
-    for ell, (c, s, t) in enumerate(_recurrence_steps(m, rho, ell_max)):
+    for ell, (c, s, t) in enumerate(steps):
         nxt = [c * v for v in cur] + [0]
         for i, v in enumerate(cur):
             nxt[i + 1] -= s * v
@@ -171,18 +152,18 @@ def _recurrence_coeffs(m: int, rho: Fraction, ell_max: int) -> tuple[Poly, ...]:
 @lru_cache(maxsize=256)
 def build_family(m: int, rho: Fraction, ell_max: int) -> KravchukFamily:
     """K_0..K_ell_max for Bin(m, rho), built by the integer three-term
-    recurrence.  The closed form `kravchuk_coeffs` and `gram_schmidt_family`
-    are the cross-check routes; for m <= 16 orthogonality is asserted on
-    construction."""
+    recurrence, whose steps the family keeps for the root counts.  The
+    closed form `closed_form_value` is the cross-check route; for m <= 16
+    orthogonality is asserted on construction."""
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise DomainError("rho must lie in (0, 1)")
     if ell_max > m:
         raise DomainError(f"degree cutoff {ell_max} exceeds m={m}")
     r_sq = (1 - rho) / rho
-    coeffs = _recurrence_coeffs(m, rho, ell_max)
+    steps = tuple(_recurrence_steps(m, rho, ell_max))
     norms = tuple(math.comb(m, ell) * r_sq**ell for ell in range(ell_max + 1))
-    fam = KravchukFamily(m, rho, ell_max, coeffs, norms)
+    fam = KravchukFamily(m, rho, ell_max, _recurrence_coeffs(steps, rho), norms, steps)
     if m <= 16:
         _assert_orthogonality(fam)
     return fam
@@ -219,25 +200,6 @@ def _assert_orthogonality(fam: KravchukFamily):
                 raise IdentityViolationError(
                     f"orthogonality failed at m={fam.m} rho={fam.rho} (r={r}, s={s})"
                 )
-
-
-def gram_schmidt_family(m: int, rho: Fraction, ell_max: int) -> list[Poly]:
-    """Monic orthogonal polynomials by exact Gram-Schmidt; verification route."""
-    mom = binomial_moments(m, rho, 2 * ell_max)
-
-    def ip(a: Poly, b: Poly) -> Fraction:
-        return sum(
-            ai * bj * mom[i + j]
-            for i, ai in enumerate(a) for j, bj in enumerate(b)
-        )
-
-    basis: list[Poly] = []
-    for ell in range(ell_max + 1):
-        mono: Poly = tuple([Fraction(0)] * ell + [Fraction(1)])
-        for q in basis:
-            mono = poly_add(mono, poly_scale(q, -ip(mono, q) / ip(q, q)))
-        basis.append(mono)
-    return basis
 
 
 # ---------- recursions and the tridiagonal identity ----------
@@ -289,7 +251,7 @@ def _count_below(fam: KravchukFamily, ell: int, num: int, den: int) -> tuple[int
     den_sq = den * den
     changes = 0
     positive = True
-    for c, s, t in _recurrence_steps(fam.m, fam.rho, ell):
+    for c, s, t in fam.steps[:ell]:
         prev, cur = cur, (c * den - s * num) * cur - t * den_sq * prev
         if cur and (cur > 0) != positive:
             changes += 1

@@ -46,9 +46,9 @@ def indicator_spectrum(subset, p: int) -> IndicatorSpectrum:
     s = tuple(sorted(set(int(v) for v in subset)))
     if s and (s[0] < 0 or s[-1] >= p):
         raise DomainError("subset element outside [0, p)")
-    xs = np.array(s, dtype=np.float64)
-    z = np.arange(p, dtype=np.float64)
-    coeffs = np.exp(2j * np.pi * np.outer(z, xs) / p).sum(axis=1) / p
+    indicator = np.zeros(p)
+    indicator[list(s)] = 1.0
+    coeffs = np.fft.ifft(indicator)  # (1/p) sum_x 1_S(x) e(xz/p)
     spec = IndicatorSpectrum(s, p, Fraction(len(s), p), coeffs)
     rho = len(s) / p
     if abs(spec.coeffs[0] - rho) > 1e-12:
@@ -211,7 +211,8 @@ def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
             raise DomainError("random buckets need n < m: their rate divides by 2 - 4 mu")
         mu = n / (2 * m)
         a1 = 4 * mu - 1
-        if not 0 < lambda_target <= min(a1, 2 * mu):
+        # the entropy arguments lambda/a1 and (2 mu - lambda)/(2 - 4 mu) lie in [0, 1]
+        if not (0 < lambda_target and 6 * mu - 2 <= lambda_target <= min(a1, 2 * mu)):
             raise DomainError("lambda target outside the feasible region")
         rate = (
             binary_entropy(2 * mu)

@@ -156,10 +156,6 @@ def r_sq_of(rho: Fraction) -> Fraction:
     return (1 - rho) / rho
 
 
-def one(rho: Fraction) -> QuadExt:
-    return QuadExt(Fraction(1), Fraction(0), r_sq_of(rho))
-
-
 def zero(rho: Fraction) -> QuadExt:
     return QuadExt(Fraction(0), Fraction(0), r_sq_of(rho))
 
@@ -167,12 +163,6 @@ def zero(rho: Fraction) -> QuadExt:
 def r_of(rho: Fraction) -> QuadExt:
     """r = sqrt((1-rho)/rho), the in-list normalized indicator value."""
     return QuadExt(Fraction(0), Fraction(1), r_sq_of(rho))
-
-
-def sqrt_rho_one_minus_rho(rho: Fraction) -> QuadExt:
-    """sqrt(rho(1-rho)) = rho * r, exactly in Q(r)."""
-    rho = _frac(rho)
-    return QuadExt(Fraction(0), rho, r_sq_of(rho))
 
 
 def beta_of(rho: Fraction) -> QuadExt:

@@ -491,27 +491,6 @@ def f_bar_max():
     return scan_max(f_bar, _grid(0.5, 0.67, 512))
 
 
-def tau_star_analysis(rho: float, grid: int = 400) -> dict:
-    """Grid study of f_rho plus the f_bar certificate quantities."""
-    xs = [(i + 1) / (grid + 2) for i in range(grid + 1)]
-    curve = [(x, tau_derivative_factor(rho, x)) for x in xs]
-    argmax_expected = 1.0 - rho if rho <= 0.5 else rho
-    grid_best = max(curve, key=lambda t: t[1])
-    report = {
-        "rho": rho,
-        "f_rho_curve": curve,
-        "argmax_expected": argmax_expected,
-        "max_location": grid_best[0],
-        "argmax_certified": abs(grid_best[0] - argmax_expected) <= 2.0 / grid,
-        "f_rho_at_expected": tau_derivative_factor(rho, argmax_expected),
-    }
-    if rho > 0.5:
-        report["mu_floor"] = biased_mu_floor(rho)
-        report["g_rho"] = x_cap(rho, biased_mu_floor(rho))
-        report["f_bar"] = f_bar(rho)
-    return report
-
-
 def improvement_possible(rho: float) -> bool:
     """Whether the biased bound admits any mu with a feasible delta > 0.
 

@@ -151,8 +151,7 @@ SUITES = (*_SOURCES, "all")
 def _generating_function(inst):
     m, fam = inst.m, inst.fam
     return _exact("x ell", (
-        ((x, ell), fam.values[ell][x] == sum(math.comb(m - x, ell - i) * math.comb(x, i) * (-1) ** i
-                                             for i in range(ell + 1)))
+        ((x, ell), fam.values[ell][x] == kravchuk.closed_form_value(m, kravchuk.HALF, ell, x))
         for x in range(m + 1) for ell in range(fam.degree_max + 1)))
 
 

@@ -223,6 +223,20 @@ def test_leakage_non_finite_or_huge_eps_exits_two_with_its_reason(capsys, eps, m
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("shape, lam", [(("11", "10", "7", "8"), "0.000001"),
+                                        (("7", "6", "5", "6"), "0.3")])
+def test_leakage_random_bucket_lambda_below_the_feasible_region_exits_two(capsys, shape, lam):
+    # below 6 mu - 2 the entropy argument (2 mu - lambda) / (2 - 4 mu) passes 1
+    p, m, n, t = shape
+    code = main(["leakage", "--p", p, "--m", m, "--n", n, "--t", t,
+                 "--buckets", "random", "--lambda", lam])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "lambda target outside the feasible region" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_thresholds_rho_outside_unit_interval_is_domain_error(capsys):
     code, out = run_cli(["thresholds", "--rho", "1.5", "--bound", "biased"], capsys)
     assert code == 2

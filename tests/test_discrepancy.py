@@ -43,7 +43,7 @@ from opilab.discrepancy import (
 
 from opilab.errors import DomainError
 from opilab.kravchuk import HALF, build_family, kkt_optimum, smallest_root
-from opilab.quadext import QuadExt, beta_abs_of, beta_of, r_of, r_sq_of, sqrt_rho_one_minus_rho, zero
+from opilab.quadext import QuadExt, beta_abs_of, beta_of, r_of, r_sq_of, zero
 
 import mpmath
 
@@ -104,7 +104,7 @@ def test_q1_gives_satisfaction_exactly():
             for i in range(code.m)
             if sum(code.B[i][j] * x[j] for j in range(code.n)) % code.p in lists.sets[i]
         )
-        lhs = rho + sqrt_rho_one_minus_rho(rho) * q1 * Fraction(1, code.m)
+        lhs = rho + rho * r_of(rho) * q1 * Fraction(1, code.m)
         assert lhs == QuadExt.of(Fraction(sat, code.m), 0, q1.r_sq)
 
 
@@ -667,7 +667,7 @@ def reference_sampled_satisfaction(code, lists, spec, profile, digits=60, counts
     eq = expected_discrepancy_exact(code, lists, profile)
     exp_den = sum((q * t0 for q, t0 in zip(eq, t0s)), zero(rho)) * profile.total
     exp_t1 = sum((q * t1 for q, t1 in zip(eq, t1s)), zero(rho)) * profile.total
-    exp_num = rho * exp_den + sqrt_rho_one_minus_rho(rho) * exp_t1 / m
+    exp_num = rho * exp_den + rho * r_of(rho) * exp_t1 / m
     assert num.real_equals(exp_num) and den.real_equals(exp_den)
     return num, den
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from opilab import kravchuk
 from opilab.codes import FieldCtx, brute_force_opi, make_lists, make_rs_code
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.kravchuk import (
@@ -11,12 +12,11 @@ from opilab.kravchuk import (
     _assert_orthogonality,
     build_family,
     char_poly_identity_check,
-    gram_schmidt_family,
+    closed_form_value,
     inner_product,
     interlacing_check,
     isolate_roots,
     kkt_optimum,
-    kravchuk_coeffs,
     largest_root,
     monic_scaled,
     poly_add,
@@ -101,29 +101,36 @@ def test_orthogonality_check_rejects_a_perturbed_family(rho):
         _assert_orthogonality(dataclasses.replace(fam, coeffs=doubled))
 
 
-def test_gram_schmidt_route_agrees():
-    # Monic Gram-Schmidt output rescaled by the leading coefficient must
-    # reproduce the stored family, coefficient by coefficient.
-    for rho in (HALF, Fraction(1, 3), Fraction(2, 7)):
-        fam = build_family(8, rho, 4)
-        monic = gram_schmidt_family(8, rho, 4)
-        for ell in range(5):
-            assert poly_scale(monic[ell], fam.leading(ell)) == fam.coeffs[ell]
-
-
 @pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
-                                 Fraction(5, 6)])
+                                 Fraction(5, 6), Fraction(2, 7)])
 def test_recurrence_matches_closed_form(rho):
-    # r^2 = A/B = (1-rho)/rho covers A = B, A > B (1/3, 2/5, 3/7) and A < B (5/6).
+    # r^2 = A/B = (1-rho)/rho covers A = B, A > B (1/3, 2/5, 3/7, 2/7) and
+    # A < B (5/6).  K_l has degree l <= m, so its values at x = 0..m fix
+    # every coefficient.
     for m in range(17):
         fam = build_family(m, rho, m)
         for ell in range(m + 1):
-            assert fam.coeffs[ell] == kravchuk_coeffs(m, rho, ell)
+            assert fam.values[ell] == tuple(closed_form_value(m, rho, ell, x)
+                                            for x in range(m + 1))
 
 
 def test_recurrence_matches_closed_form_mid_size():
     rho = Fraction(1, 3)
-    assert build_family(40, rho, 12).coeffs[12] == kravchuk_coeffs(40, rho, 12)
+    assert build_family(40, rho, 12).values[12] == tuple(closed_form_value(40, rho, 12, x)
+                                                         for x in range(41))
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3)])
+def test_root_counts_read_the_stored_steps(rho, monkeypatch):
+    m, ell = 23, 7
+    fam = build_family.__wrapped__(m, rho, ell)
+    want = (isolate_roots(fam, ell), largest_root(fam, ell), smallest_root(fam, ell))
+
+    def rerun(*args):
+        raise AssertionError("the recurrence was run again after construction")
+
+    monkeypatch.setattr(kravchuk, "_recurrence_steps", rerun)
+    assert (isolate_roots(fam, ell), largest_root(fam, ell), smallest_root(fam, ell)) == want
 
 
 def _checked_roots(fam, ell, precision):

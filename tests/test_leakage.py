@@ -49,6 +49,13 @@ def test_spectrum_interval_magnitudes():
     assert spec.magnitude(1) == pytest.approx(arc_bound(Fraction(s, p), p), abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [53, 101, 211])
+def test_spectrum_matches_the_direct_character_sum(p):
+    subset = random.Random(p).sample(range(p), p // 3)
+    direct = [sum(np.exp(2j * np.pi * x * z / p) for x in subset) / p for z in range(p)]
+    assert np.max(np.abs(indicator_spectrum(subset, p).coeffs - direct)) < 1e-12
+
+
 def test_arc_bound_limit():
     # at half density and large p the bound tends to 1/pi
     assert arc_bound(Fraction(500, 1001), 1001) == pytest.approx(1 / math.pi, abs=2e-3)

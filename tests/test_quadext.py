@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from opilab.quadext import QuadExt, beta_of, r_of, r_sq_of, sqrt_rho_one_minus_rho
+from opilab.quadext import QuadExt, beta_of, r_of, r_sq_of
 
 
 RHO = Fraction(2, 5)  # r^2 = 3/2, not a rational square
@@ -44,7 +44,7 @@ def test_mixing_fields_rejected():
 def test_beta_matches_definition():
     # beta = (1-2 rho)/sqrt(rho(1-rho)) and sqrt(rho(1-rho)) = rho * r.
     beta = beta_of(RHO)
-    s = sqrt_rho_one_minus_rho(RHO)
+    s = RHO * r_of(RHO)
     lhs = beta * s
     assert lhs == QuadExt.of(1 - 2 * RHO, 0, r_sq_of(RHO))
     assert abs(s.to_float() ** 2 - float(RHO * (1 - RHO))) < 1e-15

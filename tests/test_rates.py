@@ -31,7 +31,6 @@ from opilab.rates import (
     semicircle_law,
     stationarity_residual,
     tau_derivative_factor,
-    tau_star_analysis,
     thresholds,
 )
 
@@ -375,18 +374,21 @@ def test_tau_factor_peak_balanced():
         assert tau_derivative_factor(0.5, x) == pytest.approx(4 * x * (1 - x), abs=1e-12)
 
 
+def _tau_factor_argmax(rho):
+    # the 801 interior points of (0, 1), refined between the best one's neighbours
+    x, _ = scan_max(lambda x: tau_derivative_factor(rho, x), [(i + 1) / 802 for i in range(801)])
+    return x
+
+
 def test_tau_factor_peak_below_half():
     for rho in (0.1, 0.2, 0.3, 0.4, 0.5):
         assert tau_derivative_factor(rho, 1 - rho) == pytest.approx(1.0, abs=1e-10)
-        rep = tau_star_analysis(rho, grid=800)
-        assert rep["argmax_certified"]
+        assert abs(_tau_factor_argmax(rho) - (1 - rho)) <= 2 / 800
 
 
 def test_tau_factor_peak_above_half():
-    rep = tau_star_analysis(0.6, grid=800)
-    assert rep["argmax_expected"] == 0.6
-    assert rep["argmax_certified"]
-    assert rep["f_bar"] < 1.0
+    assert abs(_tau_factor_argmax(0.6) - 0.6) <= 2 / 800
+    assert f_bar(0.6) < 1.0
 
 
 def test_f_bar_max_location_and_value():
