@@ -12,9 +12,27 @@ c_hi its k // 2 leading coordinates, so that G c = G_hi c_hi + G_lo c_lo
 (mod p) reads two cached tables of p^(k // 2) and p^ceil(k / 2) columns
 (`_span_tables`).  A chunk of about 2^16 entries is one broadcast add of
 table columns and no reduction: row i holds H + L in [0, 2p) plus 2 p i,
-so the chunk indexes the ravel of any m x 2p table that stores each row
-twice.  The oracle gathers a doubled membership table at the codewords
-B x; the dual pass gathers doubled tables over Z[omega], omega = e(1/p),
+so the chunk indexes the rows of any m 2p-row table that stores each row
+of an m x p table twice.  Past 2^16 columns (n = 1 or m - n = 1 at p >
+2^16) no table is built: each chunk's columns come from its own
+coefficient slice, one multiply-add per coordinate and one reduction mod p
+(`_span_columns`, which also builds the tables).
+
+The oracle splits each solution into x = (x_lead, x_tail), x_tail the last
+j = floor((n - 1) / 2) coordinates, with j cut until 2 p W <= 2^16 for W =
+p^j.  Per call it builds one uint8 table V of m 2p rows and W columns,
+V[2 p i + s, l] = [s + (B_tail x_tail)_i mod p in S_i] for the l-th tail,
+gathered from the doubled membership table through an index that depends
+only on the code (`_oracle_split`: cached per code in the smallest
+unsigned dtype; the cap keeps it within a span table's 2^16 columns), 2^16
+index entries at a time, so numpy's intp copy of it stays chunk-sized.  The
+lead codewords come from `_codeword_chunks` on B's n - j leading columns,
+about 2^16 / (m W) per chunk, and their unreduced sums gather whole V rows:
+one sum over the m rows counts b x W solutions.  At j = 0 (n <= 2, or 2
+p^2 > 2^16, p > 181) V is the doubled membership table itself and no
+index is built.
+
+The dual pass gathers doubled tables over Z[omega], omega = e(1/p),
 modulo primes P = 1 (mod p) and joins the integer sums by CRT
 (`dual_weight_sums`).
 """
@@ -35,7 +53,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 
 DEFAULT_ENUM_BUDGET = 10_000_000
-_CHUNK = 1 << 16  # entries per enumeration chunk; columns of the widest cached span table
+_CHUNK = 1 << 16  # entries per enumeration chunk; columns of the widest cached table
 
 # Witnesses making Miller-Rabin deterministic below _MR_LIMIT, the least
 # strong pseudoprime to all of them (1287836182261 * 2575672364521).
@@ -289,6 +307,21 @@ class SatisfactionProfile:
         return self.p ** self.n
 
 
+def _span_columns(G: np.ndarray, p: int, start: int, stop: int) -> np.ndarray:
+    """(G c) mod p as an m x (stop - start) int64 array, for the m x k int64
+    matrix G and its coefficient vectors c of lexicographic indices start to
+    stop - 1: one multiply-add per coordinate over the digits of c, trailing
+    digit first, then one reduction mod p.  k = 0 gives zero columns."""
+    c = np.arange(start, stop)
+    S = np.zeros((G.shape[0], c.size), dtype=np.int64)
+    for g in G.T[::-1]:
+        q = c // p  # floor division by a scalar is faster than %
+        S += g[:, None] * (c - q * p)
+        c = q
+    S -= S // p * p
+    return S
+
+
 @functools.lru_cache(maxsize=8)
 def _span_tables(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(H, L) for the column span of the m x k matrix G over F_p given by its
@@ -298,40 +331,70 @@ def _span_tables(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
     cache shares them."""
     G = np.array(rows, dtype=np.int64)
     m, k = G.shape
-    H, L = (G[:, c] @ np.indices((p,) * len(c)).reshape(len(c), p ** len(c))
-            for c in (range(k // 2), range(k // 2, k)))
-    H %= p
-    L %= p
+    H, L = (_span_columns(g, p, 0, p ** g.shape[1]) for g in (G[:, :k // 2], G[:, k // 2:]))
     H += 2 * p * np.arange(m)[:, None]
     H.setflags(write=False)
     L.setflags(write=False)
     return H, L
 
 
-def _codeword_chunks(rows, p: int):
+def _codeword_chunks(rows, p: int, size: int | None = None):
     """Yield (start, S) over the p^k vectors G c of the span of the m x k
     matrix G given by its `rows`, coefficient vectors c in lexicographic
-    order: column j of the m x c int64 array S is vector start + j, as
-    H[:, h] + L[:, l] from `_span_tables`.  So S holds unreduced sums in
-    [2 p i, 2 p i + 2 p) on row i: it indexes the ravel of any m x 2p table
-    that stores each row twice, and S % p is the vectors.  A chunk holds
-    about 2^16 entries; no table wider than 2^16 columns stays cached."""
+    order: column j of the m x b int64 array S is vector start + j.  S holds
+    unreduced sums in [2 p i, 2 p i + 2 p) on row i: it indexes the rows of
+    any m 2p-row table that stores each row of an m x p table twice, and
+    S % p is the vectors.  A chunk holds `size` vectors, about 2^16 entries
+    by default.  S is H[:, h] + L[:, l] from `_span_tables` while the lo
+    table is at most 2^16 columns wide; past that, no table is built and
+    each chunk's columns come from its own coefficient slice."""
     m = len(rows)
     k = len(rows[0])
-    H, L = (_span_tables if p ** -(-k // 2) <= _CHUNK else _span_tables.__wrapped__)(rows, p)
+    size = size or max(1, _CHUNK // m)  # vectors per chunk
+    if p ** -(-k // 2) > _CHUNK:
+        G, offset, total = np.array(rows, dtype=np.int64), 2 * p * np.arange(m)[:, None], p ** k
+        for start in range(0, total, size):
+            S = _span_columns(G, p, start, min(start + size, total))
+            S += offset
+            yield start, S
+        return
+    H, L = _span_tables(rows, p)
     width = L.shape[1]
-    size = max(1, _CHUNK // m)  # vectors per chunk
     batch, step = max(1, size // width), min(size, width)
     for h in range(0, H.shape[1], batch):
         for l in range(0, width, step):
             yield h * width + l, (H[:, h:h + batch, None] + L[:, None, l:l + step]).reshape(m, -1)
 
 
+@functools.lru_cache(maxsize=8)
+def _oracle_split(B, p: int) -> tuple[tuple, int, np.ndarray | None]:
+    """(lead, W, index) for the oracle on the m x n matrix B given by its
+    rows, split as the module docstring says: `lead` holds the rows of B's
+    n - j leading columns, W = p^j, and `index` is the m 2p x W gather of
+    the raveled doubled membership table into V, entry (2 p i + s, l) = 2 p
+    i + (s + T[i, l]) mod p for T = B_tail x_tail over the tails in C
+    order; None at j = 0.  Read-only, as the cache shares it."""
+    m, n = len(B), len(B[0])
+    j = (n - 1) // 2
+    while j and 2 * p ** (j + 1) > _CHUNK:
+        j -= 1
+    if not j:
+        return B, 1, None
+    W = p ** j
+    T = _span_columns(np.array(B, dtype=np.int64)[:, n - j:], p, 0, W)
+    index = np.empty((m, 2 * p, W), dtype=np.min_scalar_type(2 * p * m - 1))
+    for i, t in enumerate(T):  # a row at a time: no temporary past 2^16 entries
+        index[i] = (np.arange(2 * p)[:, None] + t) % p + 2 * p * i
+    index = index.reshape(2 * p * m, W)
+    index.setflags(write=False)
+    return tuple(r[:n - j] for r in B), W, index
+
+
 def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None) -> SatisfactionProfile:
     """Enumerate all p^n solutions; ties in the argmax go to the
     lexicographically smallest x, the first maximum of the first chunk
-    that holds one.  Each chunk is one gather of the doubled membership
-    table at the chunk's codewords B x."""
+    that holds one.  Each chunk of lead codewords gathers whole rows of the
+    shifted table V (see the module docstring): b x W counts at once."""
     p, m, n = code.p, code.m, code.n
     if lists.p != p or lists.m != m:
         raise DomainError("lists do not match the code")
@@ -341,20 +404,26 @@ def brute_force_opi(code: MdsCode, lists: InputLists, budget: int | None = None)
     member = np.zeros((m, 2 * p), dtype=np.uint8)
     member[np.arange(m)[:, None], lists.sets] = 1
     member[:, p:] = member[:, :p]
-    member = member.ravel()
+    lead, W, index = _oracle_split(code.B, p)
+    if index is None:  # j = 0: V is the doubled membership table itself
+        V = member.reshape(-1, 1)
+    else:  # 2^16 entries at a time: numpy gathers through an intp copy of the index
+        V = np.empty(index.shape, dtype=np.uint8)
+        for r in range(0, len(index), _CHUNK // W):
+            np.take(member, index[r:r + _CHUNK // W], out=V[r:r + _CHUNK // W])
     count_dtype = np.min_scalar_type(m)  # the counts reach m
     hist = np.zeros(m + 1, dtype=np.int64)
     best_count, best_idx = -1, -1
-    for start, S in _codeword_chunks(code.B, p):
-        sat = member[S].sum(axis=0, dtype=count_dtype)
+    for start, S in _codeword_chunks(lead, p, max(1, _CHUNK // (m * W))):
+        sat = np.add.reduce(np.take(V, S, axis=0), axis=0, dtype=count_dtype).ravel()
         hist += np.bincount(sat, minlength=m + 1)
-        j = int(np.argmax(sat))
-        if sat[j] > best_count:
-            best_count, best_idx = int(sat[j]), start + j
+        q = int(sat.argmax())
+        if sat[q] > best_count:
+            best_count, best_idx = int(sat[q]), start * W + q
     return SatisfactionProfile(
         m=m, p=p, n=n,
-        histogram=tuple(int(v) for v in hist),
-        best_x=tuple(int(v) for v in np.unravel_index(best_idx, (p,) * n)),
+        histogram=tuple(hist.tolist()),
+        best_x=tuple(best_idx // p ** e % p for e in range(n - 1, -1, -1)),
         s_max=Fraction(best_count, m),
     )
 

@@ -255,19 +255,25 @@ def test_dual_tables_are_built_once_per_code_and_read_only():
 
 
 def test_split_tables_are_built_once_per_code_and_read_only():
-    # the oracle caches one span-table entry, for B, in the same cache the
-    # dual pass uses: the two enumerations keep one entry each
+    # per code the oracle caches one span-table entry, for B's lead
+    # columns, in the same cache the dual pass uses, and one split entry
+    # holding the shift index of B's tail column: one entry per cache each
     code = make_rs_code(FieldCtx(7), 6, 3)
     codes._span_tables.cache_clear()
+    codes._oracle_split.cache_clear()
     for seed in range(3):
         brute_force_opi(code, random_lists(7, 6, 2, seed))
-    info = codes._span_tables.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    H, L = codes._span_tables(code.B, 7)
-    assert H.shape == (6, 7) and L.shape == (6, 49)
-    assert not H.flags.writeable and not L.flags.writeable
+    for cache in (codes._span_tables, codes._oracle_split):
+        info = cache.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    lead, W, index = codes._oracle_split(code.B, 7)
+    H, L = codes._span_tables(lead, 7)
+    # m 2p = 84 rows by p^j = 7 tails, indices below 84: one byte each
+    assert index.shape == (84, 7) and index.dtype == np.uint8
+    assert not (H.flags.writeable or L.flags.writeable or index.flags.writeable)
     list(dual_codewords(code))
     assert codes._span_tables.cache_info().currsize == 2
+    assert codes._oracle_split.cache_info().currsize == 1
 
 
 def _traced_peak_mb(fn):
@@ -315,6 +321,30 @@ def test_no_wide_span_table_stays_cached_after_its_call():
         tracemalloc.stop()
         codes._span_tables.cache_clear()
     assert held <= 4
+
+
+def test_wide_enumerations_build_each_chunk_from_its_coefficient_slice(monkeypatch):
+    # with 16-entry chunks every lo table past 16 columns is wide, k = 2
+    # and 3 included: no such table is built, each chunk comes from its own
+    # coefficient slice, and both readers still match their matmul routes
+    widths, span_tables = [], codes._span_tables
+
+    def spy(rows, p):
+        H, L = span_tables(rows, p)
+        widths.append(L.shape[1])
+        return H, L
+
+    monkeypatch.setattr(codes, "_CHUNK", 16)
+    monkeypatch.setattr(codes, "_span_tables", spy)
+    codes._oracle_split.cache_clear()
+    try:
+        for p, m, n in ((7, 6, 3), (5, 5, 2), (17, 4, 2), (5, 4, 4)):
+            code = make_rs_code(FieldCtx(p), m, n)
+            _assert_enumerations_match_the_matmul_routes(code, random_lists(p, m, 2, p + m + n))
+    finally:
+        codes._oracle_split.cache_clear()
+    # only (5, 5, 2)'s lead and (5, 4, 4)'s empty dual basis were tabulated
+    assert widths and max(widths) <= 16
 
 
 def _mds_weight_count(q, m, d, w):
@@ -564,14 +594,60 @@ def test_split_kernel_argmax_in_a_later_x_lo_slice():
     _assert_split_kernel_matches_matmul(code, lists)
 
 
+@pytest.mark.parametrize("p, m, n, j", [
+    (5, 5, 3, 1), (3, 3, 3, 1), (7, 7, 5, 2),  # n = m
+    (7, 6, 3, 1), (13, 8, 5, 2), (7, 7, 6, 2),
+    (101, 3, 3, 1),
+    (181, 3, 3, 1),  # 2 p^2 = 65522 columns: the widest one-coordinate tail
+])
+def test_split_kernel_matches_matmul_with_trailing_coordinates(p, m, n, j):
+    rng = random.Random(p * 100 + m * 10 + n)
+    code = make_rs_code(FieldCtx(p), m, n, rng.sample(range(p), m))
+    assert codes._oracle_split(code.B, p)[1] == p**j
+    for size in (1, rng.randint(2, p - 1)):
+        _assert_split_kernel_matches_matmul(code, random_lists(p, m, size, rng.randrange(2**32)))
+
+
+def _tail_width(p, m, n):
+    return codes._oracle_split(make_rs_code(FieldCtx(p), m, n).B, p)[1]
+
+
+def test_oracle_split_keeps_the_shifted_table_within_2_to_the_16_columns():
+    # floor((n - 1) / 2) trailing coordinates, cut while 2 p^(j + 1) > 2^16
+    assert [_tail_width(7, 7, n) for n in range(1, 8)] == [1, 1, 7, 7, 49, 49, 343]
+    assert _tail_width(191, 3, 3) == 1  # 2 * 191^2 = 72962
+    assert _tail_width(3, 3, 2) == _tail_width(70001, 2, 1) == 1
+    # no shift at j = 0: V is the doubled membership table, B is the lead
+    code = make_rs_code(FieldCtx(191), 3, 3)
+    assert codes._oracle_split(code.B, 191) == (code.B, 1, None)
+
+
+def test_split_kernel_argmax_tie_within_one_lead_chunk_goes_to_the_smaller_x():
+    # at (13, 8, 5) the tail is x[3:], W = 169, and a chunk holds 48 of the
+    # 169 leads that share x[0]: the planted x1 < x2 have leads 50 and 90,
+    # both in chunk [48, 96), but x1's tail (12, 12) comes after x2's
+    # (0, 0); only they satisfy every constraint, and x1 must win
+    p, m, n = 13, 8, 5
+    code = make_rs_code(FieldCtx(p), m, n, list(range(1, 9)))
+    B = np.array(code.B)
+    x1, x2 = (0, 3, 11, 12, 12), (0, 6, 12, 0, 0)
+    assert not (B @ x1 % p == B @ x2 % p).any()
+    lists = make_lists(p, [(a, b) for a, b in zip(B @ x1 % p, B @ x2 % p)])
+    prof = brute_force_opi(code, lists)
+    assert prof.s_max == 1 and prof.best_x == x1
+    assert prof.histogram[m] == 2
+    _assert_split_kernel_matches_matmul(code, lists)
+
+
 def test_budget_is_checked_before_the_tables_are_built():
     code = make_rs_code(FieldCtx(11), 8, 2)
     codes._span_tables.cache_clear()
+    codes._oracle_split.cache_clear()
     with pytest.raises(BudgetExceededError):
         brute_force_opi(make_rs_code(FieldCtx(11), 8, 6), make_lists(11, [[0]] * 8), budget=1000)
     with pytest.raises(BudgetExceededError):
         next(dual_codewords(code, budget=1000))
-    assert codes._span_tables.cache_info().misses == 0
+    assert codes._span_tables.cache_info().misses == codes._oracle_split.cache_info().misses == 0
 
 
 def test_budget_errors():
