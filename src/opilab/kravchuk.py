@@ -1,9 +1,12 @@
 """Exact orthogonal-polynomial machinery for the binomial weight Bin(m, rho).
 
 Coefficients are exact rationals throughout.  Roots are isolated by
-bisection of [0, m] on an exact root count: the integer three-term
-recurrence that builds the family, run at a rational point, is a Sturm
-sequence, and its sign changes count the roots below that point.
+bisection in the dyadic tree of [0, m] on an exact root count: the integer
+three-term recurrence that builds the family, run at a rational point, is a
+Sturm sequence, and its sign changes count the roots below that point.  A
+float eigen-solve of the recurrence's Jacobi matrix picks the bracket each
+bisection starts from, and two exact counts certify it, so every returned
+root is the one bisection from [0, m] returns.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .codes import binomial_moments, binomial_weights, profile_moments
 from .errors import DomainError, IdentityViolationError
 
@@ -20,6 +25,9 @@ Poly = tuple[Fraction, ...]  # ascending powers
 
 HALF = Fraction(1, 2)
 DEFAULT_ROOT_PRECISION = Fraction(1, 10**12)
+# Depth of the deepest start bracket a float root estimate picks: m / 2^48
+# is at least 16 doubles wide anywhere in [0, m].
+_GUESS_DEPTH = 48
 
 
 # ---------- polynomial helpers ----------
@@ -259,52 +267,87 @@ def _count_below(fam: KravchukFamily, ell: int, num: int, den: int) -> tuple[int
     return changes, cur == 0
 
 
-def _root(fam: KravchukFamily, ell: int, j: int, precision: Fraction) -> Fraction:
-    """The j-th root (0-based, ascending) of K_ell within +-precision:
-    bisection of [0, m] on `_count_below`, with lo and hi kept as integer
-    numerators over one shared denominator that doubles at each step.
-    Returns an exact root hit on the way, else the final midpoint."""
-    if not 0 <= j < ell <= fam.degree_max:
+def _jacobi_roots(fam: KravchukFamily, ell: int) -> list[float]:
+    """Float estimates of the ell roots of K_ell, ascending: the eigenvalues
+    of the ell x ell Jacobi matrix of the stored recurrence steps (Golub and
+    Welsch), diagonal c_l / s and off-diagonal sqrt(t_l) / s.  The entries
+    come from int true division, so big-integer steps cannot overflow."""
+    jac = np.zeros((ell, ell))
+    for l, (c, s, t) in enumerate(fam.steps[:ell]):
+        jac[l, l] = c / s
+        if l:
+            jac[l, l - 1] = math.sqrt(t / (s * s))
+    return np.linalg.eigvalsh(jac).tolist()
+
+
+def _root(fam: KravchukFamily, ell: int, j: int, precision: Fraction,
+          guess: float) -> Fraction:
+    """The j-th root (0-based, ascending) of K_ell within +-precision, by
+    bisection on `_count_below` in the dyadic tree of [0, m]: the depth-d
+    brackets are [k m / 2^d, (k + 1) m / 2^d], kept as integer numerators
+    over 2^d, and bisection stops at the first depth no wider than
+    precision.  The float `guess` only picks where the search starts.  At
+    that depth, or at _GUESS_DEPTH if less, the bracket holding the guess,
+    clipped to [0, m], is taken once two exact counts at its ends certify
+    that the root lies inside; an end that is the root is returned.  When
+    they do not, or the guess is not finite, the search starts from [0, m].
+    Either way the result is bisection's from [0, m]: an exact root hit on
+    the way, else the final midpoint."""
+    m, p_num, p_den = fam.m, precision.numerator, precision.denominator
+    span = 1  # 2^d of the start bracket
+    while span < 1 << _GUESS_DEPTH and m * p_den > p_num * span:
+        span *= 2
+    lo_n, den = 0, 1
+    if span > 1 and math.isfinite(guess):
+        k = min(int(min(max(guess / m, 0.0), 1.0) * span), span - 1)
+        below, is_root = _count_below(fam, ell, k * m, span)
+        if is_root and below == j:
+            return Fraction(k * m, span)
+        if below + is_root <= j:  # the root lies above k m / span
+            below, is_root = _count_below(fam, ell, (k + 1) * m, span)
+            if is_root and below == j:
+                return Fraction((k + 1) * m, span)
+            if below > j:
+                lo_n, den = k * m, span
+    while m * p_den > p_num * den:
+        den *= 2
+        mid_n = 2 * lo_n + m
+        below, is_root = _count_below(fam, ell, mid_n, den)
+        if is_root and below == j:
+            return Fraction(mid_n, den)
+        lo_n = mid_n if below <= j else 2 * lo_n
+    return Fraction(2 * lo_n + m, 2 * den)
+
+
+def _roots(fam: KravchukFamily, ell: int, js, precision) -> list[Fraction]:
+    """The roots j in js of K_ell, from one Jacobi eigen-solve and `_root`."""
+    if not 1 <= ell <= fam.degree_max:
         raise DomainError("ell out of range for this family")
     precision = Fraction(precision)
     if precision <= 0:
         raise DomainError("root precision must be positive")
-    p_num, p_den = precision.numerator, precision.denominator
-    lo_n, hi_n, den = 0, fam.m, 1
-    while (hi_n - lo_n) * p_den > p_num * den:
-        mid_n = lo_n + hi_n
-        den *= 2
-        below, is_root = _count_below(fam, ell, mid_n, den)
-        if is_root and below == j:
-            return Fraction(mid_n, den)
-        if below > j:
-            lo_n, hi_n = 2 * lo_n, mid_n
-        else:
-            lo_n, hi_n = mid_n, 2 * hi_n
-    return Fraction(lo_n + hi_n, 2 * den)
+    guesses = _jacobi_roots(fam, ell)
+    return [_root(fam, ell, j, precision, guesses[j]) for j in js]
 
 
 def isolate_roots(fam: KravchukFamily, ell: int,
                   precision: Fraction = DEFAULT_ROOT_PRECISION) -> list[Fraction]:
-    """All ell roots of K_ell in ascending order, each within +-precision,
-    each found by bisection on the exact Sturm count of the recurrence."""
-    if ell < 1:
-        raise DomainError("ell out of range for this family")
-    return [_root(fam, ell, j, precision) for j in range(ell)]
+    """All ell roots of K_ell in ascending order, each within +-precision:
+    one float eigen-solve picks each start bracket and exact Sturm counts of
+    the recurrence certify it and bisect it (`_root`)."""
+    return _roots(fam, ell, range(ell), precision)
 
 
 def largest_root(fam: KravchukFamily, ell: int,
                  precision: Fraction = DEFAULT_ROOT_PRECISION) -> Fraction:
-    """The largest root of K_ell within +-precision, by bisection on the
-    exact Sturm count of the recurrence."""
-    return _root(fam, ell, ell - 1, precision)
+    """The largest root of K_ell within +-precision, as `isolate_roots`."""
+    return _roots(fam, ell, (ell - 1,), precision)[0]
 
 
 def smallest_root(fam: KravchukFamily, ell: int,
                   precision: Fraction = DEFAULT_ROOT_PRECISION) -> Fraction:
-    """The smallest root of K_ell within +-precision, by bisection on the
-    exact Sturm count of the recurrence."""
-    return _root(fam, ell, 0, precision)
+    """The smallest root of K_ell within +-precision, as `isolate_roots`."""
+    return _roots(fam, ell, (0,), precision)[0]
 
 
 # ---------- principal representation and interlacing ----------

@@ -286,9 +286,10 @@ def _traced_peak_mb(fn):
 
 
 def test_one_coordinate_enumerations_stay_in_bounded_blocks():
-    # at n = 1 (primal) and k = 1 (dual) one split table spans all p
-    # values; chunks of about 2^16 entries keep the peak near that table
-    # (24 MB here), where one m x p index block took the oracle to 63 MB
+    # at n = 1 (primal) and k = 1 (dual) the span has p columns: no table
+    # of it is built, and each chunk of about 2^16 entries comes from its
+    # own coefficient slice, where one m x p index block took the oracle
+    # to 63 MB
     p = 1_000_003
     code = make_rs_code(FieldCtx(p), 3, 1)
     lists = random_lists(p, 3, 5, 0)
@@ -305,13 +306,21 @@ def test_one_coordinate_enumerations_stay_in_bounded_blocks():
         codes._span_tables.cache_clear()
 
 
-def test_no_wide_span_table_stays_cached_after_its_call():
-    # at n = 1 (oracle) and k = m - n = 1 (dual pass) a span table covers
-    # all p values, 24 MB each here: such tables are rebuilt per call
+def test_no_wide_span_table_stays_cached_after_its_call(monkeypatch):
+    # at n = 1 (oracle) and k = m - n = 1 (dual pass) the span has p
+    # columns, where a table of it would hold 24 MB: none is built, so the
+    # calls hold nothing past them
     p = 1_000_003
     code, dual = make_rs_code(FieldCtx(p), 3, 1), make_rs_code(FieldCtx(p), 3, 2)
     lists = random_lists(p, 3, 5, 0)
-    codes._span_tables.cache_clear()
+    tabulated, span_tables = [], codes._span_tables
+
+    def spy(rows, p):
+        tabulated.append(len(rows[0]))
+        return span_tables(rows, p)
+
+    span_tables.cache_clear()
+    monkeypatch.setattr(codes, "_span_tables", spy)
     tracemalloc.start()
     try:
         brute_force_opi(code, lists)
@@ -319,7 +328,8 @@ def test_no_wide_span_table_stays_cached_after_its_call():
         held = tracemalloc.get_traced_memory()[0] / 1e6
     finally:
         tracemalloc.stop()
-        codes._span_tables.cache_clear()
+        span_tables.cache_clear()
+    assert tabulated == []
     assert held <= 4
 
 

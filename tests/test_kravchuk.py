@@ -8,8 +8,10 @@ from opilab import kravchuk
 from opilab.codes import FieldCtx, brute_force_opi, make_lists, make_rs_code
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.kravchuk import (
+    DEFAULT_ROOT_PRECISION,
     HALF,
     _assert_orthogonality,
+    _jacobi_roots,
     build_family,
     char_poly_identity_check,
     closed_form_value,
@@ -168,18 +170,170 @@ def test_sturm_roots_exact_hits(m, ell, precision, root):
     assert poly_eval(fam.coeffs[ell], root) == 0
 
 
+def _bisection_root(fam, ell, j, precision):
+    """The float-free route the roots must equal: bisection of [0, m] on
+    the exact count, returning an exact root hit on the way, else the final
+    midpoint."""
+    precision = Fraction(precision)
+    p_num, p_den = precision.numerator, precision.denominator
+    lo_n, hi_n, den = 0, fam.m, 1
+    while (hi_n - lo_n) * p_den > p_num * den:
+        mid_n = lo_n + hi_n
+        den *= 2
+        below, is_root = kravchuk._count_below(fam, ell, mid_n, den)
+        if is_root and below == j:
+            return Fraction(mid_n, den)
+        if below > j:
+            lo_n, hi_n = 2 * lo_n, mid_n
+        else:
+            lo_n, hi_n = mid_n, 2 * hi_n
+    return Fraction(lo_n + hi_n, 2 * den)
+
+
+def _assert_roots_equal_the_bisection(fam, ell, precision):
+    want = [_bisection_root(fam, ell, j, precision) for j in range(ell)]
+    assert isolate_roots(fam, ell, precision) == want
+    assert largest_root(fam, ell, precision) == want[-1]
+    assert smallest_root(fam, ell, precision) == want[0]
+
+
+# 1e-30 lies past the deepest start bracket a float estimate picks
+ORACLE_PRECISIONS = (Fraction(1, 7), Fraction(1, 10**9), Fraction(1, 10**12),
+                     Fraction(1, 10**30))
+
+
+def _memoized_counts(monkeypatch):
+    """Share exact counts between both routes: the bisection paths of one
+    root at two precisions agree down to the coarser one's depth, so each
+    count is made once.  Returns the hook that starts a new family."""
+    memo, count_below = {}, kravchuk._count_below
+
+    def counted(fam, ell, num, den):
+        key = ell, num, den
+        if key not in memo:
+            memo[key] = count_below(fam, ell, num, den)
+        return memo[key]
+
+    monkeypatch.setattr(kravchuk, "_count_below", counted)
+    return memo.clear
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(5, 7),
+                                 Fraction(1, 50), Fraction(49, 50)])
+def test_roots_equal_the_float_free_bisection(rho, monkeypatch):
+    new_family = _memoized_counts(monkeypatch)
+    for m in range(1, 25):
+        fam = build_family(m, rho, m)
+        new_family()
+        for ell in range(1, m + 1):
+            for precision in reversed(ORACLE_PRECISIONS):
+                _assert_roots_equal_the_bisection(fam, ell, precision)
+
+
+# the m ladders of the finite_m benchmark workload, at ell = 0.3 m
+FINITE_M_LADDERS = {HALF: (10, 20, 40, 60, 80, 100), Fraction(1, 3): (30, 60, 90)}
+
+
+def test_roots_equal_the_float_free_bisection_at_large_m(monkeypatch):
+    new_family = _memoized_counts(monkeypatch)
+    for rho, ladder in FINITE_M_LADDERS.items():
+        for m in ladder:
+            new_family()
+            _assert_roots_equal_the_bisection(build_family(m, rho, 3 * m // 10), 3 * m // 10,
+                                              Fraction(1, 10**9))
+    for m in (100, 200, 300):
+        new_family()
+        for precision in (DEFAULT_ROOT_PRECISION, Fraction(1, 10**9)):
+            _assert_roots_equal_the_bisection(build_family(m, HALF, 3 * m // 10), 3 * m // 10,
+                                              precision)
+
+
+@pytest.mark.parametrize("m, rho", [
+    (24, Fraction(10**30 + 1, 2 * 10**30 + 3)),
+    (8, Fraction(10**400 + 1, 2 * 10**400 + 3)),  # every step overflows a float
+])
+def test_roots_equal_the_float_free_bisection_at_a_big_integer_density(m, rho, monkeypatch):
+    _memoized_counts(monkeypatch)
+    fam = build_family(m, rho, m)
+    for ell in range(1, m + 1):
+        for precision in reversed(ORACLE_PRECISIONS):
+            _assert_roots_equal_the_bisection(fam, ell, precision)
+
+
+def _count_calls(monkeypatch):
+    calls, count_below = [0], kravchuk._count_below
+
+    def counted(*args):
+        calls[0] += 1
+        return count_below(*args)
+
+    monkeypatch.setattr(kravchuk, "_count_below", counted)
+    return calls
+
+
+@pytest.mark.parametrize("propose", [
+    lambda fam, ell: [0.0] * ell,
+    lambda fam, ell: [float(fam.m)] * ell,
+    lambda fam, ell: [math.nan] * ell,
+    lambda fam, ell: [math.inf] * ell,
+    lambda fam, ell: [-math.inf] * ell,
+    lambda fam, ell: [(-1) ** j * 1e300 for j in range(ell)],
+    lambda fam, ell: _jacobi_roots(fam, ell)[::-1],
+], ids=["zeros", "m", "nan", "inf", "-inf", "far", "reversed"])
+def test_bad_float_estimates_cost_at_most_two_counts_a_root(propose, monkeypatch):
+    calls = _count_calls(monkeypatch)
+    monkeypatch.setattr(kravchuk, "_jacobi_roots", propose)
+    for rho in (HALF, Fraction(2, 5)):
+        for m, ell in ((1, 1), (2, 2), (9, 4), (9, 9), (24, 7), (24, 24)):
+            fam = build_family(m, rho, m)
+            for precision in ORACLE_PRECISIONS:
+                for root_fn, js in ((smallest_root, [0]), (largest_root, [ell - 1]),
+                                    (isolate_roots, range(ell))):
+                    calls[0] = 0
+                    want = [_bisection_root(fam, ell, j, precision) for j in js]
+                    budget, calls[0] = calls[0] + 2 * len(js), 0
+                    got = root_fn(fam, ell, precision)
+                    assert (got if root_fn is isolate_roots else [got]) == want
+                    assert calls[0] <= budget
+
+
+def test_finite_m_ladders_take_a_quarter_of_the_bisection_counts(monkeypatch):
+    # a guard on the number of exact counts, not on time
+    calls = _count_calls(monkeypatch)
+    precision, eigen_started, float_free = Fraction(1, 10**9), 0, 0
+    for rho, ladder in FINITE_M_LADDERS.items():
+        for m in ladder:
+            fam, ell = build_family(m, rho, 3 * m // 10), 3 * m // 10
+            calls[0] = 0
+            largest_root(fam, ell, precision)
+            smallest_root(fam, ell, precision)
+            isolate_roots(fam, ell, precision)
+            eigen_started += calls[0]
+            calls[0] = 0
+            for j in (ell - 1, 0, *range(ell)):
+                _bisection_root(fam, ell, j, precision)
+            float_free += calls[0]
+    assert 4 * eigen_started <= float_free
+
+
+def _no_float_work(fam, ell):
+    raise AssertionError("the float estimate ran before the arguments were checked")
+
+
 @pytest.mark.parametrize("rho", [HALF, Fraction(1, 3)])
 @pytest.mark.parametrize("root_fn", [largest_root, smallest_root, isolate_roots])
 @pytest.mark.parametrize("ell", [0, 4, -1])
-def test_root_degree_out_of_range_is_domain_error(rho, root_fn, ell):
+def test_root_degree_out_of_range_is_domain_error(rho, root_fn, ell, monkeypatch):
     fam = build_family(9, rho, 3)
+    monkeypatch.setattr(kravchuk, "_jacobi_roots", _no_float_work)
     with pytest.raises(DomainError):
         root_fn(fam, ell)
 
 
 @pytest.mark.parametrize("precision", [0, Fraction(-1, 10)])
-def test_root_precision_not_positive_is_domain_error(precision):
+def test_root_precision_not_positive_is_domain_error(precision, monkeypatch):
     # bisection to a zero width would never stop
+    monkeypatch.setattr(kravchuk, "_jacobi_roots", _no_float_work)
     with pytest.raises(DomainError):
         largest_root(build_family(9, HALF, 3), 3, precision)
 
