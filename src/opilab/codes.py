@@ -489,9 +489,15 @@ def min_dual_weight(code: MdsCode) -> int:
     return next((t for t in range(1, code.m + 1) if counts[t]), code.m + 1)
 
 
+def binomial_numerators(m: int, rho: Fraction) -> list[int]:
+    """The Bin(m, P/Q) weights times Q^m: C(m,t) P^t (Q-P)^(m-t), t = 0..m."""
+    p, q = Fraction(rho).as_integer_ratio()
+    return [math.comb(m, t) * p**t * (q - p) ** (m - t) for t in range(m + 1)]
+
+
 def binomial_weights(m: int, rho: Fraction) -> list[Fraction]:
-    rho = Fraction(rho)
-    return [math.comb(m, t) * rho**t * (1 - rho) ** (m - t) for t in range(m + 1)]
+    q_m = Fraction(rho).denominator ** m
+    return [Fraction(w, q_m) for w in binomial_numerators(m, rho)]
 
 
 def _moments(numerators, denominator: int, order: int) -> list[Fraction]:
@@ -502,11 +508,8 @@ def _moments(numerators, denominator: int, order: int) -> list[Fraction]:
 
 
 def binomial_moments(m: int, rho: Fraction, order: int) -> list[Fraction]:
-    """Exact moments E[X^j], j = 0..order, of X ~ Bin(m, rho), from one
-    `binomial_weights` list over the lcm of its denominators."""
-    weights = binomial_weights(m, rho)
-    d = math.lcm(*(w.denominator for w in weights))
-    return _moments([w.numerator * (d // w.denominator) for w in weights], d, order)
+    """Exact moments E[X^j], j = 0..order, of X ~ Bin(m, rho), on integers."""
+    return _moments(binomial_numerators(m, rho), Fraction(rho).denominator ** m, order)
 
 
 def profile_moments(profile: SatisfactionProfile, order: int) -> list[Fraction]:

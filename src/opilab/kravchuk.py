@@ -1,12 +1,14 @@
 """Exact orthogonal-polynomial machinery for the binomial weight Bin(m, rho).
 
-Coefficients are exact rationals throughout.  Roots are isolated by
-bisection in the dyadic tree of [0, m] on an exact root count: the integer
-three-term recurrence that builds the family, run at a rational point, is a
-Sturm sequence, and its sign changes count the roots below that point.  A
-float eigen-solve of the recurrence's Jacobi matrix picks the bracket each
-bisection starts from, and two exact counts certify it, so every returned
-root is the one bisection from [0, m] returns.
+A family is its integer three-term recurrence; one integer evaluator runs
+it at a rational point for values, the value table and the root counts, and
+exact coefficients are built only when read.  Roots are isolated by
+bisection in the dyadic tree of [0, m] on an exact root count: the
+recurrence run at a rational point is a Sturm sequence, and its sign
+changes count the roots below that point.  A float eigen-solve of the
+recurrence's Jacobi matrix picks the bracket each bisection starts from,
+and two exact counts certify it, so every returned root is the one
+bisection from [0, m] returns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codes import binomial_moments, binomial_weights, profile_moments
+from .codes import binomial_moments, binomial_numerators, binomial_weights, profile_moments
 from .errors import DomainError, IdentityViolationError
 
 Poly = tuple[Fraction, ...]  # ascending powers
@@ -79,28 +81,39 @@ def poly_derivative(c: Poly) -> Poly:
 class KravchukFamily:
     """Orthogonal polynomials K_0..K_degree_max for the weight Bin(m, rho).
 
-    For rho = 1/2 the coefficients agree with the classical closed form
-    K_l(x) = sum_j (-1)^j C(x,j) C(m-x, l-j); for general rational rho the
-    same sum with (-1)^j replaced by (-(1-rho)/rho)^j, which is orthogonal
-    under Bin(m, rho) with norm E[K_l^2] = C(m,l) ((1-rho)/rho)^l.
+    Stores m, rho, degree_max, the norms and the recurrence steps; values,
+    the value table and the coefficients are derived from the steps on read.
+    They agree with the closed form K_l(x) = sum_j (-r^2)^j C(x,j) C(m-x, l-j),
+    r^2 = (1-rho)/rho, orthogonal under Bin(m, rho) with norm C(m,l) r^(2l).
     """
 
     m: int
     rho: Fraction
     degree_max: int
-    coeffs: tuple[Poly, ...]
     norms: tuple[Fraction, ...]  # E[K_l^2] under Bin(m, rho)
     steps: tuple[tuple[int, int, int], ...]  # _recurrence_steps(m, rho, degree_max)
 
     def evaluate(self, ell: int, x) -> Fraction:
-        return poly_eval(self.coeffs[ell], x)
+        if not 0 <= ell <= self.degree_max:
+            raise DomainError(f"degree {ell} outside 0..{self.degree_max}")
+        x = Fraction(x)
+        h = _recurrence_at(self.steps[:ell], x.numerator, x.denominator)[-1]
+        return Fraction(h, _scale(self.rho, ell) * x.denominator**ell)
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """_rows[l][x] = H_l(x) = l! B^l K_l(x), integers, at x = 0..m."""
+        return tuple(zip(*(_recurrence_at(self.steps, x, 1) for x in range(self.m + 1))))
 
     @cached_property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
-        """values[l][x] = K_l(x) at the integer points x = 0..m, built from
-        the coefficients on first read and kept with the family."""
-        return tuple(tuple(Fraction(v, d) for v in row)
-                     for d, row in (_scaled_values(c, self.m) for c in self.coeffs))
+        """values[l][x] = K_l(x) at the integer points x = 0..m."""
+        return tuple(tuple(Fraction(v, _scale(self.rho, ell)) for v in row)
+                     for ell, row in enumerate(self._rows))
+
+    @cached_property
+    def coeffs(self) -> tuple[Poly, ...]:
+        return _recurrence_coeffs(self.steps, self.rho)
 
     def leading(self, ell: int) -> Fraction:
         return self.coeffs[ell][-1]
@@ -137,30 +150,40 @@ def _recurrence_steps(m: int, rho: Fraction, ell_max: int):
         yield m * b - (b - a) * ell, a + b, a * b * ell * (m - ell + 1)
 
 
+def _scale(rho: Fraction, ell: int) -> int:
+    """l! B^l, B = rho's numerator: H_l = l! B^l K_l is integral."""
+    return math.factorial(ell) * rho.numerator**ell
+
+
+def _recurrence_at(steps, num: int, den: int) -> list[int]:
+    """[den^l H_l(num/den) for l = 0..len(steps)], on integers."""
+    prev, cur, out = 0, 1, [1]
+    den_sq = den * den
+    for c, s, t in steps:
+        prev, cur = cur, (c * den - s * num) * cur - t * den_sq * prev
+        out.append(cur)
+    return out
+
+
 def _recurrence_coeffs(steps, rho: Fraction) -> tuple[Poly, ...]:
-    """K_0..K_len(steps) by the recurrence steps of `_recurrence_steps`, run
-    on the integer coefficients of H_l; each becomes a Fraction once, by one
-    division by l! B^l."""
-    prev: list[int] = []
-    cur = [1]
-    scale = 1  # l! B^l
-    out = [(Fraction(1),)]
-    for ell, (c, s, t) in enumerate(steps):
+    """K_0..K_len(steps) by the recurrence steps, run on the integer
+    coefficients of H_l; each becomes a Fraction once, by `_scale`."""
+    prev, cur, out = [], [1], [(Fraction(1),)]
+    for ell, (c, s, t) in enumerate(steps, 1):
         nxt = [c * v for v in cur] + [0]
         for i, v in enumerate(cur):
             nxt[i + 1] -= s * v
         for i, v in enumerate(prev):
             nxt[i] -= t * v
         prev, cur = cur, nxt
-        scale *= (ell + 1) * rho.numerator
-        out.append(tuple(Fraction(v, scale) for v in cur))
+        out.append(tuple(Fraction(v, _scale(rho, ell)) for v in cur))
     return tuple(out)
 
 
 @lru_cache(maxsize=256)
 def build_family(m: int, rho: Fraction, ell_max: int) -> KravchukFamily:
-    """K_0..K_ell_max for Bin(m, rho), built by the integer three-term
-    recurrence, whose steps the family keeps for the root counts.  The
+    """K_0..K_ell_max for Bin(m, rho): the norms and the integer three-term
+    recurrence steps, from which the family derives everything else.  The
     closed form `closed_form_value` is the cross-check route; for m <= 16
     orthogonality is asserted on construction."""
     rho = Fraction(rho)
@@ -171,43 +194,25 @@ def build_family(m: int, rho: Fraction, ell_max: int) -> KravchukFamily:
     r_sq = (1 - rho) / rho
     steps = tuple(_recurrence_steps(m, rho, ell_max))
     norms = tuple(math.comb(m, ell) * r_sq**ell for ell in range(ell_max + 1))
-    fam = KravchukFamily(m, rho, ell_max, _recurrence_coeffs(steps, rho), norms, steps)
+    fam = KravchukFamily(m, rho, ell_max, norms, steps)
     if m <= 16:
         _assert_orthogonality(fam)
     return fam
 
 
-def _scaled_values(c: Poly, m: int) -> tuple[int, list[int]]:
-    """(d, [d p(0), ..., d p(m)]) for the polynomial p with coefficients c,
-    d the lcm of their denominators, by Horner's rule on integers."""
-    d = math.lcm(*(v.denominator for v in c))
-    ints = [v.numerator * (d // v.denominator) for v in reversed(c)]
-    row = []
-    for x in range(m + 1):
-        acc = 0
-        for v in ints:
-            acc = acc * x + v
-        row.append(acc)
-    return d, row
-
-
 def _assert_orthogonality(fam: KravchukFamily):
     """sum_x w_x K_r(x) K_s(x) = [r = s] norm_r under w = Bin(m, P/Q), run
-    on integers: both sides times Q^m d_r d_s, where Q^m w_x is
-    C(m,x) P^x (Q-P)^(m-x) and d_r, the lcm of K_r's coefficient
-    denominators, makes d_r K_r(x) an integer."""
-    m, p, q = fam.m, fam.rho.numerator, fam.rho.denominator
-    weights = [math.comb(m, x) * p**x * (q - p) ** (m - x) for x in range(m + 1)]
-    scaled = [_scaled_values(c, m) for c in fam.coeffs]
-    for r, (d_r, row_r) in enumerate(scaled):
+    on the integer rows H_r(x) = S_r K_r(x), S_r = `_scale`: both sides times
+    Q^m S_r S_s, where Q^m w_x is `binomial_numerators`."""
+    q, rows, weights = fam.rho.denominator, fam._rows, binomial_numerators(fam.m, fam.rho)
+    for r, row_r in enumerate(rows):
         weighted = [w * v for w, v in zip(weights, row_r)]
         for s in range(r, fam.degree_max + 1):
-            ip = sum(w * v for w, v in zip(weighted, scaled[s][1]))
-            want = fam.norms[r] * q**m * d_r * d_r if r == s else 0
+            ip = sum(w * v for w, v in zip(weighted, rows[s]))
+            want = fam.norms[r] * q**fam.m * _scale(fam.rho, r) ** 2 if r == s else 0
             if ip != want:
-                raise IdentityViolationError(
-                    f"orthogonality failed at m={fam.m} rho={fam.rho} (r={r}, s={s})"
-                )
+                raise IdentityViolationError(f"orthogonality failed at m={fam.m} "
+                                             f"rho={fam.rho} (r={r}, s={s})")
 
 
 # ---------- recursions and the tridiagonal identity ----------
@@ -250,17 +255,13 @@ def char_poly_identity_check(m: int, ell: int) -> bool:
 def _count_below(fam: KravchukFamily, ell: int, num: int, den: int) -> tuple[int, bool]:
     """(number of roots of K_ell below num/den, whether num/den is a root).
 
-    Runs the recurrence at x = num/den on the integers den^l H_l(x).  H_l
+    Reads the integers den^l H_l(x) of `_recurrence_at` at x = num/den.  H_l
     has leading sign (-1)^l, so H_0..H_ell is a Sturm sequence whose sign
     changes, zeros skipped, count the roots of H_ell below x.  At a root of
     H_ell the changes over H_0..H_(ell-1) count the roots strictly below it.
     """
-    prev, cur = 0, 1
-    den_sq = den * den
-    changes = 0
-    positive = True
-    for c, s, t in fam.steps[:ell]:
-        prev, cur = cur, (c * den - s * num) * cur - t * den_sq * prev
+    changes, positive = 0, True
+    for cur in _recurrence_at(fam.steps[:ell], num, den):
         if cur and (cur > 0) != positive:
             changes += 1
             positive = not positive
@@ -380,10 +381,11 @@ def principal_representation(m: int, rho: Fraction, ell: int) -> PrincipalRepres
     roots = isolate_roots(fam, ell)
     masses = []
     for z in roots:
-        # Reciprocal Christoffel function over the orthonormal family; the
-        # degree-ell term vanishes at its own roots up to isolation error.
-        s = sum(fam.evaluate(k, z) ** 2 / fam.norms[k] for k in range(ell + 1))
-        masses.append(1 / s)
+        # Reciprocal Christoffel function over the orthonormal family from one
+        # recurrence run; the degree-ell term is zero up to isolation error.
+        hs = _recurrence_at(fam.steps, z.numerator, z.denominator)
+        masses.append(1 / sum(Fraction(h, _scale(rho, k) * z.denominator**k) ** 2 / fam.norms[k]
+                              for k, h in enumerate(hs)))
     return PrincipalRepresentation(m, rho, ell, tuple(roots), tuple(masses))
 
 

@@ -714,17 +714,35 @@ def test_moment_tables_equal_per_order_sums(rho):
 
 
 def test_moments_match_check_builds_binomial_weights_once(monkeypatch):
+    # one integer weight list over Q^m, and no Fraction weights
     builds = []
-    original = codes.binomial_weights
+    original = codes.binomial_numerators
 
     def counting(m, rho):
         builds.append(m)
         return original(m, rho)
 
-    monkeypatch.setattr(codes, "binomial_weights", counting)
+    def no_fractions(m, rho):
+        raise AssertionError("the moments built Fraction weights")
+
+    monkeypatch.setattr(codes, "binomial_numerators", counting)
+    monkeypatch.setattr(codes, "binomial_weights", no_fractions)
     code = make_rs_code(FieldCtx(7), 6, 3)
     assert moments_match_check(code, random_lists(7, 6, 2, 0), 3)
     assert builds == [6]
+
+
+@pytest.mark.parametrize("rho", [Fraction(1, 2), Fraction(1, 3), Fraction(5, 7),
+                                 Fraction(10**30 + 1, 2 * 10**30 + 3)])
+def test_binomial_weights_and_moments_equal_their_fraction_forms(rho):
+    for m in (0, 1, 7, 20):
+        weights = [math.comb(m, t) * rho**t * (1 - rho) ** (m - t) for t in range(m + 1)]
+        assert binomial_weights(m, rho) == weights
+        assert sum(weights) == 1
+        d = math.lcm(*(w.denominator for w in weights))
+        assert binomial_moments(m, rho, 5) == [
+            Fraction(sum(w.numerator * (d // w.denominator) * t**j for t, w in enumerate(weights)), d)
+            for j in range(6)]
 
 
 _CAPPED = {

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from opilab import kravchuk
+from opilab import discrepancy, kravchuk
 from opilab.codes import FieldCtx, brute_force_opi, make_lists, make_rs_code
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.kravchuk import (
@@ -23,7 +23,6 @@ from opilab.kravchuk import (
     monic_scaled,
     poly_add,
     poly_eval,
-    poly_scale,
     principal_representation,
     smallest_root,
     tilted_mean,
@@ -86,21 +85,33 @@ def test_general_rho_orthogonality_and_norms():
     assert fam.norms[2] == math.comb(10, 2) * Fraction(2, 1) ** 2  # r_sq = 2
 
 
+def _with_rows(fam, rows):
+    """A copy of the family whose integer row table reads `rows`."""
+    fam = dataclasses.replace(fam)
+    vars(fam)["_rows"] = tuple(tuple(row) for row in rows)
+    return fam
+
+
 @pytest.mark.parametrize("rho", [HALF, Fraction(2, 5), Fraction(5, 7)])
 def test_orthogonality_check_rejects_a_perturbed_family(rho):
     fam = build_family(9, rho, 9)
     _assert_orthogonality(fam)
-    for ell, i, delta in ((0, 0, Fraction(1, 7)), (4, 2, Fraction(-1, 3)), (9, 9, Fraction(1))):
-        coeffs = list(fam.coeffs)
-        row = list(coeffs[ell])
-        row[i] += delta
-        coeffs[ell] = tuple(row)
+    for ell, x, delta in ((0, 0, 1), (4, 2, -3), (9, 9, 1)):
+        rows = [list(row) for row in fam._rows]
+        rows[ell][x] += delta
         with pytest.raises(IdentityViolationError, match="orthogonality failed at m=9"):
-            _assert_orthogonality(dataclasses.replace(fam, coeffs=tuple(coeffs)))
+            _assert_orthogonality(_with_rows(fam, rows))
     # a row scaled by 2 stays orthogonal to the others and fails its norm
-    doubled = fam.coeffs[:3] + (poly_scale(fam.coeffs[3], 2),) + fam.coeffs[4:]
+    doubled = fam._rows[:3] + (tuple(2 * v for v in fam._rows[3]),) + fam._rows[4:]
     with pytest.raises(IdentityViolationError, match=r"\(r=3, s=3\)"):
-        _assert_orthogonality(dataclasses.replace(fam, coeffs=doubled))
+        _assert_orthogonality(_with_rows(fam, doubled))
+    # a perturbed step breaks every member above it
+    for ell, i in ((0, 0), (5, 2)):
+        steps = [list(step) for step in fam.steps]
+        steps[ell][i] += 1
+        bad = dataclasses.replace(fam, steps=tuple(map(tuple, steps)))
+        with pytest.raises(IdentityViolationError, match="orthogonality failed at m=9"):
+            _assert_orthogonality(bad)
 
 
 @pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
@@ -494,12 +505,56 @@ def test_value_table_matches_coefficients(rho):
 
 
 def test_value_table_is_not_built_unless_read():
-    # the orthogonality check (m <= 16) runs on the coefficients, not the table
+    # the orthogonality check (m <= 16) runs on the integer rows, not the table
     assert "values" not in vars(build_family.__wrapped__(12, Fraction(3, 10), 12))
     fam = build_family.__wrapped__(40, Fraction(3, 10), 12)
     assert "values" not in vars(fam)
     assert fam.values[12][40] == fam.evaluate(12, 40)
     assert "values" in vars(fam)
+
+
+def test_evaluate_degree_out_of_range_is_domain_error():
+    fam = build_family(6, HALF, 3)
+    assert fam.evaluate(3, 1) == closed_form_value(6, HALF, 3, 1)
+    for ell in (-1, 4, -4):
+        with pytest.raises(DomainError):
+            fam.evaluate(ell, 1)
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(5, 7),
+                                 Fraction(10**30 + 1, 2 * 10**30 + 3)])
+def test_evaluate_equals_the_coefficients(rho):
+    for m in (1, 6, 13):
+        fam = build_family(m, rho, m)
+        points = [Fraction(k, 2**d) * m for d in (1, 3, 7) for k in range(2**d + 1)]
+        points += [Fraction(-3), Fraction(-5, 7), Fraction(m + 1), Fraction(3 * m, 2)]
+        for ell in range(m + 1):
+            roots = isolate_roots(fam, ell) if ell else []
+            for z in points + roots:
+                assert fam.evaluate(ell, z) == poly_eval(fam.coeffs[ell], z)
+
+
+def test_no_reader_but_the_coefficient_ones_builds_coefficients():
+    build_family.cache_clear()
+    discrepancy.discrepancy_table.cache_clear()
+    m, ell, rho = 14, 4, Fraction(2, 5)
+    fam = build_family(m, rho, ell)
+    isolate_roots(fam, ell)
+    largest_root(fam, ell)
+    smallest_root(fam, ell)
+    principal_representation(m, rho, ell)  # reads build_family(m, rho, ell)
+    discrepancy.discrepancy_table(m, rho)  # reads build_family(m, 1 - rho, m)
+    tilted_mean(m, (1, 2, 3))  # reads build_family(m, HALF, 2)
+    fams = [fam, build_family(m, 1 - rho, m), build_family(m, HALF, 2)]
+    for rho, ladder in FINITE_M_LADDERS.items():
+        for m in ladder:
+            fams.append(build_family(m, rho, 3 * m // 10))
+            largest_root(fams[-1], 3 * m // 10, Fraction(1, 10**9))
+            smallest_root(fams[-1], 3 * m // 10, Fraction(1, 10**9))
+    assert all("coeffs" not in vars(fam) for fam in fams)
+    fam = build_family(12, HALF, 5)
+    kkt_optimum(12, 4)  # divides K_5 on its coefficients
+    assert "coeffs" in vars(fam)
 
 
 def test_degree_cutoff_validation():
