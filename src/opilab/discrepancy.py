@@ -348,18 +348,15 @@ class SamplerSpec:
             raise DomainError("need 0 <= sigma <= ell")
         if self.weight_mode not in ("canonical", "rational_test"):
             raise DomainError(f"unknown weight mode {self.weight_mode!r}")
-        if self.rational_weights is not None:
-            # a tuple of Fractions keeps the frozen spec hashable
-            object.__setattr__(self, "rational_weights",
-                               tuple(Fraction(v) for v in self.rational_weights))
-        if self.weight_mode == "rational_test":
-            if self.rational_weights is None:
-                object.__setattr__(
-                    self, "rational_weights",
-                    tuple(Fraction(1) for _ in range(self.sigma + 1)),
-                )
-            elif len(self.rational_weights) != self.sigma + 1:
-                raise DomainError("need sigma + 1 rational weights")
+        if self.weight_mode == "canonical":
+            if self.rational_weights is not None:
+                raise DomainError("the canonical weight mode takes no rational weights")
+            return
+        # a tuple of Fractions keeps the frozen spec hashable
+        weights = [1] * (self.sigma + 1) if self.rational_weights is None else self.rational_weights
+        object.__setattr__(self, "rational_weights", tuple(Fraction(v) for v in weights))
+        if len(self.rational_weights) != self.sigma + 1:
+            raise DomainError("need sigma + 1 rational weights")
 
     @property
     def window(self) -> range:

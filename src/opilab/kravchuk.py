@@ -1,14 +1,15 @@
 """Exact orthogonal-polynomial machinery for the binomial weight Bin(m, rho).
 
 A family is its integer three-term recurrence; one integer evaluator runs
-it at a rational point for values, the value table and the root counts, and
-exact coefficients are built only when read.  Roots are isolated by
-bisection in the dyadic tree of [0, m] on an exact root count: the
-recurrence run at a rational point is a Sturm sequence, and its sign
-changes count the roots below that point.  A float eigen-solve of the
-recurrence's Jacobi matrix picks the bracket each bisection starts from,
-and two exact counts certify it, so every returned root is the one
-bisection from [0, m] returns.
+it at a rational point for values, the value table, the root counts and the
+Christoffel-Darboux kernel at a root (principal masses, optimal window
+weights).  Exact coefficients are built only when read, and nothing here
+reads them.  Roots are isolated by bisection in the dyadic tree of [0, m]
+on an exact root count: the recurrence run at a rational point is a Sturm
+sequence, and its sign changes count the roots below that point.  A float
+eigen-solve of the recurrence's Jacobi matrix picks the bracket each
+bisection starts from, and two exact counts certify it, so every returned
+root is the one bisection from [0, m] returns.
 """
 
 from __future__ import annotations
@@ -34,45 +35,11 @@ _GUESS_DEPTH = 48
 
 # ---------- polynomial helpers ----------
 
-def poly_trim(c) -> Poly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def poly_scale(a: Poly, s) -> Poly:
-    return poly_trim([Fraction(s) * v for v in a])
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return poly_trim(out)
-
-
 def poly_eval(c: Poly, x) -> Fraction:
     acc = Fraction(0)
     for v in reversed(c):
         acc = acc * x + v
     return acc
-
-
-def poly_derivative(c: Poly) -> Poly:
-    return poly_trim([i * c[i] for i in range(1, len(c))])
 
 
 # ---------- the family ----------
@@ -114,9 +81,6 @@ class KravchukFamily:
     @cached_property
     def coeffs(self) -> tuple[Poly, ...]:
         return _recurrence_coeffs(self.steps, self.rho)
-
-    def leading(self, ell: int) -> Fraction:
-        return self.coeffs[ell][-1]
 
 
 def inner_product(m: int, rho: Fraction, a: Poly, b: Poly) -> Fraction:
@@ -189,8 +153,8 @@ def build_family(m: int, rho: Fraction, ell_max: int) -> KravchukFamily:
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise DomainError("rho must lie in (0, 1)")
-    if ell_max > m:
-        raise DomainError(f"degree cutoff {ell_max} exceeds m={m}")
+    if not 0 <= ell_max <= m:
+        raise DomainError(f"degree cutoff {ell_max} outside 0..m={m}")
     r_sq = (1 - rho) / rho
     steps = tuple(_recurrence_steps(m, rho, ell_max))
     norms = tuple(math.comb(m, ell) * r_sq**ell for ell in range(ell_max + 1))
@@ -217,37 +181,31 @@ def _assert_orthogonality(fam: KravchukFamily):
 
 # ---------- recursions and the tridiagonal identity ----------
 
-def tridiagonal_char_poly(m: int, ell: int) -> Poly:
-    """det((x - m/2) I - A/2) via the three-term determinant expansion.
+def tridiagonal_char_poly(m: int, ell: int, x) -> Fraction:
+    """det((x - m/2) I - A/2) at the point x, A the (ell+1) x (ell+1)
+    tridiagonal matrix, via the three-term determinant expansion.
 
     Off-diagonal entries enter only through their squares k(m+1-k), so the
-    expansion stays rational.
+    expansion stays rational; it runs on 2^(j+1) times the j-th minor, which
+    is an integer at an integer x.
     """
-    prev: Poly = (Fraction(1),)
-    cur: Poly = (Fraction(-m, 2), Fraction(1))
+    shift = 2 * x - m
+    prev, cur = 1, shift
     for j in range(1, ell + 1):
-        nxt = poly_add(
-            poly_mul((Fraction(-m, 2), Fraction(1)), cur),
-            poly_scale(prev, Fraction(-j * (m + 1 - j), 4)),
-        )
-        prev, cur = cur, nxt
-    return cur
-
-
-def monic_scaled(fam: KravchukFamily, ell: int) -> Poly:
-    """The monic rescaling l! (-2)^{-l} K_l of the balanced family."""
-    if fam.rho != HALF:
-        raise DomainError("monic scaling l!(-2)^-l applies to rho = 1/2")
-    return poly_scale(fam.coeffs[ell], Fraction(math.factorial(ell), (-2) ** ell))
+        prev, cur = cur, shift * cur - j * (m + 1 - j) * prev
+    return Fraction(cur) / 2 ** (ell + 1)
 
 
 def char_poly_identity_check(m: int, ell: int) -> bool:
-    """Exact coefficientwise equality of the degree-(ell+1) monic polynomial
-    with the tridiagonal characteristic polynomial."""
+    """The monic rescaling (ell+1)! (-2)^-(ell+1) K_{ell+1} of the balanced
+    family equals the tridiagonal characteristic polynomial: both have degree
+    ell + 1, so agreeing at the ell + 2 points x = 0..ell+1 makes them equal."""
     if ell + 1 > m:
         raise DomainError("need ell + 1 <= m")
     fam = build_family(m, HALF, ell + 1)
-    return monic_scaled(fam, ell + 1) == tridiagonal_char_poly(m, ell)
+    monic = Fraction(math.factorial(ell + 1), (-2) ** (ell + 1))
+    return all(monic * fam.evaluate(ell + 1, x) == tridiagonal_char_poly(m, ell, x)
+               for x in range(ell + 2))
 
 
 # ---------- roots ----------
@@ -288,28 +246,30 @@ def _root(fam: KravchukFamily, ell: int, j: int, precision: Fraction,
     brackets are [k m / 2^d, (k + 1) m / 2^d], kept as integer numerators
     over 2^d, and bisection stops at the first depth no wider than
     precision.  The float `guess` only picks where the search starts.  At
-    that depth, or at _GUESS_DEPTH if less, the bracket holding the guess,
-    clipped to [0, m], is taken once two exact counts at its ends certify
-    that the root lies inside; an end that is the root is returned.  When
-    they do not, or the guess is not finite, the search starts from [0, m].
-    Either way the result is bisection's from [0, m]: an exact root hit on
-    the way, else the final midpoint."""
+    that depth, or at _GUESS_DEPTH if less, the bracket end nearest the
+    guess, clipped to [0, m], is counted first; the count says on which side
+    of that end the root lies, and one more count at the next end on that
+    side certifies the bracket between them.  An end that is the root is
+    returned.  When the two counts do not certify a bracket, or the guess is
+    not finite, the search starts from [0, m].  Either way the result is
+    bisection's from [0, m]: an exact root hit on the way, else the final
+    midpoint."""
     m, p_num, p_den = fam.m, precision.numerator, precision.denominator
     span = 1  # 2^d of the start bracket
     while span < 1 << _GUESS_DEPTH and m * p_den > p_num * span:
         span *= 2
     lo_n, den = 0, 1
     if span > 1 and math.isfinite(guess):
-        k = min(int(min(max(guess / m, 0.0), 1.0) * span), span - 1)
-        below, is_root = _count_below(fam, ell, k * m, span)
-        if is_root and below == j:
-            return Fraction(k * m, span)
-        if below + is_root <= j:  # the root lies above k m / span
-            below, is_root = _count_below(fam, ell, (k + 1) * m, span)
+        end, step = round(min(max(guess / m, 0.0), 1.0) * span), 0
+        for _ in range(2):
+            below, is_root = _count_below(fam, ell, end * m, span)
             if is_root and below == j:
-                return Fraction((k + 1) * m, span)
-            if below > j:
-                lo_n, den = k * m, span
+                return Fraction(end * m, span)
+            side = 1 if below + is_root <= j else -1  # the root lies above or below end
+            if side == -step:  # ...and so between this end and the last
+                lo_n, den = min(end, end - step) * m, span
+                break
+            end, step = end + side, side
     while m * p_den > p_num * den:
         den *= 2
         mid_n = 2 * lo_n + m
@@ -373,19 +333,25 @@ class PrincipalRepresentation:
         return sum(w * z**j for z, w in zip(self.support, self.masses))
 
 
+def _kernel_coeffs(fam: KravchukFamily, z: Fraction, degree: int) -> list[Fraction]:
+    """K_k(z) / norm_k for k = 0..degree from one recurrence run at z: the
+    K-basis coefficients of the Christoffel-Darboux kernel
+    t -> sum_k K_k(z) K_k(t) / norm_k."""
+    hs = _recurrence_at(fam.steps[:degree], z.numerator, z.denominator)
+    return [Fraction(h, _scale(fam.rho, k) * z.denominator**k) / fam.norms[k]
+            for k, h in enumerate(hs)]
+
+
 def principal_representation(m: int, rho: Fraction, ell: int) -> PrincipalRepresentation:
     rho = Fraction(rho)
     if ell < 1 or 2 * ell > m:
         raise DomainError("need 1 <= ell <= m/2")
     fam = build_family(m, rho, ell)
     roots = isolate_roots(fam, ell)
-    masses = []
-    for z in roots:
-        # Reciprocal Christoffel function over the orthonormal family from one
-        # recurrence run; the degree-ell term is zero up to isolation error.
-        hs = _recurrence_at(fam.steps, z.numerator, z.denominator)
-        masses.append(1 / sum(Fraction(h, _scale(rho, k) * z.denominator**k) ** 2 / fam.norms[k]
-                              for k, h in enumerate(hs)))
+    # The reciprocal Christoffel function 1 / sum_k K_k(z)^2 / norm_k; the
+    # degree-ell term is zero up to isolation error.
+    masses = (1 / sum(c * c * n for c, n in zip(_kernel_coeffs(fam, z, ell), fam.norms))
+              for z in roots)
     return PrincipalRepresentation(m, rho, ell, tuple(roots), tuple(masses))
 
 
@@ -441,44 +407,28 @@ def interlacing_check(rep: PrincipalRepresentation, profile) -> dict:
 
 # ---------- optimal quadratic-form weights ----------
 
-def synthetic_divide(c: Poly, z: Fraction) -> tuple[Poly, Fraction]:
-    """Divide the polynomial by (x - z); returns (quotient, remainder)."""
-    q = [Fraction(0)] * (len(c) - 1)
-    acc = Fraction(0)
-    for i in range(len(c) - 1, 0, -1):
-        acc = acc * z + c[i]
-        q[i - 1] = acc
-    rem = acc * z + c[0]
-    return poly_trim(q), rem
-
-
 def kkt_optimum(m: int, ell: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Weights u for which the Bin(m, 1/2)-tilted mean hits its minimum.
 
-    Divides K_{ell+1} by (t - z) at the isolated smallest root z, expands
-    the quotient in the K-basis, and returns the tilted mean
-    sum t C(m,t) X(t)^2 / sum C(m,t) X(t)^2 together with the weights.
+    At the isolated smallest root z of K_{ell+1}, u_k = K_k(z) / norm_k for
+    k <= ell: by Christoffel-Darboux, sum_k K_k(z) K_k(t) / norm_k is a
+    multiple of K_{ell+1}(t) / (t - z).  Returns the weights, the top one
+    normalized to 1, with their tilted mean
+    sum t C(m,t) X(t)^2 / sum C(m,t) X(t)^2.
     """
     if ell + 1 > m:
         raise DomainError("need ell + 1 <= m")
     fam = build_family(m, HALF, ell + 1)
     z = smallest_root(fam, ell + 1)
-    quot, rem = synthetic_divide(fam.coeffs[ell + 1], z)
-    deriv_scale = abs(poly_eval(poly_derivative(fam.coeffs[ell + 1]), z))
-    if abs(rem) > 4 * DEFAULT_ROOT_PRECISION * max(deriv_scale, Fraction(1)):
-        raise IdentityViolationError("division remainder exceeds root precision")
-    # Expand the quotient in the K-basis by leading-coefficient elimination.
-    u = [Fraction(0)] * (ell + 1)
-    residual = list(quot) + [Fraction(0)] * (ell + 1 - len(quot))
-    for k in range(ell, -1, -1):
-        u[k] = residual[k] / fam.leading(k)
-        for i, v in enumerate(fam.coeffs[k]):
-            residual[i] -= u[k] * v
-    if any(residual):
-        raise IdentityViolationError("basis expansion left a nonzero residual")
+    # a root check on the recurrence alone: K_{ell+1} vanishes at z or
+    # changes sign across z +- precision
+    below, above = (fam.evaluate(ell + 1, z + d)
+                    for d in (-DEFAULT_ROOT_PRECISION, DEFAULT_ROOT_PRECISION))
+    if below * above >= 0 and fam.evaluate(ell + 1, z):
+        raise IdentityViolationError(f"K_{ell + 1} has no root within root precision of {z}")
+    u = _kernel_coeffs(fam, z, ell)
     # The tilted mean is scale invariant; normalize the top weight to 1.
-    top = u[ell]
-    u = tuple(v / top for v in u)
+    u = tuple(v / u[ell] for v in u)
     expected = tilted_mean(m, u)
     if abs(expected - z) > Fraction(1, 10**6) * m:
         raise IdentityViolationError("tilted mean strays from the isolated root")

@@ -800,6 +800,15 @@ def test_sampler_spec_weights_become_a_fraction_tuple():
     assert expected_sampled_satisfaction(code, lists, spec)["max_rel_residual"] == 0.0
 
 
+def test_canonical_sampler_with_rational_weights_is_domain_error():
+    # the canonical weights are C(m,k)^(-1/2); given weights would go unread
+    with pytest.raises(DomainError, match="canonical"):
+        make_sampler(2, 1, weight_mode="canonical", rational_weights=(1, 2))
+    with pytest.raises(DomainError, match="canonical"):
+        SamplerSpec(2, 1, "canonical", ())
+    assert make_sampler(2, 1).rational_weights is None
+
+
 def test_zero_mass_sampler_is_domain_error():
     code = make_rs_code(FieldCtx(7), 6, 3)
     lists = random_lists(7, 6, 3, 1)

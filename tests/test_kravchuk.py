@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from opilab import discrepancy, kravchuk
+from opilab import discrepancy, kravchuk, verify
 from opilab.codes import FieldCtx, brute_force_opi, make_lists, make_rs_code
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.kravchuk import (
@@ -20,8 +20,6 @@ from opilab.kravchuk import (
     isolate_roots,
     kkt_optimum,
     largest_root,
-    monic_scaled,
-    poly_add,
     poly_eval,
     principal_representation,
     smallest_root,
@@ -327,6 +325,16 @@ def test_finite_m_ladders_take_a_quarter_of_the_bisection_counts(monkeypatch):
     assert 4 * eigen_started <= float_free
 
 
+def test_root_isolation_at_m_300_takes_three_counts_a_root(monkeypatch):
+    # a guard on the number of exact counts, not on time: two counts certify
+    # each start bracket at depth 48, and one level more reaches the final
+    # depth 49, the first no wider than 1e-12 at m = 300
+    calls = _count_calls(monkeypatch)
+    for rho in (HALF, Fraction(1, 3)):
+        isolate_roots(build_family(300, rho, 90), 90)
+    assert calls[0] <= 3 * 2 * 90
+
+
 def _no_float_work(fam, ell):
     raise AssertionError("the float estimate ran before the arguments were checked")
 
@@ -363,8 +371,11 @@ def test_reflection_symmetry():
 def test_char_poly_identity_small():
     assert char_poly_identity_check(6, 2)
     assert char_poly_identity_check(8, 5)
-    # 1x1 case: both sides are x - m/2
-    assert tridiagonal_char_poly(4, 0) == (Fraction(-2), Fraction(1))
+    # by hand: the 1x1 case is x - m/2, the 2x2 case at m = 6 is
+    # (x - 3)^2 - 1 * 6 / 4
+    for x in (Fraction(-1), Fraction(0), Fraction(5, 2), Fraction(7)):
+        assert tridiagonal_char_poly(4, 0, x) == x - 2
+        assert tridiagonal_char_poly(6, 1, x) == (x - 3) ** 2 - Fraction(3, 2)
     assert char_poly_identity_check(4, 0)
 
 
@@ -375,9 +386,10 @@ def test_char_poly_identity_full_range():
 
 
 def test_monic_scaling():
+    # l! (-2)^-l K_l is monic for rho = 1/2
     fam = build_family(6, HALF, 3)
-    k2 = monic_scaled(fam, 2)
-    assert k2[-1] == 1
+    for ell, c in enumerate(fam.coeffs):
+        assert c[-1] * Fraction(math.factorial(ell), (-2) ** ell) == 1
 
 
 def test_root_count_and_interlacing_of_roots():
@@ -481,6 +493,23 @@ def test_kkt_matches_isolated_root():
     assert abs(float(value - z)) < 1e-6 * m
 
 
+@pytest.mark.parametrize("m, want", [(4, ((2, 1), 1)), (16, ((4, 1), 6)), (64, ((8, 1), 28))])
+def test_kkt_exact_at_a_dyadic_root(m, want):
+    # K_2 = ((m - 2x)^2 - m) / 2 has smallest root z = (m - sqrt m) / 2, a
+    # dyadic point of [0, m] at these m, so z is exact: u = (m / (m - 2z), 1)
+    assert kkt_optimum(m, 1) == want
+
+
+@pytest.mark.parametrize("m, ell", [(12, 4), (16, 1)])
+@pytest.mark.parametrize("offset", [10, -10])
+def test_kkt_rejects_a_point_off_the_root(m, ell, offset, monkeypatch):
+    root = kravchuk.smallest_root
+    monkeypatch.setattr(kravchuk, "smallest_root",
+                        lambda fam, ell: root(fam, ell) + offset * DEFAULT_ROOT_PRECISION)
+    with pytest.raises(IdentityViolationError, match=f"K_{ell + 1} has no root"):
+        kkt_optimum(m, ell)
+
+
 def test_kkt_is_a_minimum():
     m, ell = 12, 3
     _, value = kkt_optimum(m, ell)
@@ -493,6 +522,8 @@ def test_kkt_value_is_the_tilted_mean_of_its_weights():
         for ell in range(m):
             u, value = kkt_optimum(m, ell)
             assert value == tilted_mean(m, u)
+            z = smallest_root(build_family(m, HALF, ell + 1), ell + 1)
+            assert abs(value - z) <= Fraction(1, 10**9) * m
 
 
 @pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(5, 7)])
@@ -534,9 +565,14 @@ def test_evaluate_equals_the_coefficients(rho):
                 assert fam.evaluate(ell, z) == poly_eval(fam.coeffs[ell], z)
 
 
-def test_no_reader_but_the_coefficient_ones_builds_coefficients():
+def test_no_src_reader_builds_coefficients(monkeypatch):
     build_family.cache_clear()
     discrepancy.discrepancy_table.cache_clear()
+
+    def built(*args):
+        raise AssertionError("coefficients were built")
+
+    monkeypatch.setattr(kravchuk, "_recurrence_coeffs", built)
     m, ell, rho = 14, 4, Fraction(2, 5)
     fam = build_family(m, rho, ell)
     isolate_roots(fam, ell)
@@ -545,18 +581,21 @@ def test_no_reader_but_the_coefficient_ones_builds_coefficients():
     principal_representation(m, rho, ell)  # reads build_family(m, rho, ell)
     discrepancy.discrepancy_table(m, rho)  # reads build_family(m, 1 - rho, m)
     tilted_mean(m, (1, 2, 3))  # reads build_family(m, HALF, 2)
-    fams = [fam, build_family(m, 1 - rho, m), build_family(m, HALF, 2)]
+    kkt_optimum(12, 4)  # reads build_family(12, HALF, 5)
+    char_poly_identity_check(9, 6)  # reads build_family(9, HALF, 7)
+    verify.run_suite("kravchuk")
+    fams = [fam, build_family(m, 1 - rho, m), build_family(m, HALF, 2),
+            build_family(12, HALF, 5), build_family(9, HALF, 7)]
     for rho, ladder in FINITE_M_LADDERS.items():
         for m in ladder:
             fams.append(build_family(m, rho, 3 * m // 10))
             largest_root(fams[-1], 3 * m // 10, Fraction(1, 10**9))
             smallest_root(fams[-1], 3 * m // 10, Fraction(1, 10**9))
     assert all("coeffs" not in vars(fam) for fam in fams)
-    fam = build_family(12, HALF, 5)
-    kkt_optimum(12, 4)  # divides K_5 on its coefficients
-    assert "coeffs" in vars(fam)
 
 
 def test_degree_cutoff_validation():
     with pytest.raises(DomainError):
         build_family(4, HALF, 5)
+    with pytest.raises(DomainError, match="-1 outside 0..m=5"):
+        build_family(5, HALF, -1)
