@@ -33,7 +33,7 @@ from .codes import (
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
 from .kravchuk import HALF, build_family
 from .leakage import dual_character_sums
-from .quadext import QuadExt, beta_abs_of, beta_of, r_of, r_sq_of, zero
+from .quadext import QuadExt, beta_of, r_of, r_sq_of, zero
 from .rates import pair_count_exponent
 
 # Every route of this module is compared exactly.  The bound stays for
@@ -210,23 +210,14 @@ def count_sym_diff_zero_closed(k_list, m: int) -> int:
 def weighted_pair_count(k: int, kp: int, t: int, m: int, rho: Fraction) -> QuadExt:
     """sum_j beta^j C(t,j) C(t-j, (t+k-k'-j)/2) C(m-t, (k+k'-t-j)/2), with
     binomials vanishing on negative or non-integer arguments."""
-    return _weighted_pair_count(k, kp, t, m, beta_of(rho))
-
-
-def weighted_pair_count_abs(k: int, kp: int, t: int, m: int, rho: Fraction) -> QuadExt:
-    """Same sum with |beta|: the cancellation-free majorant."""
-    return _weighted_pair_count(k, kp, t, m, beta_abs_of(rho))
-
-
-def _weighted_pair_count(k: int, kp: int, t: int, m: int, beta: QuadExt) -> QuadExt:
+    beta = beta_of(rho)
     a, b = _beta_sq(beta)
     return _lift(Fraction(_pair_numerator(k, kp, t, m, a, b), b ** (t // 2)),
                  (t + k - kp) % 2, beta)
 
 
 def _beta_sq(beta: QuadExt) -> tuple[int, int]:
-    """(a, b) with beta^2 = a/b in lowest terms, beta = beta.b r; the same
-    for beta and |beta|."""
+    """(a, b) with beta^2 = a/b in lowest terms, beta = beta.b r."""
     beta_sq = beta.b * beta.b * beta.r_sq
     return beta_sq.numerator, beta_sq.denominator
 
@@ -282,49 +273,28 @@ def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction) ->
     return acc
 
 
-def weighted_triple_count(k: int, kp: int, s: int, m: int, rho: Fraction) -> QuadExt:
-    """(k+1) N(k+1,k';s) + beta k N(k,k';s) + (m-k+1) N(k-1,k';s)."""
-    if not 0 <= k < m:
-        raise DomainError("need 0 <= k < m")
-    beta = beta_of(rho)
-    a, b = _beta_sq(beta)
-    num = _triple_numerator(k, kp, s, m, a, b, lambda j: _pair_numerator(j, kp, s, m, a, b))
-    return _lift(Fraction(num, b ** (s // 2 + 1)), (s + k + 1 - kp) % 2, beta)
-
-
-def _triple_numerator(k: int, kp: int, s: int, m: int, a: int, b: int, pair) -> int:
-    """The integer Q with the triple count = beta^parity Q / b^(s//2+1),
-    parity = (s+k+1-k') mod 2, from pair(j), the `_pair_numerator` of
-    N(j,k';s); pair(-1) is zero, so the k-1 term is vacuous at k = 0.
-    N(k+-1) carry beta^parity and N(k) the other power, so the middle term
-    beta N(k) is beta^2 P(k) = a P(k) / b when the parity is 0."""
-    parity = (s + k + 1 - kp) % 2
-    return (b * ((k + 1) * pair(k + 1) + (m - k + 1) * pair(k - 1))
-            + (b if parity else a) * k * pair(k))
-
-
 def _window_entries(m: int, a: int, b: int, window: range, t: int):
     """The numerators of the weight-t window counts as (parity, integer) in
-    (k, k') order over the window: the pair counts over b^(t//2) and the
-    triple counts over b^(t//2+1).  Each pair count, k in the window
-    widened by one on each side, is computed once by `_pair_numerator`."""
+    (k, k') order over the window: the pair counts N(k,k';t) over b^(t//2)
+    and the triple counts
+    (k+1) N(k+1,k';t) + beta k N(k,k';t) + (m-k+1) N(k-1,k';t)
+    over b^(t//2+1), of parity (t+k+1-k') mod 2.  Each pair count, k in the
+    window widened by one on each side, is computed once by
+    `_pair_numerator`; N(-1,k';t) is zero, so the k-1 term is vacuous at
+    k = 0.  N(k+-1,k';t) carry beta^parity and N(k,k';t) the other power, so
+    the middle term beta N(k,k';t) is beta^2 P = a P / b at parity 0."""
     if window[0] < 0 or window[-1] >= m:
         raise DomainError("need 0 <= k < m")
     pair = {(k, kp): _pair_numerator(k, kp, t, m, a, b)
             for k in range(window[0] - 1, window[-1] + 2) for kp in window}
     pairs = tuple(((t + k - kp) % 2, pair[k, kp]) for k in window for kp in window)
-    triples = tuple(((t + k + 1 - kp) % 2,
-                     _triple_numerator(k, kp, t, m, a, b, lambda j: pair[j, kp]))
-                    for k in window for kp in window)
-    return pairs, triples
-
-
-def _to_mp(qe: QuadExt, r_f):
-    """a + b r as an mpmath float, given r as one."""
-    return (
-        mpmath.mpf(qe.a.numerator) / qe.a.denominator
-        + (mpmath.mpf(qe.b.numerator) / qe.b.denominator) * r_f
-    )
+    triples = []
+    for k in window:
+        for kp in window:
+            parity = (t + k + 1 - kp) % 2
+            outer = (k + 1) * pair[k + 1, kp] + (m - k + 1) * pair[k - 1, kp]
+            triples.append((parity, b * outer + (b if parity else a) * k * pair[k, kp]))
+    return pairs, tuple(triples)
 
 
 # ---------- the sampled-satisfaction expansion ----------
@@ -516,66 +486,7 @@ def quadratic_form_satisfaction(m: int, ell: int, u) -> Fraction:
     return Fraction(1, 2) + num / (2 * m * den)
 
 
-# ---------- window sums and rate checks ----------
-
-def leading_term_sums(m: int, ell: int, sigma: int, rho: Fraction):
-    """The weight-zero window sums of the expansion: the denominator sum is
-    exactly sigma + 1; the numerator sum is returned as a 60-digit float
-    (its terms carry sqrt binomial ratios)."""
-    if not 0 <= sigma <= ell <= m:
-        raise DomainError("need 0 <= sigma <= ell <= m")
-    rho = Fraction(rho)
-    window = range(ell - sigma, ell + 1)
-    beta = beta_of(rho)
-    a, b = _beta_sq(beta)
-    pairs, triples = _window_entries(m, a, b, window, 0)
-    keys = [(k, kp) for k in window for kp in window]
-    den = Fraction(0)
-    # at weight 0 the pair counts are integers and of parity 0 on the diagonal
-    for (k, kp), (_, n0) in zip(keys, pairs):
-        if k == kp:
-            den += Fraction(n0, math.comb(m, k))
-        elif n0:
-            raise IdentityViolationError("off-diagonal weight-zero count nonzero")
-    with mpmath.workdps(60):
-        r_sq = (1 - rho) / rho
-        r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
-        num = mpmath.mpf(0)
-        for (k, kp), (parity, n1) in zip(keys, triples):
-            if n1:
-                num += _to_mp(_lift(Fraction(n1, b), parity, beta), r_f) / mpmath.sqrt(
-                    mpmath.binomial(m, k) * mpmath.binomial(m, kp))
-        return den, num
-
-
-def window_domination_report(m: int, ell: int, sigma: int, t: int, rho: Fraction) -> dict:
-    """Compare every window pair count against the cancellation-free count
-    at the window top; report the smallest admissible per-step constant."""
-    if not 0 <= sigma <= ell <= m:
-        raise DomainError("need 0 <= sigma <= ell <= m")
-    rho = Fraction(rho)
-    top = weighted_pair_count_abs(ell, ell - (t % 2), t, m, rho).to_float()
-    base = top / math.comb(m, ell)
-    if base <= 0:
-        raise DomainError("cancellation-free majorant vanished")
-    worst = 0.0
-    worst_pair = None
-    for k in range(ell - sigma, ell + 1):
-        for kp in range(ell - sigma, ell + 1):
-            lhs = abs(weighted_pair_count(k, kp, t, m, rho).to_float())
-            lhs /= math.sqrt(math.comb(m, k) * math.comb(m, kp))
-            ratio = lhs / base
-            if ratio > worst:
-                worst, worst_pair = ratio, (k, kp)
-    c = worst ** (1.0 / max(sigma, 1)) if worst > 1.0 else 1.0
-    return {
-        "m": m, "ell": ell, "sigma": sigma, "t": t, "rho": float(rho),
-        "max_ratio": worst,
-        "worst_pair": worst_pair,
-        "smallest_admissible_C": c,
-        "all_bounded": math.isfinite(worst),
-    }
-
+# ---------- rate checks ----------
 
 def count_rate_report(m: int, mu: float, delta: float) -> dict:
     """Finite-m rate of the top-of-window pair count against its limit.

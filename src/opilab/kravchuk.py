@@ -199,10 +199,11 @@ def tridiagonal_char_poly(m: int, ell: int, x) -> Fraction:
 def char_poly_identity_check(m: int, ell: int) -> bool:
     """The monic rescaling (ell+1)! (-2)^-(ell+1) K_{ell+1} of the balanced
     family equals the tridiagonal characteristic polynomial: both have degree
-    ell + 1, so agreeing at the ell + 2 points x = 0..ell+1 makes them equal."""
+    ell + 1, so agreeing at the ell + 2 points x = 0..ell+1 makes them equal.
+    Every ell reads the one full family of its m."""
     if ell + 1 > m:
         raise DomainError("need ell + 1 <= m")
-    fam = build_family(m, HALF, ell + 1)
+    fam = build_family(m, HALF, m)
     monic = Fraction(math.factorial(ell + 1), (-2) ** (ell + 1))
     return all(monic * fam.evaluate(ell + 1, x) == tridiagonal_char_poly(m, ell, x)
                for x in range(ell + 2))

@@ -33,9 +33,7 @@ _BLOCK = 1 << 16  # exponents gathered per block of a character table
 class IndicatorSpectrum:
     """DFT of a subset indicator: coeffs[z] = (1/p) sum_{x in S} e(xz/p)."""
 
-    subset: tuple[int, ...]
     p: int
-    rho: Fraction
     coeffs: np.ndarray
 
     def magnitude(self, z: int) -> float:
@@ -49,7 +47,7 @@ def indicator_spectrum(subset, p: int) -> IndicatorSpectrum:
     indicator = np.zeros(p)
     indicator[list(s)] = 1.0
     coeffs = np.fft.ifft(indicator)  # (1/p) sum_x 1_S(x) e(xz/p)
-    spec = IndicatorSpectrum(s, p, Fraction(len(s), p), coeffs)
+    spec = IndicatorSpectrum(p, coeffs)
     rho = len(s) / p
     if abs(spec.coeffs[0] - rho) > 1e-12:
         raise DomainError("zero coefficient must equal the density")

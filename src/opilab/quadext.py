@@ -169,9 +169,3 @@ def beta_of(rho: Fraction) -> QuadExt:
     """beta = (1-2 rho)/sqrt(rho(1-rho)) = ((1-2 rho)/(1-rho)) * r."""
     rho = _frac(rho)
     return QuadExt(Fraction(0), (1 - 2 * rho) / (1 - rho), r_sq_of(rho))
-
-
-def beta_abs_of(rho: Fraction) -> QuadExt:
-    """|beta| = |1-2 rho|/sqrt(rho(1-rho)), as a Q(r) element."""
-    rho = _frac(rho)
-    return QuadExt(Fraction(0), abs(1 - 2 * rho) / (1 - rho), r_sq_of(rho))

@@ -17,8 +17,10 @@ from opilab.codes import (
 from opilab import discrepancy
 from opilab.discrepancy import (
     SamplerSpec,
+    _beta_sq,
+    _lift,
     _pair_tables,
-    _to_mp,
+    _window_entries,
     count_rate_report,
     count_sym_diff,
     count_sym_diff_zero_closed,
@@ -29,21 +31,17 @@ from opilab.discrepancy import (
     expected_discrepancy_exact,
     expected_discrepancy_fourier,
     indicator_values,
-    leading_term_sums,
     make_sampler,
     normalized_indicator_value,
     quadratic_form_satisfaction,
     expected_sampled_satisfaction,
     weighted_pair_count,
-    weighted_pair_count_abs,
     weighted_pair_count_brute,
-    weighted_triple_count,
-    window_domination_report,
 )
 
 from opilab.errors import DomainError
 from opilab.kravchuk import HALF, build_family, kkt_optimum, smallest_root
-from opilab.quadext import QuadExt, beta_abs_of, beta_of, r_of, r_sq_of, zero
+from opilab.quadext import QuadExt, beta_of, r_of, r_sq_of, zero
 
 import mpmath
 
@@ -265,25 +263,32 @@ def same_components(got, want):
     return got.a == want.a and got.b == want.b and repr(got) == repr(want)
 
 
+def window_triples(m, rho, window, t):
+    """The triple counts of `_window_entries` at weight t, each lifted to
+    beta^parity Q / b^(t//2+1) in Q(r) and keyed by (k, k')."""
+    beta = beta_of(rho)
+    a, b = _beta_sq(beta)
+    keys = [(k, kp) for k in window for kp in window]
+    return {key: _lift(Fraction(num, b ** (t // 2 + 1)), parity, beta)
+            for key, (parity, num) in zip(keys, _window_entries(m, a, b, window, t)[1])}
+
+
 @pytest.mark.parametrize("rho", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(5, 7),
                                  Fraction(3, 11)])
 def test_pair_count_kernel_matches_beta_power_route(rho):
-    beta, beta_abs = beta_of(rho), beta_abs_of(rho)
+    beta = beta_of(rho)
     for m in range(1, 10):
         keys = [(k, kp, t) for k in range(-1, m + 2) for kp in range(-1, m + 1)
                 for t in range(m + 1)]
         want = {key: beta_power_pair_count(*key, m, beta) for key in keys}
-        # |beta| = beta for rho <= 1/2
-        want_abs = want if beta_abs == beta else {
-            key: beta_power_pair_count(*key, m, beta_abs) for key in keys}
         for k, kp, t in keys:
             key = (m, k, kp, t)
             assert same_components(weighted_pair_count(k, kp, t, m, rho), want[k, kp, t]), key
-            assert same_components(weighted_pair_count_abs(k, kp, t, m, rho),
-                                   want_abs[k, kp, t]), key
-            if 0 <= k < m:
+        # a window never leaves [0, m), so the whole of it covers every triple
+        for t in range(m + 1):
+            for (k, kp), got in window_triples(m, rho, range(m), t).items():
                 triple = beta_power_triple_count(k, m, beta, lambda j: want[j, kp, t])
-                assert same_components(weighted_triple_count(k, kp, t, m, rho), triple), key
+                assert same_components(got, triple), (m, k, kp, t)
 
 
 def test_weighted_pair_count_vanishes_above_support():
@@ -300,24 +305,16 @@ def test_weighted_pair_count_against_enumeration():
         )
 
 
-def test_weighted_pair_count_abs_majorizes():
-    m, rho = 8, Fraction(3, 8)
-    for k, kp, t in ((3, 3, 4), (2, 3, 3), (3, 3, 2)):
-        plain = abs(weighted_pair_count(k, kp, t, m, rho).to_float())
-        cap = weighted_pair_count_abs(k, kp, t, m, rho).to_float()
-        assert plain <= cap + 1e-12
-
-
 def test_triple_count_balanced_middle_drops():
     m = 8
-    t = weighted_triple_count(2, 3, 3, m, HALF)
+    t = window_triples(m, HALF, range(2, 4), 3)[2, 3]
     want = 3 * weighted_pair_count(3, 3, 3, m, HALF) + 7 * weighted_pair_count(1, 3, 3, m, HALF)
     assert t == want
 
 
 def test_triple_count_k_zero_convention():
     m, rho = 7, Fraction(2, 7)
-    t = weighted_triple_count(0, 2, 1, m, rho)
+    t = window_triples(m, rho, range(0, 3), 1)[0, 2]
     assert t == weighted_pair_count(1, 2, 1, m, rho)
 
 
@@ -391,7 +388,7 @@ def test_triple_product_expectation_identity():
             lhs = lhs + q1 * q2 * q2 * Fraction(cnt)
     lhs = lhs * Fraction(1, prof.total)
     rhs = sum(
-        (weighted_triple_count(2, 2, s, m, rho) * eq[s] for s in range(m + 1)),
+        (window_triples(m, rho, range(2, 3), s)[2, 2] * eq[s] for s in range(m + 1)),
         zero(rho),
     )
     assert lhs == rhs
@@ -493,55 +490,6 @@ def test_benchmark_identity_on_balanced_instance():
         assert abs(out["value"] - (1 - float(z) / m)) < 1e-6
 
 
-def test_leading_term_sums():
-    for (m, ell, sigma, rho) in ((12, 5, 2, Fraction(1, 3)), (9, 4, 1, HALF),
-                                 (10, 4, 2, Fraction(2, 5))):
-        den, num = leading_term_sums(m, ell, sigma, rho)
-        assert den == sigma + 1
-        # independent summation: beta (sigma+1)(2 ell - sigma)/2 + paired
-        # sqrt terms sqrt(k(m-k+1)) counted twice
-        with mpmath.workdps(60):
-            beta = (1 - 2 * mpmath.mpf(rho.numerator) / rho.denominator) / mpmath.sqrt(
-                (mpmath.mpf(rho.numerator) / rho.denominator)
-                * (1 - mpmath.mpf(rho.numerator) / rho.denominator)
-            )
-            want = beta * (sigma + 1) * (2 * ell - sigma) / 2
-            for k in range(ell - sigma + 1, ell + 1):
-                want += 2 * mpmath.sqrt(mpmath.mpf(k * (m - k + 1)))
-            assert abs(num - want) < mpmath.mpf(10) ** (-40)
-
-
-def test_leading_term_sums_asymptotic():
-    # balanced lists kill the bias part; the sqrt window tends to the
-    # limiting value per window slot
-    m, sigma = 2000, 50
-    mu_delta = Fraction(2, 5)
-    ell = int(mu_delta * m)
-    den, num = leading_term_sums(m, ell, sigma, HALF)
-    assert den == sigma + 1
-    a = float(mu_delta)
-    limit = 2 * math.sqrt(a * (1 - a)) * sigma * m
-    assert abs(float(num) / limit - 1) < 0.02
-
-
-def test_window_domination_balanced():
-    rep = window_domination_report(40, 14, 3, 22, HALF)
-    assert rep["all_bounded"]
-    assert rep["smallest_admissible_C"] <= 4.0
-
-
-def test_window_domination_biased_odd_weight():
-    rep = window_domination_report(40, 14, 3, 21, Fraction(3, 8))
-    assert rep["all_bounded"]
-    assert rep["max_ratio"] < math.inf
-
-
-def test_window_domination_top_pair_is_one_for_nonneg_bias():
-    # at k = k' = ell with rho <= 1/2 the ratio against the majorant is 1
-    rep = window_domination_report(20, 8, 0, 10, Fraction(2, 5))
-    assert rep["max_ratio"] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_count_rate_report():
     rep = count_rate_report(400, 0.35, 0.05)
     assert rep["argmax_at_floor"]
@@ -582,7 +530,10 @@ def reference_window_sums(m, rho, spec, precision_digits, counts=None):
             u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in spec.window}
             rho_f = mpmath.mpf(rho.numerator) / rho.denominator
             r_f = mpmath.sqrt((1 - rho_f) / rho_f)
-            zero_v, conv = mpmath.mpf(0), lambda qe: _to_mp(qe, r_f)
+            # a + b r with r as an mpmath float
+            zero_v, conv = mpmath.mpf(0), lambda qe: (
+                mpmath.mpf(qe.a.numerator) / qe.a.denominator
+                + mpmath.mpf(qe.b.numerator) / qe.b.denominator * r_f)
 
         def window_sum(table, t):
             return sum((conv(table[k, kp, t]) * (u[k] * u[kp])
@@ -593,23 +544,6 @@ def reference_window_sums(m, rho, spec, precision_digits, counts=None):
         ts = range(t_hi + 1)
         return (wsq, tuple(window_sum(pairs, t) for t in ts),
                 tuple(window_sum(triples, t) for t in ts))
-
-
-def reference_leading_term_sums(m, ell, sigma, rho):
-    """`leading_term_sums` over the reference tables at weight zero."""
-    window = range(ell - sigma, ell + 1)
-    pairs, triples = _window_counts(m, rho, window, 0)
-    den = sum((pairs[k, k, 0].a / math.comb(m, k) for k in window), Fraction(0))
-    with mpmath.workdps(60):
-        r_sq = (1 - rho) / rho
-        r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
-        num = mpmath.mpf(0)
-        for k in window:
-            for kp in window:
-                if not triples[k, kp, 0].is_zero():
-                    num += _to_mp(triples[k, kp, 0], r_f) / mpmath.sqrt(
-                        mpmath.binomial(m, k) * mpmath.binomial(m, kp))
-        return den, num
 
 
 @pytest.mark.parametrize("m, rho, window, t_hi", [
@@ -626,8 +560,9 @@ def test_window_counts_match_single_point_counts(m, rho, window, t_hi):
                             for t in range(t_hi + 1)}
     for (k, kp, t), val in pairs.items():
         assert same_components(val, weighted_pair_count(k, kp, t, m, rho))
-    for (k, kp, t), val in triples.items():
-        assert same_components(val, weighted_triple_count(k, kp, t, m, rho))
+    for t in range(t_hi + 1):
+        for (k, kp), got in window_triples(m, rho, window, t).items():
+            assert same_components(triples[k, kp, t], got)
 
 
 def _criterion_7_window_keys():
@@ -732,15 +667,27 @@ def test_window_sums_match_reference_on_edge_keys(m, rho, ell, sigma):
         code, lists, [make_sampler(ell, sigma, weight_mode="canonical")], profile, 25)
 
 
-@pytest.mark.parametrize("m, ell, sigma, rho", [
-    (12, 5, 2, Fraction(1, 3)), (9, 4, 1, HALF), (10, 4, 2, Fraction(2, 5)),
-    (8, 7, 2, Fraction(5, 7)), (7, 0, 0, Fraction(2, 9)), (60, 25, 4, Fraction(7, 9)),
+@pytest.mark.parametrize("m, rho", [
+    (12, Fraction(1, 3)), (9, HALF), (10, Fraction(2, 5)), (8, Fraction(5, 7)),
+    (7, Fraction(2, 9)), (60, Fraction(7, 9)),
 ])
-def test_leading_term_sums_match_reference(m, ell, sigma, rho):
-    got = leading_term_sums(m, ell, sigma, rho)
-    want = reference_leading_term_sums(m, ell, sigma, rho)
-    assert type(got[0]) is Fraction and got[0] == want[0]
-    assert repr(got) == repr(want)
+def test_window_entries_weight_zero_identities(m, rho):
+    # at weight 0 only N(k,k;0) = C(m,k) survives, so the triple counts are
+    # the tridiagonal leading term: beta k C(m,k) on the diagonal and the
+    # neighbours' (k+1) C(m,k+1), (m-k+1) C(m,k-1), for every window of
+    # width up to 5
+    a, b = _beta_sq(beta_of(rho))
+    for width in range(1, 6):
+        for lo in range(m - width + 1):
+            window = range(lo, lo + width)
+            pairs, triples = _window_entries(m, a, b, window, 0)
+            keys = [(k, kp) for k in window for kp in window]
+            for (k, kp), pair, triple in zip(keys, pairs, triples):
+                assert pair == ((k - kp) % 2, math.comb(m, k) if k == kp else 0), (k, kp)
+                want = (b * k * math.comb(m, k) if kp == k else
+                        b * (k + 1) * math.comb(m, k + 1) if kp == k + 1 else
+                        b * (m - k + 1) * math.comb(m, k - 1) if kp == k - 1 else 0)
+                assert triple == ((k + 1 - kp) % 2, want), (k, kp)
 
 
 @pytest.mark.parametrize("mode", ["rational_test", "canonical"])
@@ -858,9 +805,10 @@ def test_sampled_satisfaction_pinned_strings(p, m, n, seed, size, rational, cano
     assert got == pinned
 
 
-def test_leading_term_sums_window_at_code_length_is_domain_error():
+def test_window_entries_at_code_length_is_domain_error():
+    a, b = _beta_sq(beta_of(Fraction(1, 3)))
     with pytest.raises(DomainError):
-        leading_term_sums(7, 7, 2, Fraction(1, 3))
+        _window_entries(7, a, b, range(5, 8), 0)
 
 
 def test_sampler_with_a_profile_makes_no_dual_pass(monkeypatch):

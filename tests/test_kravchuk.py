@@ -582,10 +582,10 @@ def test_no_src_reader_builds_coefficients(monkeypatch):
     discrepancy.discrepancy_table(m, rho)  # reads build_family(m, 1 - rho, m)
     tilted_mean(m, (1, 2, 3))  # reads build_family(m, HALF, 2)
     kkt_optimum(12, 4)  # reads build_family(12, HALF, 5)
-    char_poly_identity_check(9, 6)  # reads build_family(9, HALF, 7)
+    char_poly_identity_check(9, 6)  # reads build_family(9, HALF, 9)
     verify.run_suite("kravchuk")
     fams = [fam, build_family(m, 1 - rho, m), build_family(m, HALF, 2),
-            build_family(12, HALF, 5), build_family(9, HALF, 7)]
+            build_family(12, HALF, 5), build_family(9, HALF, 9)]
     for rho, ladder in FINITE_M_LADDERS.items():
         for m in ladder:
             fams.append(build_family(m, rho, 3 * m // 10))
