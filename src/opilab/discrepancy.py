@@ -6,9 +6,12 @@ share a common density, it collapses to a function of the satisfied count.
 All identities come in two independently computed routes, and every checker
 raises IdentityViolationError (with the instance attached) on disagreement.
 Exact arithmetic lives in Q(r): both routes of E[q_t], the histogram and
-the integer dual character sums, are Q(r) values compared with ==.  The
-canonical square-root weights leave Q(r), so they enter in high-precision
-floats, after the exact checks.
+the integer dual character sums, are Q(r) values compared with ==.  Both
+routes of q_k run on integers and lift each result to Q(r) once: the
+subset sum over the indicators' integer numerators, and the collapse over
+one cached integer count table per (m, rho), read from the Kravchuk
+family's integer rows.  The canonical square-root weights leave Q(r), so
+they enter in high-precision floats, after the exact checks.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .codes import (
     lists_to_json,
 )
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
-from .kravchuk import HALF, build_family
+from .kravchuk import HALF, _scale, build_family
 from .leakage import dual_character_sums
 from .quadext import QuadExt, beta_of, r_of, r_sq_of, zero
 from .rates import pair_count_exponent
@@ -52,62 +55,67 @@ def _comb0(n: int, k: int) -> int:
 
 # ---------- pointwise discrepancy ----------
 
-def normalized_indicator_value(in_set: bool, rho: Fraction) -> QuadExt:
-    """r for members, -1/r = -(rho/(1-rho)) r for non-members."""
-    rho = Fraction(rho)
-    r = r_of(rho)
-    return r if in_set else QuadExt.of(0, -rho / (1 - rho), r.r_sq)
-
-
-def indicator_values(code: MdsCode, lists: InputLists, x) -> list[QuadExt]:
-    p = code.p
-    res = [sum(code.B[i][j] * x[j] for j in range(code.n)) % p for i in range(code.m)]
-    return [
-        normalized_indicator_value(res[i] in lists.sets[i], lists.rho)
-        for i in range(code.m)
-    ]
+def _memberships(code: MdsCode, lists: InputLists, x) -> list[bool]:
+    """Whether each constraint i holds at x: (B x)_i mod p lies in S_i."""
+    return [sum(code.B[i][j] * x[j] for j in range(code.n)) % code.p in lists.sets[i]
+            for i in range(code.m)]
 
 
 def discrepancy_by_subsets(code: MdsCode, lists: InputLists, x, k: int) -> QuadExt:
-    """q_k(x) as the literal sum over k-subsets of indicator products."""
+    """q_k(x) as the literal sum over k-subsets of indicator products.
+
+    With rho = P/Q the normalized indicators are g_i = r c_i / (Q - P), c_i
+    = Q - P for a member (g_i = r) and -P otherwise (g_i = -1/r).  So q_k
+    is r^k e_k / (Q - P)^k, e_k the integer sum over k-subsets of the
+    products of the c_i, and r^k = (r^2)^(k//2) r^(k mod 2), r^2 = (Q-P)/P."""
     if math.comb(code.m, k) > enumeration_budget():
         raise BudgetExceededError(f"C({code.m},{k}) exceeds budget")
-    g = indicator_values(code, lists, x)
-    total = zero(lists.rho)
-    for subset in combinations(range(code.m), k):
-        prod = QuadExt.of(1, 0, total.r_sq)
-        for i in subset:
-            prod = prod * g[i]
-        total = total + prod
-    return total
+    r = r_of(lists.rho)
+    p_num, co_num = lists.rho.numerator, lists.rho.denominator - lists.rho.numerator
+    c = [co_num if member else -p_num for member in _memberships(code, lists, x)]
+    e_k = sum(map(math.prod, combinations(c, k)))
+    return _lift(Fraction(e_k, p_num ** (k // 2) * co_num ** (k - k // 2)), k % 2, r)
 
 
 @lru_cache(maxsize=256)
-def discrepancy_table(m: int, rho: Fraction) -> tuple[tuple[QuadExt, ...], ...]:
-    """q[k][s], k, s = 0..m: q_k of any solution satisfying exactly s
-    constraints.
+def _count_rows(m: int, rho: Fraction) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(rows, dens), integers with q_k(s) = r^(k mod 2) rows[k][s] / dens[k],
+    k, s = 0..m: q_k of any solution satisfying exactly s constraints.
 
     With a common list density the multiset of indicator values depends on
     the solution only through its satisfied count, and
     sum_k q_k z^k = (1 + r z)^s (1 - z/r)^(m-s), so q_k = r^k K_k(m - s) in
-    the Kravchuk family at the complementary density 1 - rho.
-    """
+    the Kravchuk family at the complementary density 1 - rho.  That
+    family's integer rows are H_k = S_k K_k, S_k = `_scale(1 - rho, k)`, so
+    with r^2 = A/B, rows[k][s] = A^(k//2) H_k(m - s) and
+    dens[k] = B^(k//2) S_k.  Returned as tuples, so no caller can change
+    what the next one reads."""
+    r_sq = r_sq_of(rho)
+    a, b = r_sq.numerator, r_sq.denominator
+    fam = build_family(m, 1 - rho, m)
+    return (tuple(tuple(a ** (k // 2) * h for h in reversed(row))
+                  for k, row in enumerate(fam._rows)),
+            tuple(b ** (k // 2) * _scale(fam.rho, k) for k in range(m + 1)))
+
+
+def discrepancy_table(m: int, rho: Fraction) -> tuple[tuple[QuadExt, ...], ...]:
+    """q[k][s], k, s = 0..m, in Q(r): `_count_rows` lifted entry by entry."""
     r = r_of(rho)
-    values = build_family(m, 1 - rho, m).values
-    # r^k = r_sq^(k // 2) r^(k mod 2)
-    return tuple(tuple(_lift(r.r_sq ** (k // 2) * v, k % 2, r) for v in reversed(row))
-                 for k, row in enumerate(values))
+    rows, dens = _count_rows(m, rho)
+    return tuple(tuple(_lift(Fraction(v, den), k % 2, r) for v in row)
+                 for k, (row, den) in enumerate(zip(rows, dens)))
 
 
 def discrepancy_from_count(m: int, rho: Fraction, sat: int, k: int) -> QuadExt:
-    """q_k of any solution satisfying exactly `sat` constraints, read from
-    `discrepancy_table`; zero for k outside 0..m, as no k-subset exists."""
+    """q_k of any solution satisfying exactly `sat` constraints, lifted from
+    `_count_rows`; zero for k outside 0..m, as no k-subset exists."""
     rho = Fraction(rho)
     if not 0 <= sat <= m:
         raise DomainError(f"satisfied count {sat} outside [0, {m}]")
     if not 0 <= k <= m:
         return zero(rho)
-    return discrepancy_table(m, rho)[k][sat]
+    rows, dens = _count_rows(m, rho)
+    return _lift(Fraction(rows[k][sat], dens[k]), k % 2, r_of(rho))
 
 
 # ---------- expected discrepancy, two routes ----------
@@ -118,16 +126,10 @@ def expected_discrepancy_exact(code: MdsCode, lists: InputLists,
     if profile is None:
         profile = brute_force_opi(code, lists)
     r = r_of(lists.rho)
+    rows, dens = _count_rows(code.m, lists.rho)
     bins = [(s, cnt) for s, cnt in enumerate(profile.histogram) if cnt]
-    out = []
-    for k, row in enumerate(discrepancy_table(code.m, lists.rho)):
-        # r^k times rational values: all real for even k, all r-part for odd;
-        # summed on integers over the lcm of their denominators
-        vals = [(row[s].b if k % 2 else row[s].a, cnt) for s, cnt in bins]
-        d = math.lcm(*(v.denominator for v, _ in vals))
-        num = sum(v.numerator * (d // v.denominator) * cnt for v, cnt in vals)
-        out.append(_lift(Fraction(num, d * profile.total), k % 2, r))
-    return out
+    return [_lift(Fraction(sum(cnt * row[s] for s, cnt in bins), den * profile.total), k % 2, r)
+            for k, (row, den) in enumerate(zip(rows, dens))]
 
 
 def expected_discrepancy_fourier(code: MdsCode, lists: InputLists,
@@ -252,7 +254,6 @@ def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction) ->
         raise BudgetExceededError("pair enumeration exceeds budget")
     beta = beta_of(rho)
     target = (1 << t) - 1
-    acc = QuadExt.of(0, 0, beta.r_sq)
 
     def mask_of(subset):
         out = 0
@@ -262,14 +263,12 @@ def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction) ->
 
     masks_k = [mask_of(s) for s in combinations(range(m), k)]
     masks_kp = [mask_of(s) for s in combinations(range(m), kp)]
-    for a in masks_k:
-        for b in masks_kp:
-            diff = a ^ b
-            if diff & ~target:
-                continue
-            if target & ~(a | b):
-                continue
-            acc = acc + beta ** (t - bin(diff).count("1"))
+    # the pairs counted per exponent, then one beta power per exponent
+    pairs = Counter(t - bin(a ^ b).count("1") for a in masks_k for b in masks_kp
+                    if not (a ^ b) & ~target and not target & ~(a | b))
+    acc = QuadExt.of(0, 0, beta.r_sq)
+    for e, count in pairs.items():
+        acc = acc + beta ** e * count
     return acc
 
 
@@ -350,10 +349,11 @@ def _pair_tables(m: int, rho: Fraction, window: range):
     one den for every pair, and for t <= min(m, 2 window[-1] + 1) the
     `_window_entries` of weight t.  Returned as tuples, so no caller can
     change what the next one reads."""
-    q = discrepancy_table(m, rho)
-    cols = [[v.b if k % 2 else v.a for v in q[k]] for k in window]
-    d = math.lcm(*(v.denominator for col in cols for v in col))
-    cols = [[v.numerator * (d // v.denominator) for v in col] for col in cols]
+    nums, dens = _count_rows(m, rho)
+    # q_k(s) / r^(k mod 2) over d, the least common denominator of the
+    # window's values nums[k][s] / dens[k] in lowest terms
+    d = math.lcm(*(dens[k] // math.gcd(v, dens[k]) for k in window for v in nums[k]))
+    cols = [[v * d // dens[k] for v in nums[k]] for k in window]
     r_sq = r_sq_of(rho)
     # q_k = r^(k mod 2) times a rational: two odd factors make r^2 = r_sq
     rows = tuple(tuple(x * y * (r_sq.numerator if k % 2 and kp % 2 else r_sq.denominator)
@@ -445,7 +445,7 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
 
     if canonical:
         with mpmath.workdps(precision_digits):
-            u = {k: 1 / mpmath.sqrt(mpmath.binomial(m, k)) for k in window}
+            u = {k: 1 / mpmath.sqrt(math.comb(m, k)) for k in window}
             r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
             (x, y), (xd, yd) = form(u, direct_m), form(u, direct_d)
             mass = xd + yd * r_f

@@ -94,9 +94,13 @@ def closed_form_value(m: int, rho: Fraction, ell: int, x: int) -> Fraction:
     """K_ell(x) at an integer point x by the closed-form sum
     sum_j (-r^2)^j C(x, j) C(m-x, ell-j), r^2 = (1-rho)/rho; an independent
     route to the values of the recurrence.  K_ell has degree ell <= m, so
-    its values at x = 0..m fix every coefficient."""
-    r_sq = (1 - Fraction(rho)) / Fraction(rho)
-    return sum((-r_sq) ** j * math.comb(x, j) * math.comb(m - x, ell - j) for j in range(ell + 1))
+    its values at x = 0..m fix every coefficient.  With r^2 = A/B it is
+    summed on integers, sum_j (-A)^j B^(ell-j) C(x, j) C(m-x, ell-j), over
+    B^ell."""
+    rho = Fraction(rho)
+    a, b = rho.denominator - rho.numerator, rho.numerator
+    return Fraction(sum((-a) ** j * b ** (ell - j) * math.comb(x, j) * math.comb(m - x, ell - j)
+                        for j in range(ell + 1)), b**ell)
 
 
 def _recurrence_steps(m: int, rho: Fraction, ell_max: int):
@@ -419,7 +423,8 @@ def kkt_optimum(m: int, ell: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """
     if ell + 1 > m:
         raise DomainError("need ell + 1 <= m")
-    fam = build_family(m, HALF, ell + 1)
+    # the roots and kernel weights read only steps[:ell + 1] and norms[:ell + 1]
+    fam = build_family(m, HALF, m)
     z = smallest_root(fam, ell + 1)
     # a root check on the recurrence alone: K_{ell+1} vanishes at z or
     # changes sign across z +- precision
@@ -438,13 +443,17 @@ def kkt_optimum(m: int, ell: int) -> tuple[tuple[Fraction, ...], Fraction]:
 
 def tilted_mean(m: int, u) -> Fraction:
     """sum t C(m,t) X_u(t)^2 / sum C(m,t) X_u(t)^2 for X_u = sum u_k K_k,
-    read from the balanced family's value table."""
+    read from the integer rows H_k = S_k K_k of the balanced family
+    `build_family(m, 1/2, m)` as sum_k (u_k / S_k) H_k."""
     u = [Fraction(v) for v in u]
-    values = build_family(m, HALF, len(u) - 1).values
+    if not 0 < len(u) <= m + 1:
+        raise DomainError(f"degree cutoff {len(u) - 1} outside 0..m={m}")
+    rows = build_family(m, HALF, m)._rows
+    coeffs = [v / _scale(HALF, k) for k, v in enumerate(u)]
     num = Fraction(0)
     den = Fraction(0)
     for t in range(m + 1):
-        xt = sum(uk * row[t] for uk, row in zip(u, values))
+        xt = sum(c * row[t] for c, row in zip(coeffs, rows))
         w = math.comb(m, t) * xt * xt
         num += t * w
         den += w

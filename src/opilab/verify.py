@@ -89,8 +89,7 @@ def _with_subset_sums(code, lists, xs, precision):
     """The profiled instance, with the satisfied count and q_0..q_m by subset sums at each x."""
     sums = []
     for x in xs:
-        sat = sum(sum(b * v for b, v in zip(row, x)) % code.p in s
-                  for row, s in zip(code.B, lists.sets))
+        sat = sum(discrepancy._memberships(code, lists, x))
         sums.append((x, sat, [discrepancy.discrepancy_by_subsets(code, lists, x, k)
                               for k in range(code.m + 1)]))
     return _profiled(code, lists, subset_sums=sums, precision=precision)

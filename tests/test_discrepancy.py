@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -30,9 +31,7 @@ from opilab.discrepancy import (
     expected_discrepancy_all,
     expected_discrepancy_exact,
     expected_discrepancy_fourier,
-    indicator_values,
     make_sampler,
-    normalized_indicator_value,
     quadratic_form_satisfaction,
     expected_sampled_satisfaction,
     weighted_pair_count,
@@ -61,6 +60,23 @@ def parity_instance(m, seed=0):
     rng = random.Random(seed)
     lists = make_lists(2, [[rng.randint(0, 1)] for _ in range(m)])
     return code, lists
+
+
+def normalized_indicator_value(in_set: bool, rho: Fraction) -> QuadExt:
+    """r for members, -1/r = -(rho/(1-rho)) r for non-members."""
+    rho = Fraction(rho)
+    r = r_of(rho)
+    return r if in_set else QuadExt.of(0, -rho / (1 - rho), r.r_sq)
+
+
+def indicator_values(code, lists, x) -> list[QuadExt]:
+    """The normalized indicator of each constraint at x, in Q(r)."""
+    p = code.p
+    res = [sum(code.B[i][j] * x[j] for j in range(code.n)) % p for i in range(code.m)]
+    return [
+        normalized_indicator_value(res[i] in lists.sets[i], lists.rho)
+        for i in range(code.m)
+    ]
 
 
 def test_indicator_values_balanced():
@@ -141,6 +157,82 @@ def test_qk_three_routes_agree():
         assert direct == newton == collapsed
 
 
+def quadext_subset_sum(code, lists, x, k):
+    """The Q(r)-product route to q_k(x): one product of indicator values in
+    Q(r) per k-subset."""
+    total = zero(lists.rho)
+    g = indicator_values(code, lists, x)
+    for subset in itertools.combinations(range(code.m), k):
+        prod = QuadExt.of(1, 0, total.r_sq)
+        for i in subset:
+            prod = prod * g[i]
+        total = total + prod
+    return total
+
+
+# (instance, rho): 1/5 has r^2 = 4, a rational square
+@pytest.mark.parametrize("instance, rho", [
+    (lambda: parity_instance(9, seed=5), HALF),
+    (lambda: rs_instance(p=5, m=5, n=2, seed=2, size=1), Fraction(1, 5)),
+    (lambda: rs_instance(p=7, m=7, n=3, seed=3, size=3), Fraction(3, 7)),
+    (lambda: rs_instance(p=13, m=8, n=3, seed=4, size=4), Fraction(4, 13)),
+], ids=["1/2", "1/5", "3/7", "4/13"])
+def test_integer_subset_sums_match_the_quadext_products(instance, rho):
+    code, lists = instance()
+    assert lists.rho == rho
+    rng = random.Random(code.p)
+    xs = [tuple(rng.randrange(code.p) for _ in range(code.n)) for _ in range(8)]
+    for x in xs:
+        for k in range(code.m + 2):
+            want = quadext_subset_sum(code, lists, x, k)
+            assert same_components(discrepancy_by_subsets(code, lists, x, k), want), (x, k)
+
+
+def family_count_table(m, rho):
+    """q[k][s] = r^k K_k(m - s) from the Fraction value table of the family
+    at 1 - rho, each entry a Q(r) product."""
+    r = r_of(rho)
+    values = build_family(m, 1 - rho, m).values
+    return tuple(tuple(_lift(r.r_sq ** (k // 2) * v, k % 2, r) for v in reversed(row))
+                 for k, row in enumerate(values))
+
+
+def lcm_expected_discrepancy(m, rho, profile):
+    """E[q_k] from `family_count_table`: per k, the Fractions over the
+    histogram summed on integers over the lcm of their denominators."""
+    r = r_of(rho)
+    bins = [(s, cnt) for s, cnt in enumerate(profile.histogram) if cnt]
+    out = []
+    for k, row in enumerate(family_count_table(m, rho)):
+        vals = [(row[s].b if k % 2 else row[s].a, cnt) for s, cnt in bins]
+        d = math.lcm(*(v.denominator for v, _ in vals))
+        num = sum(v.numerator * (d // v.denominator) * cnt for v, cnt in vals)
+        out.append(_lift(Fraction(num, d * profile.total), k % 2, r))
+    return out
+
+
+@pytest.mark.parametrize("rho", [HALF, Fraction(1, 5), Fraction(3, 7), Fraction(4, 13),
+                                 Fraction(7, 9)])
+def test_count_rows_match_the_family_value_table(rho):
+    # the collapse reads m, rho and the histogram only, so seeded histograms
+    # over lists of density rho stand in for instances
+    for m in range(1, 13):
+        table = discrepancy_table(m, rho)
+        assert all(same_components(g, w) for got, want in zip(table, family_count_table(m, rho))
+                   for g, w in zip(got, want)), m
+        code = SimpleNamespace(m=m)
+        lists = make_lists(rho.denominator, [range(rho.numerator)] * m)
+        rng = random.Random(m)
+        for _ in range(4):
+            hist = [rng.choice([0, rng.randint(1, 10**6)]) for _ in range(m + 1)]
+            hist[rng.randrange(m + 1)] += 1
+            profile = SimpleNamespace(histogram=tuple(hist), total=sum(hist))
+            got = expected_discrepancy_exact(code, lists, profile)
+            want = lcm_expected_discrepancy(m, rho, profile)
+            assert len(got) == len(want) == m + 1
+            assert all(same_components(g, w) for g, w in zip(got, want)), (m, hist)
+
+
 def closed_form_sum(m, rho, sat, k):
     """The binomial-sum route to q_k / r^k at satisfied count `sat`:
     sum_a C(sat,a) C(m-sat,k-a) (-rho/(1-rho))^(k-a); zero for k > m."""
@@ -164,7 +256,7 @@ def test_count_table_matches_closed_form():
                         got = discrepancy_from_count(m, rho, s, k)
                         assert got == want and repr(got) == repr(want), (m, rho, s, k)
                         if k <= m:
-                            assert table[k][s] is got
+                            assert same_components(table[k][s], got)
 
 
 def test_count_outside_zero_to_m_is_domain_error():
@@ -665,6 +757,56 @@ def test_window_sums_match_reference_on_edge_keys(m, rho, ell, sigma):
     _assert_sampler_matches_reference(code, lists, specs, profile)
     _assert_sampler_matches_reference(
         code, lists, [make_sampler(ell, sigma, weight_mode="canonical")], profile, 25)
+
+
+def family_pair_tables(m, rho, window):
+    """`_pair_tables` with its direct rows built from the Q(r) entries of
+    `family_count_table`, the window's columns over the lcm of their
+    values' denominators."""
+    q = family_count_table(m, rho)
+    cols = [[v.b if k % 2 else v.a for v in q[k]] for k in window]
+    d = math.lcm(*(v.denominator for col in cols for v in col))
+    cols = [[v.numerator * (d // v.denominator) for v in col] for col in cols]
+    r_sq = r_sq_of(rho)
+    rows = tuple(tuple(x * y * (r_sq.numerator if k % 2 and kp % 2 else r_sq.denominator)
+                       for x, y in zip(ck, ckp))
+                 for k, ck in zip(window, cols) for kp, ckp in zip(window, cols))
+    a, b = _beta_sq(beta_of(rho))
+    entries = tuple(_window_entries(m, a, b, window, t)
+                    for t in range(min(m, 2 * window[-1] + 1) + 1))
+    return rows, d * d * r_sq.denominator, entries
+
+
+def test_pair_tables_match_the_family_column_build(monkeypatch):
+    # every criterion 7 window, then the sampler on one instance per key:
+    # the exact pair and the canonical value are the same with either table
+    for m, rho, ell in _criterion_7_window_keys():
+        window = make_sampler(ell).window
+        assert _pair_tables(m, rho, window) == family_pair_tables(m, rho, window), (m, rho, window)
+    runs = [(rs_instance(p=7, m=6, n=3, seed=23, size=2), 2),
+            (rs_instance(p=11, m=8, n=5, seed=3, size=4), 4)]
+
+    def sampled():
+        return [expected_sampled_satisfaction(code, lists, make_sampler(ell, weight_mode=mode))
+                for (code, lists), ell in runs for mode in ("rational_test", "canonical")]
+
+    got = sampled()
+    monkeypatch.setattr(discrepancy, "_pair_tables", family_pair_tables)
+    for g, w in zip(got, sampled()):
+        assert repr(g["value"]) == repr(w["value"]) and g["mode"] == w["mode"]
+        if g["mode"] == "rational_test":
+            assert all(same_components(a, b) for a, b in zip(g["exact_pair"], w["exact_pair"]))
+
+
+@pytest.mark.parametrize("digits", [10, 25, 60])
+def test_canonical_weights_are_the_mpmath_binomial_roots(digits):
+    # C(m, k) is exact in mpmath at these digits below m = 40, so the integer
+    # binomial and mpmath's give the same square root
+    with mpmath.workdps(digits):
+        for m in range(1, 40):
+            for k in range(m + 1):
+                if math.comb(m, k) < 10**digits:
+                    assert mpmath.sqrt(math.comb(m, k)) == mpmath.sqrt(mpmath.binomial(m, k))
 
 
 @pytest.mark.parametrize("m, rho", [

@@ -517,6 +517,21 @@ def test_kkt_is_a_minimum():
         assert tilted_mean(m, [Fraction(v) for v in trial]) >= value - Fraction(1, 10**6) * m
 
 
+def test_tilted_mean_matches_the_cut_family_value_table():
+    # the Fraction value table of build_family(m, 1/2, len(u) - 1), summed
+    # term by term, against the integer rows of the full family
+    for m in range(1, 15):
+        for length in range(1, m + 2):
+            u = [Fraction((-1) ** k * (k + 2), 2 * k + 3) for k in range(length)]
+            values = build_family(m, HALF, length - 1).values
+            weights = [math.comb(m, t) * sum(uk * row[t] for uk, row in zip(u, values)) ** 2
+                       for t in range(m + 1)]
+            want = sum(t * w for t, w in enumerate(weights)) / sum(weights)
+            assert tilted_mean(m, u) == want, (m, length)
+    with pytest.raises(DomainError, match="degree cutoff 5 outside 0..m=4"):
+        tilted_mean(4, [1] * 6)
+
+
 def test_kkt_value_is_the_tilted_mean_of_its_weights():
     for m in range(2, 15):
         for ell in range(m):
@@ -567,7 +582,7 @@ def test_evaluate_equals_the_coefficients(rho):
 
 def test_no_src_reader_builds_coefficients(monkeypatch):
     build_family.cache_clear()
-    discrepancy.discrepancy_table.cache_clear()
+    discrepancy._count_rows.cache_clear()
 
     def built(*args):
         raise AssertionError("coefficients were built")
@@ -580,12 +595,12 @@ def test_no_src_reader_builds_coefficients(monkeypatch):
     smallest_root(fam, ell)
     principal_representation(m, rho, ell)  # reads build_family(m, rho, ell)
     discrepancy.discrepancy_table(m, rho)  # reads build_family(m, 1 - rho, m)
-    tilted_mean(m, (1, 2, 3))  # reads build_family(m, HALF, 2)
-    kkt_optimum(12, 4)  # reads build_family(12, HALF, 5)
+    tilted_mean(m, (1, 2, 3))  # reads build_family(m, HALF, m)
+    kkt_optimum(12, 4)  # reads build_family(12, HALF, 12)
     char_poly_identity_check(9, 6)  # reads build_family(9, HALF, 9)
     verify.run_suite("kravchuk")
-    fams = [fam, build_family(m, 1 - rho, m), build_family(m, HALF, 2),
-            build_family(12, HALF, 5), build_family(9, HALF, 9)]
+    fams = [fam, build_family(m, 1 - rho, m), build_family(m, HALF, m),
+            build_family(12, HALF, 12), build_family(9, HALF, 9)]
     for rho, ladder in FINITE_M_LADDERS.items():
         for m in ladder:
             fams.append(build_family(m, rho, 3 * m // 10))
