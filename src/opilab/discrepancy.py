@@ -98,14 +98,6 @@ def _count_rows(m: int, rho: Fraction) -> tuple[tuple[tuple[int, ...], ...], tup
             tuple(b ** (k // 2) * _scale(fam.rho, k) for k in range(m + 1)))
 
 
-def discrepancy_table(m: int, rho: Fraction) -> tuple[tuple[QuadExt, ...], ...]:
-    """q[k][s], k, s = 0..m, in Q(r): `_count_rows` lifted entry by entry."""
-    r = r_of(rho)
-    rows, dens = _count_rows(m, rho)
-    return tuple(tuple(_lift(Fraction(v, den), k % 2, r) for v in row)
-                 for k, (row, den) in enumerate(zip(rows, dens)))
-
-
 def discrepancy_from_count(m: int, rho: Fraction, sat: int, k: int) -> QuadExt:
     """q_k of any solution satisfying exactly `sat` constraints, lifted from
     `_count_rows`; zero for k outside 0..m, as no k-subset exists."""
@@ -162,6 +154,11 @@ def expected_discrepancy_all(code: MdsCode, lists: InputLists,
 
 # ---------- symmetric-difference counts ----------
 
+def _subset_masks(m: int, k: int) -> list[int]:
+    """Each k-subset of {0..m-1} as the bitmask with bit i set for i in it."""
+    return [sum(1 << i for i in subset) for subset in combinations(range(m), k)]
+
+
 def count_sym_diff(k_list, t: int, m: int) -> int:
     """Number of subset tuples (|T_i| = k_i) whose odd-multiplicity set is
     exactly {1..t}, by explicit enumeration over bitmasks.
@@ -173,17 +170,7 @@ def count_sym_diff(k_list, t: int, m: int) -> int:
     if total > enumeration_budget():
         raise BudgetExceededError(f"{total} tuples exceed budget")
     target = (1 << t) - 1
-    masks_per_k = []
-    for k in k_list:
-        masks = []
-        for subset in combinations(range(m), k):
-            mask = 0
-            for i in subset:
-                mask |= 1 << i
-            masks.append(mask)
-        masks_per_k.append(masks)
-
-    masks_per_k.sort(key=len)
+    masks_per_k = sorted((_subset_masks(m, k) for k in k_list), key=len)
     tail = Counter(masks_per_k[-1])
     acc = [0]
     for masks in masks_per_k[:-1]:
@@ -254,17 +241,9 @@ def weighted_pair_count_brute(k: int, kp: int, t: int, m: int, rho: Fraction) ->
         raise BudgetExceededError("pair enumeration exceeds budget")
     beta = beta_of(rho)
     target = (1 << t) - 1
-
-    def mask_of(subset):
-        out = 0
-        for i in subset:
-            out |= 1 << i
-        return out
-
-    masks_k = [mask_of(s) for s in combinations(range(m), k)]
-    masks_kp = [mask_of(s) for s in combinations(range(m), kp)]
+    masks_kp = _subset_masks(m, kp)
     # the pairs counted per exponent, then one beta power per exponent
-    pairs = Counter(t - bin(a ^ b).count("1") for a in masks_k for b in masks_kp
+    pairs = Counter(t - bin(a ^ b).count("1") for a in _subset_masks(m, k) for b in masks_kp
                     if not (a ^ b) & ~target and not target & ~(a | b))
     acc = QuadExt.of(0, 0, beta.r_sq)
     for e, count in pairs.items():
@@ -365,40 +344,28 @@ def _pair_tables(m: int, rho: Fraction, window: range):
     return rows, d * d * r_sq.denominator, entries
 
 
-def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: SamplerSpec,
-                                  profile: SatisfactionProfile | None = None,
-                                  precision_digits: int = 60) -> dict:
-    """E[s] under the squared-window-combination sampler, its two routes
-    checked exactly for every window pair before the weights enter.
+def _checked_pair_sums(code: MdsCode, lists: InputLists, window: range,
+                       profile: SatisfactionProfile):
+    """The window's pair sums by two routes, compared exactly pair by pair.
 
-    With h the histogram, E[s] = u^T M u / u^T D u over the window pairs,
-    D(k,k') = sum_s h_s q_k(s) q_k'(s) and M(k,k') the same sum with a
-    factor s/m.  Route one reads D and M from the histogram directly; route
-    two expands them through the weighted counts and the uniform E[q_t] of
-    `expected_discrepancy_exact` (no dual pass):
+    With h the histogram, D(k,k') = sum_s h_s q_k(s) q_k'(s) and M(k,k') the
+    same sum with a factor s/m.  Route one reads D and M from the histogram
+    directly; route two expands them through the weighted counts and the
+    uniform E[q_t] of `expected_discrepancy_exact` (no dual pass):
     D = p^n sum_t E[q_t] N(k,k';t) and
     M = p^n (rho sum_t E[q_t] N(k,k';t) + (rho r/m) sum_t E[q_t] Tri(k,k';t)).
     Each side of each pair is r^((k+k') mod 2) times a rational, so the two
     routes are compared as rationals; a disagreement raises
-    IdentityViolationError naming the pair.  The weights enter once, in the
-    final ratio: in Q(r) in rational_test mode, whose `exact_pair` is
-    (u^T M u, u^T D u), and in mpmath at `precision_digits` with weights
-    C(m,k)^(-1/2) in canonical mode.  The residual is 0 in both modes.  The
-    counts are integers read from `_pair_tables`, keyed by (m, rho,
-    window); the per-instance work is integer sums over the histogram and
-    over t.  A sampler whose direct denominator is zero on the instance is
-    a DomainError.
+    IdentityViolationError naming the pair.  The counts are integers read
+    from `_pair_tables`, keyed by (m, rho, window); the per-instance work is
+    integer sums over the histogram and over t.
+
+    Returns (keys, direct_d, direct_m, den, r_sq): the window pairs (k, k')
+    in row order, and route one's integers with D(k,k') = r^((k+k') mod 2)
+    direct_d[i] / den and m M(k,k') = r^((k+k') mod 2) direct_m[i] / den,
+    r^2 = r_sq.
     """
-    if profile is None:
-        profile = brute_force_opi(code, lists)
     m, rho = code.m, lists.rho
-    if spec.ell >= m:
-        raise DomainError("window cutoff must stay below the code length")
-    canonical = spec.weight_mode == "canonical"
-    if canonical and precision_digits < MIN_PRECISION_DIGITS:
-        raise DomainError(f"precision must be at least {MIN_PRECISION_DIGITS} digits, "
-                          f"got {precision_digits}")
-    window = spec.window
     rows, den, entries = _pair_tables(m, rho, window)
     bins = [(s, cnt) for s, cnt in enumerate(profile.histogram) if cnt]
     direct_d = [sum(cnt * row[s] for s, cnt in bins) for row in rows]
@@ -429,12 +396,41 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
             expanded_d[i] += pair[pp] * pn
             expanded_m[i] += rho_pair[pp] * pn + triple[tp] * tn
     keys = [(k, kp) for k in window for kp in window]
-    for (k, kp), dd, dm, ed, em in zip(keys, direct_d, direct_m, expanded_d, expanded_m):
-        if dd * lcd != ed * den or dm * lcd != em * m * den:
-            raise IdentityViolationError(
-                f"sampled-satisfaction routes disagree at window pair ({k}, {kp})",
-                instance=lists_to_json(lists),
-            )
+    # every D before any M: a wrong pair count N(k,k';t) shows in its own
+    # pair's D, and in M through the triple counts of the pairs beside it too
+    for direct, expanded, scale in ((direct_d, expanded_d, den), (direct_m, expanded_m, m * den)):
+        for (k, kp), x, e in zip(keys, direct, expanded):
+            if x * lcd != e * scale:
+                raise IdentityViolationError(
+                    f"pair-sum routes disagree at window pair ({k}, {kp})",
+                    instance=lists_to_json(lists),
+                )
+    return keys, direct_d, direct_m, den, r_sq
+
+
+def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: SamplerSpec,
+                                  profile: SatisfactionProfile | None = None,
+                                  precision_digits: int = 60) -> dict:
+    """E[s] under the squared-window-combination sampler: u^T M u / u^T D u
+    over the window pairs, for the pair sums D and M of `_checked_pair_sums`,
+    whose two routes are compared exactly for every window pair before the
+    weights enter.  The weights enter once, in the final ratio: in Q(r) in
+    rational_test mode, whose `exact_pair` is (u^T M u, u^T D u), and in
+    mpmath at `precision_digits` with weights C(m,k)^(-1/2) in canonical
+    mode.  The residual is 0 in both modes.  A sampler whose direct
+    denominator is zero on the instance is a DomainError.
+    """
+    if profile is None:
+        profile = brute_force_opi(code, lists)
+    m = code.m
+    if spec.ell >= m:
+        raise DomainError("window cutoff must stay below the code length")
+    canonical = spec.weight_mode == "canonical"
+    if canonical and precision_digits < MIN_PRECISION_DIGITS:
+        raise DomainError(f"precision must be at least {MIN_PRECISION_DIGITS} digits, "
+                          f"got {precision_digits}")
+    window = spec.window
+    keys, direct_d, direct_m, den, r_sq = _checked_pair_sums(code, lists, window, profile)
 
     def form(u, values):
         # u^T V u as its rational part and its r part: k + k' even, odd

@@ -100,22 +100,6 @@ class QuadExt:
             k >>= 1
         return out
 
-    def inverse(self) -> "QuadExt":
-        # (a + b r)^{-1} = (a - b r) / (a^2 - b^2 r^2); fails on zero divisors
-        # of Q[r]/(r^2 - r_sq) when r_sq is a rational square.
-        d = self.a * self.a - self.b * self.b * self.r_sq
-        if d == 0:
-            raise ZeroDivisionError("element is not invertible in Q(r)")
-        return QuadExt(self.a / d, -self.b / d, self.r_sq)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a / other, self.b / other, self.r_sq)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 

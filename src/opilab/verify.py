@@ -218,21 +218,12 @@ def _max_at_least_density(inst):
 # ---------- discrepancy ----------
 
 def _pair_products(inst):
-    code, prof, rho = inst.code, inst.prof, inst.lists.rho
-    m = code.m
-    eq = discrepancy.expected_discrepancy_all(code, inst.lists, prof)
-    q = discrepancy.discrepancy_table(m, rho)
-    scale = Fraction(1, prof.total)
-
-    def holds(k, kp):
-        lhs = sum((q[k][s] * q[kp][s] * Fraction(cnt) for s, cnt in enumerate(prof.histogram)
-                   if cnt), discrepancy.zero(rho))
-        rhs = sum((discrepancy.weighted_pair_count(k, kp, t, m, rho) * eq[t]
-                   for t in range(m + 1)), discrepancy.zero(rho))
-        return (lhs * scale).real_equals(rhs)
-
-    return _exact("k k'", (((k, kp), holds(k, kp))
-                           for k in range(min(m, 4)) for kp in range(k, min(m, 4))))
+    # E[q_k q_k'] and E[(s/m) q_k q_k'] against their expansion through
+    # E[q_t], for every ordered pair k, k' < min(m, 4)
+    code, lists, prof = inst.code, inst.lists, inst.prof
+    discrepancy.expected_discrepancy_all(code, lists, prof)
+    discrepancy._checked_pair_sums(code, lists, range(min(code.m, 4)), prof)
+    return 0.0, True
 
 
 def _triple_recursion(inst):

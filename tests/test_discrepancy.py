@@ -27,7 +27,6 @@ from opilab.discrepancy import (
     count_sym_diff_zero_closed,
     discrepancy_by_subsets,
     discrepancy_from_count,
-    discrepancy_table,
     expected_discrepancy_all,
     expected_discrepancy_exact,
     expected_discrepancy_fourier,
@@ -171,12 +170,15 @@ def quadext_subset_sum(code, lists, x, k):
 
 
 # (instance, rho): 1/5 has r^2 = 4, a rational square
-@pytest.mark.parametrize("instance, rho", [
+integer_route_instances = pytest.mark.parametrize("instance, rho", [
     (lambda: parity_instance(9, seed=5), HALF),
     (lambda: rs_instance(p=5, m=5, n=2, seed=2, size=1), Fraction(1, 5)),
     (lambda: rs_instance(p=7, m=7, n=3, seed=3, size=3), Fraction(3, 7)),
     (lambda: rs_instance(p=13, m=8, n=3, seed=4, size=4), Fraction(4, 13)),
 ], ids=["1/2", "1/5", "3/7", "4/13"])
+
+
+@integer_route_instances
 def test_integer_subset_sums_match_the_quadext_products(instance, rho):
     code, lists = instance()
     assert lists.rho == rho
@@ -217,9 +219,9 @@ def test_count_rows_match_the_family_value_table(rho):
     # the collapse reads m, rho and the histogram only, so seeded histograms
     # over lists of density rho stand in for instances
     for m in range(1, 13):
-        table = discrepancy_table(m, rho)
-        assert all(same_components(g, w) for got, want in zip(table, family_count_table(m, rho))
-                   for g, w in zip(got, want)), m
+        assert all(same_components(discrepancy_from_count(m, rho, s, k), want)
+                   for k, row in enumerate(family_count_table(m, rho))
+                   for s, want in enumerate(row)), m
         code = SimpleNamespace(m=m)
         lists = make_lists(rho.denominator, [range(rho.numerator)] * m)
         rng = random.Random(m)
@@ -249,14 +251,11 @@ def test_count_table_matches_closed_form():
             rho = Fraction(size, p)
             r_pow = [r_of(rho) ** k for k in range(15)]
             for m in range(1, 13):
-                table = discrepancy_table(m, rho)
                 for s in range(m + 1):
                     for k in range(m + 3):
                         want = r_pow[k] * closed_form_sum(m, rho, s, k)
                         got = discrepancy_from_count(m, rho, s, k)
                         assert got == want and repr(got) == repr(want), (m, rho, s, k)
-                        if k <= m:
-                            assert same_components(table[k][s], got)
 
 
 def test_count_outside_zero_to_m_is_domain_error():
@@ -446,6 +445,25 @@ def test_pair_product_expansion_exact():
         assert lhs == rhs
 
 
+@integer_route_instances
+def test_checked_pair_sums_lift_to_the_quadext_histogram_sums(instance, rho):
+    # the direct route's integers, lifted to Q(r), against the Q(r) sums
+    # sum_s h_s q_k(s) q_k'(s) and sum_s h_s s q_k(s) q_k'(s), whose
+    # factors are the collapse's q_k lifted one by one
+    code, lists = instance()
+    m, r, prof = code.m, r_of(rho), brute_force_opi(code, lists)
+    window = range(min(m, 4))
+    keys, direct_d, direct_m, den, r_sq = discrepancy._checked_pair_sums(code, lists, window, prof)
+    assert keys == [(k, kp) for k in window for kp in window] and r_sq == r.r_sq
+    for (k, kp), d, dm in zip(keys, direct_d, direct_m):
+        terms = [(s, cnt, discrepancy_from_count(m, rho, s, k) * discrepancy_from_count(
+            m, rho, s, kp)) for s, cnt in enumerate(prof.histogram) if cnt]
+        want_d = sum((qq * cnt for _, cnt, qq in terms), zero(rho))
+        want_m = sum((qq * (s * cnt) for s, cnt, qq in terms), zero(rho))
+        for got, want in ((d, want_d), (dm, want_m)):
+            assert same_components(_lift(Fraction(got, den), (k + kp) % 2, r), want), (k, kp)
+
+
 def test_below_cutoff_orthogonality():
     code, lists = rs_instance(seed=17)
     m, rho = code.m, lists.rho
@@ -613,7 +631,7 @@ def reference_window_sums(m, rho, spec, precision_digits, counts=None):
     term by term in (k, k') order."""
     t_hi = min(m, 2 * spec.ell + 1)
     pairs, triples = counts or _window_counts(m, rho, spec.window, t_hi)
-    q = discrepancy_table(m, rho)
+    q = family_count_table(m, rho)
     with mpmath.workdps(precision_digits):
         if spec.weight_mode == "rational_test":
             u = dict(zip(spec.window, spec.rational_weights))
@@ -687,14 +705,14 @@ def reference_sampled_satisfaction(code, lists, spec, profile, digits=60, counts
         for s, cnt in enumerate(profile.histogram):
             if cnt:
                 term = wsq[s] * cnt
-                num += term * s / m
+                num += term * Fraction(s, m)
                 den += term
         if not rational:
             return float(num / den)
     eq = expected_discrepancy_exact(code, lists, profile)
     exp_den = sum((q * t0 for q, t0 in zip(eq, t0s)), zero(rho)) * profile.total
     exp_t1 = sum((q * t1 for q, t1 in zip(eq, t1s)), zero(rho)) * profile.total
-    exp_num = rho * exp_den + rho * r_of(rho) * exp_t1 / m
+    exp_num = rho * exp_den + rho * r_of(rho) * exp_t1 * Fraction(1, m)
     assert num.real_equals(exp_num) and den.real_equals(exp_den)
     return num, den
 
@@ -975,8 +993,9 @@ def test_sampler_with_a_profile_makes_no_dual_pass(monkeypatch):
 
 def test_an_off_by_one_pair_count_is_named_in_both_weight_modes(monkeypatch, capsys):
     # one pair count off by one at (k, k', t) = (1, 2, 0): E[q_0] = 1, so the
-    # expansion reads it, and k = 1 opens the window, so no earlier pair's
-    # triple count reads it
+    # expansion reads it.  Every pair's D is compared before any M, so the
+    # verify row's window, which opens at k = 0 and whose M(0, 2) reads the
+    # count through a triple count, names (1, 2) as the sampler's does
     from opilab.cli import main
     from opilab.codes import lists_to_json
     from opilab.errors import IdentityViolationError
@@ -996,7 +1015,10 @@ def test_an_off_by_one_pair_count_is_named_in_both_weight_modes(monkeypatch, cap
             assert err.value.instance == lists_to_json(lists)
         assert main(["verify", "--suite", "discrepancy"]) == 1
         report = json.loads(capsys.readouterr().out)
-        failed = {r["identity"] for r in report["identities"] if r["status"] == "fail"}
-        assert {"master_expansion_rational", "master_expansion_canonical_weights"} <= failed
+        failed = {r["identity"]: r["error"] for r in report["identities"]
+                  if r["status"] == "fail"}
+        assert {"pair_product_expansion", "master_expansion_rational",
+                "master_expansion_canonical_weights"} <= set(failed)
+        assert "window pair (1, 2)" in failed["pair_product_expansion"]
     finally:
         _pair_tables.cache_clear()

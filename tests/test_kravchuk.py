@@ -594,7 +594,7 @@ def test_no_src_reader_builds_coefficients(monkeypatch):
     largest_root(fam, ell)
     smallest_root(fam, ell)
     principal_representation(m, rho, ell)  # reads build_family(m, rho, ell)
-    discrepancy.discrepancy_table(m, rho)  # reads build_family(m, 1 - rho, m)
+    discrepancy._count_rows(m, rho)  # reads build_family(m, 1 - rho, m)
     tilted_mean(m, (1, 2, 3))  # reads build_family(m, HALF, m)
     kkt_optimum(12, 4)  # reads build_family(12, HALF, 12)
     char_poly_identity_check(9, 6)  # reads build_family(9, HALF, 9)

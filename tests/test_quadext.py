@@ -24,12 +24,6 @@ def test_ring_ops_close():
     assert a * (b + 1) == a * b + a
 
 
-def test_inverse_roundtrip():
-    x = QuadExt.of(Fraction(3, 4), Fraction(-2, 9), Fraction(3, 2))
-    assert (x * x.inverse()).a == 1
-    assert (x * x.inverse()).b == 0
-
-
 def test_power():
     r = r_of(RHO)
     assert r**2 == QuadExt.of(Fraction(3, 2), 0, Fraction(3, 2))
@@ -55,7 +49,7 @@ def test_indicator_values_identity():
     r = r_of(RHO)
     beta = beta_of(RHO)
     inside = r
-    outside = -r.inverse()
+    outside = QuadExt.of(0, -RHO / (1 - RHO), r_sq_of(RHO))
     for g in (inside, outside):
         assert g * g == 1 + beta * g
     # mean zero, variance one under rho / (1 - rho) weights
@@ -65,13 +59,10 @@ def test_indicator_values_identity():
     assert second == QuadExt.of(1, 0, r_sq_of(RHO))
 
 
-def test_scalar_product_and_quotient_match_the_ring_operations():
+def test_scalar_product_matches_the_ring_product():
     r_sq = Fraction(7, 4)
     x = QuadExt.of(Fraction(-3, 5), Fraction(11, 6), r_sq)
     for c in (0, 3, -7, Fraction(2, 9), Fraction(-5, 4)):
         as_element = QuadExt.of(c, 0, r_sq)
         for got, want in ((x * c, x * as_element), (c * x, as_element * x)):
-            assert (got.a, got.b, repr(got)) == (want.a, want.b, repr(want))
-        if c:
-            got, want = x / c, x * as_element.inverse()
             assert (got.a, got.b, repr(got)) == (want.a, want.b, repr(want))
