@@ -133,11 +133,19 @@ class QuadExt:
         return f"({self.a} + {self.b}*sqrt({self.r_sq}))"
 
 
-def r_sq_of(rho: Fraction) -> Fraction:
+def _density(rho: Fraction) -> tuple[int, int]:
+    """(P, Q) with rho = P/Q in lowest terms, Q > 0, checked 0 < P < Q."""
     rho = _frac(rho)
-    if not 0 < rho < 1:
+    num, den = rho.numerator, rho.denominator
+    if not 0 < num < den:
         raise ValueError("rho must lie in (0, 1)")
-    return (1 - rho) / rho
+    return num, den
+
+
+def r_sq_of(rho: Fraction) -> Fraction:
+    """(1 - rho)/rho = (Q - P)/P, already in lowest terms."""
+    num, den = _density(rho)
+    return Fraction(den - num, num)
 
 
 def zero(rho: Fraction) -> QuadExt:
@@ -150,6 +158,7 @@ def r_of(rho: Fraction) -> QuadExt:
 
 
 def beta_of(rho: Fraction) -> QuadExt:
-    """beta = (1-2 rho)/sqrt(rho(1-rho)) = ((1-2 rho)/(1-rho)) * r."""
-    rho = _frac(rho)
-    return QuadExt(Fraction(0), (1 - 2 * rho) / (1 - rho), r_sq_of(rho))
+    """beta = (1-2 rho)/sqrt(rho(1-rho)) = ((1-2 rho)/(1-rho)) * r, with
+    (1 - 2rho)/(1 - rho) = (Q - 2P)/(Q - P) in lowest terms."""
+    num, den = _density(rho)
+    return QuadExt(Fraction(0), Fraction(den - 2 * num, den - num), Fraction(den - num, num))

@@ -4,8 +4,10 @@ improvement and saturation thresholds.
 Everything here is double precision.  Feasibility predicates are open
 strict inequalities in the underlying analysis, so they are certified with
 an explicit margin (FEAS_MARGIN) rather than at equality.  One builder,
-_exponent_in_delta, gives every feasibility and exponent scan the exponent
-sum as a function of delta, with its delta-free terms computed once per mu.
+_exponent_in_delta, splits every bound's exponent sum into a pair-count row
+in delta and a delta-free dual constant, computed once per mu; every reader
+forms pair_count(delta) + dual.  delta_max scans one pair-count row per
+(mu, rho) and tests every requested bound against it.
 """
 
 from __future__ import annotations
@@ -61,10 +63,9 @@ def pair_count_exponent(mu: float, delta: float) -> float:
     return _pair_count_in_delta(mu)(delta)
 
 
-def _pair_count_in_delta(mu: float, dual: float = 0.0):
-    """delta -> pair_count_exponent(mu, delta) + dual, with H(2mu) taken once
-    per mu.  The sum is formed as (first + second - H(2mu)) + dual, so the
-    default dual = 0.0 leaves every value bit for bit (none is -0.0)."""
+def _pair_count_in_delta(mu: float):
+    """delta -> pair_count_exponent(mu, delta), with H(2mu) taken once per
+    mu, formed as first + second - H(2mu)."""
     if mu < 0.0:
         raise DomainError("mu and delta must be nonnegative")
     if mu > 0.5 + _EDGE_EPS:
@@ -79,7 +80,7 @@ def _pair_count_in_delta(mu: float, dual: float = 0.0):
         delta = max(delta, 0.0)
         s = mu + delta
         first = s * binary_entropy(mu / s) if s > 0 else 0.0
-        return first + (1.0 - s) * binary_entropy(mu / (1.0 - s)) - h_two_mu + dual
+        return first + (1.0 - s) * binary_entropy(mu / (1.0 - s)) - h_two_mu
 
     return exponent
 
@@ -190,7 +191,12 @@ def scan_first_true(pred, xs, tol: float):
     pred must be a single False -> True step on the scan; a later flip back
     to False raises IdentityViolationError.
     """
-    flags = [pred(x) for x in xs]
+    return _first_true_bracket([pred(x) for x in xs], xs, pred, tol)
+
+
+def _first_true_bracket(flags, xs, pred, tol: float):
+    """scan_first_true on given flags, flags[i] = pred(xs[i]): the first
+    True, the flip-back check, then the bisection of pred."""
     if not any(flags):
         return None
     first = flags.index(True)
@@ -330,22 +336,32 @@ def dual_sum_exponent_biased(mu: float, tau: float, rho: float) -> float:
 
 
 def _exponent_in_delta(mu: float, rho: float, bound_kind: str, tau: float = 0.0):
-    """delta -> the exponent sum of the bound at (mu, rho): the pair-count
-    rate plus the dual-sum rate, with every delta-free term (the dual-sum
-    rate, lambda_star for "best", H(2mu)) computed once.  The kind and rho
-    are taken as checked (see _check_kind).  Only "biased" reads tau; its
-    default 0 is tau_star throughout the regime where that bound is
-    nonvacuous."""
+    """(pair_count, dual): the bound's exponent sum at (mu, rho) is
+    pair_count(delta) + dual, the pair-count rate in delta plus the
+    delta-free dual-sum rate, with every delta-free term (the dual-sum rate,
+    lambda_star for "best", H(2mu)) computed once.  The balanced kinds share
+    one pair-count rate; "best" at mu <= 1/4 is +inf, a dual of +inf over a
+    pair_count that evaluates nothing.  The kind and rho are taken as
+    checked (see _check_kind).  Only "biased" reads tau; its default 0 is
+    tau_star throughout the regime where that bound is nonvacuous."""
     if bound_kind == "biased":
-        dual = dual_sum_exponent_biased(mu, tau, rho)
-        return lambda delta: pair_count_exponent_biased(mu, delta, tau, rho)[0] + dual
+        return (lambda delta: pair_count_exponent_biased(mu, delta, tau, rho)[0],
+                dual_sum_exponent_biased(mu, tau, rho))
     if bound_kind == "green":
-        return _pair_count_in_delta(mu, dual_sum_exponent_green(mu))
-    if bound_kind == "avg":
-        return _pair_count_in_delta(mu, dual_sum_exponent_avg(mu))
-    if mu <= 0.25:
-        return lambda delta: math.inf
-    return _pair_count_in_delta(mu, dual_sum_exponent_best(mu, lambda_star(mu)))
+        dual = dual_sum_exponent_green(mu)
+    elif bound_kind == "avg":
+        dual = dual_sum_exponent_avg(mu)
+    elif mu <= 0.25:
+        return lambda delta: 0.0, math.inf
+    else:
+        dual = dual_sum_exponent_best(mu, lambda_star(mu))
+    return _pair_count_in_delta(mu), dual
+
+
+def _exponent_at(mu: float, rho: float, bound_kind: str, delta: float, tau: float = 0.0) -> float:
+    """The bound's exponent sum at one point, pair_count(delta) + dual."""
+    pair_count, dual = _exponent_in_delta(mu, rho, bound_kind, tau)
+    return pair_count(delta) + dual
 
 
 def _check_kind(rho: float, bound_kind: str) -> None:
@@ -363,7 +379,7 @@ def feasible(mu: float, delta: float, rho: float, bound_kind: str) -> bool:
     _check_kind(rho, bound_kind)
     if delta < -_EDGE_EPS or delta > delta_cap(mu, rho, bound_kind) + _EDGE_EPS:
         raise DomainError(f"delta={delta} outside [0, cap]")
-    return _exponent_in_delta(mu, rho, bound_kind)(max(delta, 0.0)) < -FEAS_MARGIN
+    return _exponent_at(mu, rho, bound_kind, max(delta, 0.0)) < -FEAS_MARGIN
 
 
 def delta_cap(mu: float, rho: float, bound_kind: str) -> float:
@@ -380,20 +396,37 @@ def delta_max(mu: float, rho: float, bound_kind: str) -> float:
     scan and bisection point lies in [0, cap], so feasible's range check is
     not repeated per point.
     """
-    _check_kind(rho, bound_kind)
-    cap = delta_cap(mu, rho, bound_kind)
+    return _delta_maxes(mu, rho, (bound_kind,))[0]
+
+
+def _delta_maxes(mu: float, rho: float, kinds) -> list[float]:
+    """[delta_max(mu, rho, kind) for kind in kinds] from one pair-count row
+    on the 256-step scan: each kind's flags are row[i] + dual, and only its
+    bisection evaluates its own exponent.  The kinds must share the row:
+    "biased" alone, or balanced kinds.  The row is read from a kind with a
+    finite dual, since an infinite dual flags every point infeasible."""
+    for kind in kinds:
+        _check_kind(rho, kind)
+    cap = delta_cap(mu, rho, kinds[0])
     if cap <= 0.0:
-        return 0.0
-    exponent = _exponent_in_delta(mu, rho, bound_kind)
-    try:
-        bracket = scan_first_true(lambda d: not exponent(d) < -FEAS_MARGIN,
-                                  _grid(0.0, cap, 256), 1e-6)
-    except IdentityViolationError as exc:
-        raise IdentityViolationError(
-            f"feasibility is not an interval in delta at mu={mu} rho={rho} "
-            f"kind={bound_kind}: {exc}"
-        ) from exc
-    return cap if bracket is None else bracket[0]
+        return [0.0] * len(kinds)
+    splits = [_exponent_in_delta(mu, rho, kind) for kind in kinds]
+    xs = _grid(0.0, cap, 256)
+    row_of = next((pc for pc, dual in splits if dual < math.inf), splits[0][0])
+    row = [row_of(d) for d in xs]
+    out = []
+    for kind, (pair_count, dual) in zip(kinds, splits):
+        try:
+            bracket = _first_true_bracket(
+                [not value + dual < -FEAS_MARGIN for value in row], xs,
+                lambda d: not pair_count(d) + dual < -FEAS_MARGIN, 1e-6)
+        except IdentityViolationError as exc:
+            raise IdentityViolationError(
+                f"feasibility is not an interval in delta at mu={mu} rho={rho} "
+                f"kind={kind}: {exc}"
+            ) from exc
+        out.append(cap if bracket is None else bracket[0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -424,7 +457,7 @@ def thresholds(rho: float, bound_kind: str) -> ThresholdResult:
 
     def threshold(delta_at) -> float | None:
         bracket = scan_first_true(
-            lambda mu: _exponent_in_delta(mu, rho, bound_kind)(delta_at(mu)) < -FEAS_MARGIN,
+            lambda mu: _exponent_at(mu, rho, bound_kind, delta_at(mu)) < -FEAS_MARGIN,
             mus, 5e-5)
         return None if bracket is None else bracket[1]
 
@@ -500,7 +533,7 @@ def improvement_possible(rho: float) -> bool:
     mu_hi = min(0.5, 1.0 - rho)
     scan = 400
     mus = [mu_hi * (i + 1) / (scan + 2) for i in range(scan + 1)]
-    _, neg = scan_max(lambda mu: -_exponent_in_delta(mu, rho, "biased")(0.0), mus)
+    _, neg = scan_max(lambda mu: -_exponent_at(mu, rho, "biased", 0.0), mus)
     return -neg < -FEAS_MARGIN
 
 
@@ -520,12 +553,6 @@ def improvement_density_boundary() -> float:
 
 # ---------- figure data ----------
 
-def _improved_curve_value(two_mu: float, kind: str) -> float:
-    mu = two_mu / 2.0
-    dm = delta_max(mu, 0.5, kind)
-    return semicircle_law(0.5, mu + dm)
-
-
 def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
     """Columnar data behind the four figures; returns (header, rows)."""
     if grid_size < 1:
@@ -540,11 +567,12 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
 
     if figure_id == 1:
         header = ["two_mu", "scl", "green", "avg", "best"]
-        rows = [
-            [two_mu, semicircle_law(0.5, two_mu / 2.0),
-             *(_improved_curve_value(two_mu, kind) for kind in ("green", "avg", "best"))]
-            for two_mu in axis(0.0, 1.0, 0.5)
-        ]
+        rows = []
+        for two_mu in axis(0.0, 1.0, 0.5):
+            mu = two_mu / 2.0
+            dms = _delta_maxes(mu, 0.5, ("green", "avg", "best"))
+            rows.append([two_mu, semicircle_law(0.5, mu),
+                         *(semicircle_law(0.5, mu + dm) for dm in dms)])
         return header, rows
     if figure_id == 2:
         header = ["rho", "two_mu0_biased", "two_mu1_biased_raw", "two_mu1_biased_repaired"]
@@ -591,6 +619,6 @@ def _tau_argmax(mu: float, delta: float, rho: float) -> float:
     hi = min(delta, (1.0 - 2.0 * mu) / 2.0 - 1e-9)
     if hi <= 0.0:
         return 0.0
-    t_star, _ = scan_max(lambda tau: _exponent_in_delta(mu, rho, "biased", tau)(delta),
+    t_star, _ = scan_max(lambda tau: _exponent_at(mu, rho, "biased", delta, tau),
                          _grid(0.0, hi, 64))
     return t_star

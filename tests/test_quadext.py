@@ -66,3 +66,29 @@ def test_scalar_product_matches_the_ring_product():
         as_element = QuadExt.of(c, 0, r_sq)
         for got, want in ((x * c, x * as_element), (c * x, as_element * x)):
             assert (got.a, got.b, repr(got)) == (want.a, want.b, repr(want))
+
+
+def test_density_helpers_match_the_fraction_formulas():
+    # r^2 = (Q - P)/P and beta's r-coefficient (Q - 2P)/(Q - P) built on
+    # integers against (1 - rho)/rho and (1 - 2 rho)/(1 - rho) in Fraction
+    for den in range(2, 41):
+        for num in range(1, den):
+            rho = Fraction(num, den)
+            r_sq = (1 - rho) / rho
+            for got, want in ((r_sq_of(rho), r_sq), (beta_of(rho).b, (1 - 2 * rho) / (1 - rho)),
+                              (beta_of(rho).r_sq, r_sq), (r_of(rho).r_sq, r_sq)):
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator), rho
+            assert beta_of(rho).a == 0
+
+
+@pytest.mark.parametrize("rho", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 3), 0, 1])
+def test_density_helpers_reject_rho_outside_the_open_unit_interval(rho):
+    for helper in (r_sq_of, beta_of, r_of):
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
+            helper(rho)
+
+
+def test_density_helpers_reject_floats():
+    for helper in (r_sq_of, beta_of, r_of):
+        with pytest.raises(TypeError):
+            helper(0.5)

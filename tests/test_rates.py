@@ -8,6 +8,7 @@ from opilab import rates
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.rates import (
     FEAS_MARGIN,
+    _delta_maxes,
     _exponent_in_delta,
     _pair_count_exponent_biased_scan,
     binary_entropy,
@@ -550,13 +551,23 @@ def test_delta_free_builder_matches_the_whole_sum_bit_for_bit(kind, rho):
         for delta in [0.0, cap] + [rng.uniform(0.0, cap) for _ in range(6)]:
             point = (mu, delta, rho, kind)
             want = _outcome(_reference_total_exponent, *point)
-            assert _outcome(lambda: _exponent_in_delta(mu, rho, kind)(delta)) == want, point
+
+            def split_sum():
+                pair_count, dual = _exponent_in_delta(mu, rho, kind)
+                return pair_count(delta) + dual
+
+            assert _outcome(split_sum) == want, point
             assert _outcome(feasible, *point) == _outcome(_reference_feasible, *point), point
             if kind != "biased":
                 assert (_outcome(pair_count_exponent, mu, delta)
                         == _outcome(_reference_pair_count_exponent, mu, delta)), point
         assert (_outcome(delta_max, mu, rho, kind)
                 == _outcome(_reference_delta_max, mu, rho, kind)), mu
+        if kind != "biased":
+            # in either order, each kind gets its own delta_max
+            for kinds in (_FIGURE_1_KINDS, _FIGURE_1_KINDS[::-1]):
+                assert (_bits(_delta_maxes(mu, rho, kinds))
+                        == [_outcome(_reference_delta_max, mu, rho, k) for k in kinds]), (mu, kinds)
 
 
 def test_delta_max_runs_the_whole_scan_check(monkeypatch):
@@ -564,14 +575,18 @@ def test_delta_max_runs_the_whole_scan_check(monkeypatch):
     # last scan point alone: only a check of all 257 points sees the flip
     def non_interval(mu, rho, kind):
         cap = delta_cap(mu, rho, kind)
-        return lambda d: -1.0 if d < cap / 2 or d == cap else 1.0
+        return lambda d: -1.0 if d < cap / 2 or d == cap else 1.0, 0.0
 
     monkeypatch.setattr(rates, "_exponent_in_delta", non_interval)
-    for mu, rho, kind in ((0.36, 0.5, "avg"), (0.33, 0.4, "biased")):
+    for mu, rho, kinds in ((0.36, 0.5, ("avg",)), (0.33, 0.4, ("biased",)),
+                           (0.36, 0.5, ("best", "green", "avg"))):
         with pytest.raises(IdentityViolationError) as err:
-            delta_max(mu, rho, kind)
+            if len(kinds) == 1:
+                delta_max(mu, rho, kinds[0])
+            else:
+                _delta_maxes(mu, rho, kinds)
         message = str(err.value)
-        for part in (f"mu={mu}", f"rho={rho}", f"kind={kind}", "scan index 256"):
+        for part in (f"mu={mu}", f"rho={rho}", f"kind={kinds[0]}", "scan index 256"):
             assert part in message, message
 
 
@@ -756,6 +771,55 @@ def test_thresholds_match_the_feasible_route_bit_for_bit(rho, kind):
 def test_curve_series_matches_the_hand_written_grids_bit_for_bit(figure, grid, rho):
     _, rows = curve_series(figure, grid, rho=rho)
     assert _bits(rows) == _bits(_reference_curve_series(figure, grid, rho))
+
+
+_FIGURE_1_KINDS = ("green", "avg", "best")
+
+
+def _per_kind_figure_1(grid_size):
+    """Figure 1 with one delta_max, and so one pair-count row, per bound."""
+    rows = []
+    for two_mu in rates._grid(0.0, 1.0, grid_size - 1) if grid_size > 1 else [0.5]:
+        mu = two_mu / 2.0
+        rows.append([two_mu, semicircle_law(0.5, mu)]
+                    + [semicircle_law(0.5, mu + delta_max(mu, 0.5, kind))
+                       for kind in _FIGURE_1_KINDS])
+    return rows
+
+
+@pytest.mark.parametrize("grid", [1, 2, 7, 24, 40])
+def test_figure_1_shared_row_matches_the_per_kind_loop_bit_for_bit(grid):
+    _, rows = curve_series(1, grid)
+    assert _bits(rows) == _bits(_per_kind_figure_1(grid))
+
+
+def test_figure_1_evaluates_one_pair_count_row_per_rate(monkeypatch):
+    # 257 scan points per rate with cap > 0, plus the bisection points, which
+    # each kind evaluates through its own exponent
+    real_row, real_bisect = rates._pair_count_in_delta, rates._bisect
+    row_calls, bisect_calls = [], []
+
+    def counted_row(*args):
+        pair_count = real_row(*args)
+
+        def counted(delta):
+            row_calls.append(delta)
+            return pair_count(delta)
+        return counted
+
+    def counted_bisect(pred, a, b, tol):
+        def counted(x):
+            bisect_calls.append(x)
+            return pred(x)
+        return real_bisect(counted, a, b, tol)
+
+    monkeypatch.setattr(rates, "_pair_count_in_delta", counted_row)
+    monkeypatch.setattr(rates, "_bisect", counted_bisect)
+    _, rows = curve_series(1, 9)
+    with_cap = sum(1 for row in rows if delta_cap(row[0] / 2.0, 0.5, "green") > 0.0)
+    assert with_cap == 8
+    assert bisect_calls
+    assert len(row_calls) == 257 * with_cap + len(bisect_calls)
 
 
 def test_improvement_scans_match_their_hand_written_routes_bit_for_bit():
