@@ -34,9 +34,13 @@ def _write_csv(header, rows, out: str) -> None:
 
 
 def _load_lists(args) -> codes.InputLists | None:
-    if getattr(args, "lists", None):
-        return codes.lists_from_json(Path(args.lists).read_text())
-    return None
+    """The --lists file, which must match --p and --m, or None without one."""
+    if not getattr(args, "lists", None):
+        return None
+    lists = codes.lists_from_json(Path(args.lists).read_text())
+    if lists.p != args.p or lists.m != args.m:
+        raise DomainError("lists file does not match --p/--m")
+    return lists
 
 
 def _list_size(args) -> int:
@@ -139,8 +143,6 @@ def cmd_oracle(args) -> int:
     lists = _load_lists(args)
     if lists is None:
         raise DomainError("oracle needs --lists (or --search N)")
-    if lists.p != args.p or lists.m != args.m:
-        raise DomainError("lists file does not match --p/--m")
     prof = codes.brute_force_opi(code, lists, args.budget)
     _emit_json(
         {
@@ -167,8 +169,6 @@ def cmd_leakage(args) -> int:
     lists = _load_lists(args)
     if lists is None:
         lists = codes.random_lists(args.p, args.m, size, args.seed)
-    if lists.p != args.p or lists.m != args.m:
-        raise DomainError("lists file does not match --p/--m")
     if lists.rho == 1:
         raise DomainError("the split bound needs list density below 1")
     fam = leakage.make_buckets(args.buckets, args.m, args.n,

@@ -11,7 +11,8 @@ routes of q_k run on integers and lift each result to Q(r) once: the
 subset sum over the indicators' integer numerators, and the collapse over
 one cached integer count table per (m, rho), read from the Kravchuk
 family's integer rows.  The canonical square-root weights leave Q(r), so
-they enter in high-precision floats, after the exact checks.
+they enter in the standard library's `decimal` at a set number of
+significant digits, after the exact checks.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-
-import mpmath
 
 from .codes import (
     InputLists,
@@ -43,7 +43,7 @@ from .rates import pair_count_exponent
 # float checks outside the package that read it (the benchmark's
 # `desk_exact` and `large_instances` workloads).
 TWO_ROUTE_TOL = 1e-9
-# Floor on the mpmath digits of the canonical sampler's value.  Its routes
+# Floor on the `decimal` digits of the canonical sampler's value.  Its routes
 # are compared exactly, before any weight enters, so the floor guards only
 # the working precision of the final ratio.
 MIN_PRECISION_DIGITS = 10
@@ -282,8 +282,8 @@ class SamplerSpec:
     """Window weights for the squared-combination sampler.
 
     In "canonical" mode u_k = C(m,k)^(-1/2) on [ell-sigma, ell] (irrational, so
-    the final ratio is taken in high-precision floats); "rational_test" mode
-    takes explicit rational weights and keeps the ratio exact too.
+    the final ratio is taken in `decimal`); "rational_test" mode takes
+    explicit rational weights and keeps the ratio exact too.
     """
 
     ell: int
@@ -416,9 +416,10 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
     whose two routes are compared exactly for every window pair before the
     weights enter.  The weights enter once, in the final ratio: in Q(r) in
     rational_test mode, whose `exact_pair` is (u^T M u, u^T D u), and in
-    mpmath at `precision_digits` with weights C(m,k)^(-1/2) in canonical
-    mode.  The residual is 0 in both modes.  A sampler whose direct
-    denominator is zero on the instance is a DomainError.
+    `decimal` at `precision_digits` significant digits and one guard digit
+    with weights C(m,k)^(-1/2) in canonical mode.  The residual is 0 in
+    both modes.  A sampler whose direct denominator is zero on the
+    instance is a DomainError.
     """
     if profile is None:
         profile = brute_force_opi(code, lists)
@@ -440,9 +441,12 @@ def expected_sampled_satisfaction(code: MdsCode, lists: InputLists, spec: Sample
         return sums
 
     if canonical:
-        with mpmath.workdps(precision_digits):
-            u = {k: 1 / mpmath.sqrt(math.comb(m, k)) for k in window}
-            r_f = mpmath.sqrt(mpmath.mpf(r_sq.numerator) / r_sq.denominator)
+        with localcontext() as ctx:
+            # one guard digit: at exactly 16 digits the ratio's last digit
+            # can move the float's last bit
+            ctx.prec = precision_digits + 1
+            u = {k: 1 / Decimal(math.comb(m, k)).sqrt() for k in window}
+            r_f = (Decimal(r_sq.numerator) / r_sq.denominator).sqrt()
             (x, y), (xd, yd) = form(u, direct_m), form(u, direct_d)
             mass = xd + yd * r_f
             value = float((x + y * r_f) / (m * mass)) if mass else None

@@ -24,7 +24,7 @@ import numpy as np
 from .codes import (InputLists, MdsCode, dual_weight_sums,
                     enumeration_budget)
 from .errors import BudgetExceededError, DomainError
-from .rates import binary_entropy, scan_max
+from .rates import _bisect, binary_entropy, scan_max
 
 _BLOCK = 1 << 16  # exponents gathered per block of a character table
 
@@ -395,11 +395,7 @@ def llr_rate_threshold(m: int = 4096, grid: int = 160) -> float:
         known[n, lam_hi] = -neg
         return -neg
 
-    lo, hi = 0.26, 0.49
-    for _ in range(40):
-        mid = (lo + hi) / 2.0
-        if exponent(mid) < 0:
-            hi = mid
-        else:
-            lo = mid
+    # a tolerance between the widths after 39 and 40 halvings of
+    # [0.26, 0.49]: exactly 40 bisection steps
+    lo, hi = _bisect(lambda mu: exponent(mu) < 0, 0.26, 0.49, 0.23 / 2 ** 39.5)
     return 2.0 * ((lo + hi) / 2.0)

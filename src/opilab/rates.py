@@ -530,7 +530,7 @@ def improvement_possible(rho: float) -> bool:
     At delta = 0 the inner maximization is pinned at gamma = 0, so the
     exponent sum collapses to 2 mu log 2 - H(mu) + the dual-sum rate.
     """
-    mu_hi = min(0.5, 1.0 - rho)
+    mu_hi = _mu_cap(rho, "biased")
     scan = 400
     mus = [mu_hi * (i + 1) / (scan + 2) for i in range(scan + 1)]
     _, neg = scan_max(lambda mu: -_exponent_at(mu, rho, "biased", 0.0), mus)
@@ -592,7 +592,7 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
         rows = []
         for two_mu in axis(0.0, 1.0, 0.5):
             mu = two_mu / 2.0
-            dm = delta_max(mu, rho, "biased") if mu < min(0.5, 1.0 - rho) else 0.0
+            dm = delta_max(mu, rho, "biased") if mu < _mu_cap(rho, "biased") else 0.0
             tau_s, gamma_s = 0.0, 0.0
             if dm > 0.0:
                 tau_s = _tau_argmax(mu, dm, rho)

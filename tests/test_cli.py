@@ -322,6 +322,22 @@ def test_entry_point_runs():
     assert json.loads(proc.stdout)["two_mu1"] == pytest.approx(0.7526, abs=5e-4)
 
 
+def test_verify_discrepancy_never_imports_mpmath():
+    # the canonical sampler's ratio runs in decimal; mpmath is a test extra
+    script = ("import sys\n"
+              "from opilab.cli import main\n"
+              "code = main(['verify', '--suite', 'discrepancy'])\n"
+              "print(code, 'mpmath' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, PYTHONPATH="src"),
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["passed"]
+    assert proc.stderr.splitlines()[-1] == "0 False"
+
+
 def test_verify_budget_limit_is_usage_error(monkeypatch, capsys):
     # the split-bound checks enumerate p^(m-n) = 121 dual codewords
     monkeypatch.setenv("OPILAB_BUDGET", "120")
@@ -430,7 +446,7 @@ def test_oracle_names_a_length_above_the_field_size(capsys):
     assert captured.err == "error: m=7 exceeds field size p=5\n"
 
 
-@pytest.mark.parametrize("precision, want", [(0, 2), (8, 2), (10, 0)])
+@pytest.mark.parametrize("precision, want", [(0, 2), (8, 2), (10, 0), (12, 0), (14, 0)])
 def test_verify_precision_below_ten_digits_is_usage_error(capsys, precision, want):
     code = main(["verify", "--suite", "discrepancy", "--precision", str(precision)])
     captured = capsys.readouterr()
@@ -597,6 +613,24 @@ def test_lists_file_without_p_and_sets_is_usage_error(tmp_path, capsys, content)
     lists.write_text(content)
     _assert_usage_error(["leakage", "--p", "7", "--m", "6", "--n", "3", "--t", "4",
                          "--lists", str(lists)], capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--p", "7", "--m", "5", "--n", "3"], "lists file does not match --p/--m"),
+    (["oracle", "--p", "11", "--m", "6", "--n", "3"], "lists file does not match --p/--m"),
+    (["leakage", "--p", "7", "--m", "5", "--n", "3", "--t", "4"],
+     "lists file does not match --p/--m"),
+    # --size is checked before the lists file is read
+    (["leakage", "--p", "7", "--m", "5", "--n", "3", "--t", "4", "--size", "9"],
+     "--size must lie in [1, p-1] = [1, 6], got 9"),
+])
+def test_lists_file_of_another_shape_is_usage_error(tmp_path, capsys, argv, message):
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"p": 7, "sets": [[0, 1, 2]] * 6}))
+    code = main([*argv, "--lists", str(lists)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
 
 
 def test_out_into_a_missing_directory_leaves_stdout_empty(tmp_path, capsys):
