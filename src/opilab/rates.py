@@ -6,8 +6,11 @@ strict inequalities in the underlying analysis, so they are certified with
 an explicit margin (FEAS_MARGIN) rather than at equality.  One builder,
 _exponent_in_delta, splits every bound's exponent sum into a pair-count row
 in delta and a delta-free dual constant, computed once per mu; every reader
-forms pair_count(delta) + dual.  delta_max scans one pair-count row per
-(mu, rho) and tests every requested bound against it.
+forms pair_count(delta) + dual.  delta_max reads one pair-count row per
+(mu, rho) for every requested bound.  The exponent sum increases in delta
+(an envelope identity, stated at _delta_maxes), so each bound binary-searches
+its feasibility flags on the row's 256-step scan; the whole scan and its
+flip-back check run in `verify --suite asymptotic`.
 """
 
 from __future__ import annotations
@@ -391,20 +394,33 @@ def delta_max(mu: float, rho: float, bound_kind: str) -> float:
     """Largest feasible delta in [0, cap], to 1e-6; 0 when no positive delta
     works.
 
-    Feasibility must form a prefix interval in delta on a 256-step scan (the
-    pair-count exponent increases with delta); any violation aborts.  Every
-    scan and bisection point lies in [0, cap], so feasible's range check is
-    not repeated per point.
+    The exponent sum increases in delta on (0, cap) for every bound (the
+    envelope identity in _delta_maxes), so feasibility is a prefix interval
+    in delta and the first infeasible point of the 256-step scan is found
+    by binary search; `verify --suite asymptotic` runs the whole scan and
+    its flip-back check.  Every scan and bisection point lies in [0, cap],
+    so feasible's range check is not repeated per point.
     """
     return _delta_maxes(mu, rho, (bound_kind,))[0]
 
 
 def _delta_maxes(mu: float, rho: float, kinds) -> list[float]:
     """[delta_max(mu, rho, kind) for kind in kinds] from one pair-count row
-    on the 256-step scan: each kind's flags are row[i] + dual, and only its
-    bisection evaluates its own exponent.  The kinds must share the row:
-    "biased" alone, or balanced kinds.  The row is read from a kind with a
-    finite dual, since an infinite dual flags every point infeasible."""
+    on the 256-step scan, read lazily by index and kept across the kinds:
+    each kind's flag at index i is row[i] + dual, and only its bisection
+    evaluates its own exponent.  The kinds must share the row: "biased"
+    alone, or balanced kinds.  The row is read from a kind with a finite
+    dual, since an infinite dual flags every point infeasible.
+
+    Envelope identity (tau = 0): the balanced pair-count rate has
+    d/ddelta = log((mu+delta)(1-2mu-delta) / (delta(1-mu-delta))), of the
+    sign of mu(1-2mu-2delta); the biased rate, at its inner argmax gamma*,
+    has d/ddelta = log((mu+delta)/(1-mu-delta)) + log(filled/free), of the
+    sign of mu(1-2mu-2delta) + gamma*/2.  Both are positive on (0, cap), so
+    each kind's flags are one feasible -> infeasible step: index 0
+    infeasible gives 0, index 256 feasible gives the cap, and otherwise a
+    binary search over the indices finds the step, which _bisect refines.
+    """
     for kind in kinds:
         _check_kind(rho, kind)
     cap = delta_cap(mu, rho, kinds[0])
@@ -413,19 +429,30 @@ def _delta_maxes(mu: float, rho: float, kinds) -> list[float]:
     splits = [_exponent_in_delta(mu, rho, kind) for kind in kinds]
     xs = _grid(0.0, cap, 256)
     row_of = next((pc for pc, dual in splits if dual < math.inf), splits[0][0])
-    row = [row_of(d) for d in xs]
+    row = {}
+
+    def infeasible_at(i: int, dual: float) -> bool:
+        if i not in row:
+            row[i] = row_of(xs[i])
+        return not row[i] + dual < -FEAS_MARGIN
+
     out = []
-    for kind, (pair_count, dual) in zip(kinds, splits):
-        try:
-            bracket = _first_true_bracket(
-                [not value + dual < -FEAS_MARGIN for value in row], xs,
-                lambda d: not pair_count(d) + dual < -FEAS_MARGIN, 1e-6)
-        except IdentityViolationError as exc:
-            raise IdentityViolationError(
-                f"feasibility is not an interval in delta at mu={mu} rho={rho} "
-                f"kind={kind}: {exc}"
-            ) from exc
-        out.append(cap if bracket is None else bracket[0])
+    for pair_count, dual in splits:
+        if infeasible_at(0, dual):
+            out.append(0.0)
+            continue
+        if not infeasible_at(256, dual):
+            out.append(cap)
+            continue
+        lo, hi = 0, 256  # feasible at lo, infeasible at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if infeasible_at(mid, dual):
+                hi = mid
+            else:
+                lo = mid
+        out.append(_bisect(lambda d: not pair_count(d) + dual < -FEAS_MARGIN,
+                           xs[lo], xs[hi], 1e-6)[0])
     return out
 
 

@@ -30,7 +30,7 @@ from functools import cache, partial
 from itertools import combinations
 from types import SimpleNamespace
 
-from . import codes, discrepancy, kravchuk, leakage, quadext
+from . import codes, discrepancy, kravchuk, leakage, quadext, rates
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
 
 Row = namedtuple("Row", "identity suite kind mode check")
@@ -134,6 +134,20 @@ def _leakage_instances(code, seed, precision):
     yield "coverage", {"m": 10, "n": 7}, SimpleNamespace
 
 
+def _asymptotic_instances(code, seed, precision):
+    # a balanced rate, whose one pair-count row serves all three balanced
+    # bounds, and a biased rate below density 1/2, where the cap 1 - rho - mu
+    # passes 1/2 - mu; each drawn from about the improvement thresholds up
+    # (2mu0 = 0.6224 for "best", 0.6264 for "avg", 0.609-0.619 for "biased"
+    # at these densities), where delta_max is 0 or small and interior
+    rng = random.Random(seed)
+    points = ((rng.uniform(0.31, 0.35), 0.5, ("green", "avg", "best")),
+              (rng.uniform(0.30, 0.32), rng.uniform(0.30, 0.45), ("biased",)))
+    for mu, rho, kinds in points:
+        yield "rate", {"mu": mu, "rho": rho, "kinds": list(kinds)}, partial(
+            SimpleNamespace, mu=mu, rho=rho, kinds=kinds)
+
+
 # suite -> (default (p, m, n) of its code, or None when it reads none; source)
 _SOURCES = {
     "kravchuk": (None, _kravchuk_instances),
@@ -141,6 +155,7 @@ _SOURCES = {
     "discrepancy": ((7, 6, 3), _discrepancy_instances),
     "fourier": ((7, 6, 3), _fourier_instances),
     "leakage": ((11, 8, 6), _leakage_instances),
+    "asymptotic": (None, _asymptotic_instances),
 }
 SUITES = (*_SOURCES, "all")
 
@@ -336,6 +351,77 @@ def _coverage(inst):
         for lam in (0.2, 0.4)))
 
 
+# ---------- asymptotic ----------
+
+# a central difference with step 1e-6 carries truncation and rounding error
+# near 1e-9 of the slope on these points (at most 8.7e-10 over 3,000 draws)
+_ENVELOPE_TOL = 1e-7
+
+
+def _scanned_delta_maxes(mu, rho, kinds):
+    """rates._delta_maxes by the whole 257-point scan: every flag of the
+    shared pair-count row, then rates._first_true_bracket's flip-back check
+    and the same bisection with each kind's own exponent."""
+    cap = rates.delta_cap(mu, rho, kinds[0])
+    if cap <= 0.0:
+        return [0.0] * len(kinds)
+    splits = [rates._exponent_in_delta(mu, rho, kind) for kind in kinds]
+    xs = rates._grid(0.0, cap, 256)
+    row_of = next((pc for pc, dual in splits if dual < math.inf), splits[0][0])
+    row = [row_of(d) for d in xs]
+    out = []
+    for kind, (pair_count, dual) in zip(kinds, splits):
+        try:
+            bracket = rates._first_true_bracket(
+                [not value + dual < -rates.FEAS_MARGIN for value in row], xs,
+                lambda d: not pair_count(d) + dual < -rates.FEAS_MARGIN, 1e-6)
+        except IdentityViolationError as exc:
+            raise IdentityViolationError(
+                f"feasibility is not an interval in delta at mu={mu} rho={rho} "
+                f"kind={kind}: {exc}"
+            ) from exc
+        out.append(cap if bracket is None else bracket[0])
+    return out
+
+
+def _delta_monotone_scan(inst):
+    # the binary search over the scan indices against the whole scan
+    pairs = zip(inst.kinds, _scanned_delta_maxes(inst.mu, inst.rho, inst.kinds),
+                rates._delta_maxes(inst.mu, inst.rho, inst.kinds))
+    return _exact("kind", (((kind,), scanned == searched) for kind, scanned, searched in pairs))
+
+
+def _envelope_derivative(mu, rho, kind, delta):
+    """(dE/ddelta, the condition whose sign it has) at tau = 0, in closed
+    form: the balanced pair-count rate's derivative, or the biased rate's
+    by the envelope theorem at the solver's inner argmax gamma*."""
+    s = mu + delta
+    if kind != "biased":
+        return math.log(s * (1.0 - mu - s) / (delta * (1.0 - s))), mu * (1.0 - 2.0 * s)
+    gamma = rates.pair_count_exponent_biased(mu, delta, 0.0, rho)[1]
+    free, filled = delta - gamma / 2.0, 1.0 - mu - s + gamma / 2.0
+    return math.log(s / (1.0 - s)) + math.log(filled / free), mu * (1.0 - 2.0 * s) + gamma / 2.0
+
+
+def _delta_envelope_derivative(inst):
+    # at deltas (2j + 1) cap / 8: the closed form is positive with its
+    # condition, and matches a central difference of the exponent sum
+    mu, rho, kind = inst.mu, inst.rho, inst.kinds[0]
+    cap, h = rates.delta_cap(mu, rho, kind), 1e-6
+    worst = 0.0
+    for j in range(4):
+        delta = cap * (2 * j + 1) / 8
+        slope, condition = _envelope_derivative(mu, rho, kind, delta)
+        if not (slope > 0.0 and condition > 0.0):
+            raise IdentityViolationError(
+                f"dE/ddelta = {slope!r} and its condition {condition!r} are not both "
+                f"positive at delta={delta!r}")
+        central = (rates._exponent_at(mu, rho, kind, delta + h)
+                   - rates._exponent_at(mu, rho, kind, delta - h)) / (2.0 * h)
+        worst = max(worst, abs(central - slope) / slope)
+    return worst, worst <= _ENVELOPE_TOL
+
+
 ROWS = (
     Row("generating_function_expansion", "kravchuk", "m", "exact", _generating_function),
     Row("orthogonality", "kravchuk", "m", "exact", _orthogonality),
@@ -366,6 +452,8 @@ ROWS = (
     Row("bucket_split_bound_dominates", "leakage", "buckets", "float", _split_bound),
     Row("projection_parseval_chain", "leakage", "code", "exact", _parseval_chain),
     Row("coverage_count_formula", "leakage", "coverage", "exact", _coverage),
+    Row("delta_monotone_scan", "asymptotic", "rate", "exact", _delta_monotone_scan),
+    Row("delta_envelope_derivative", "asymptotic", "rate", "float", _delta_envelope_derivative),
 )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -501,12 +502,34 @@ def test_verify_all_yields_a_record_for_every_row(capsys):
     code, out = run_cli(["verify", "--suite", "all"], capsys)
     report = json.loads(out)
     assert code == 0 and report["passed"]
-    assert report["checks"] == 55
+    assert report["checks"] == 59
     assert {r["identity"] for r in report["identities"]} == {row.identity for row in verify.ROWS}
     fourier = [(r["mode"], r["max_abs_residual"]) for r in report["identities"]
                if r["identity"] in ("dual_sum_vs_enumeration", "transcript_scaling",
                                     "projection_parseval_chain")]
     assert fourier == [("exact", 0.0)] * 7
+
+
+# sha256 of the code-reading and kravchuk suites' records under `verify
+# --suite all`, serialized as the command serializes its report, before the
+# asymptotic suite was added
+_RECORDS_BEFORE_ASYMPTOTIC = {
+    0: "c13605a325a04228a4a2002e0a6a05095c71cd3b53163b3a58c184a544db03c9",
+    1: "1e6fd68c6c5747612333dc414d8783973345d5b26d43712ef61cbd618eaab718",
+    42: "631f7ea1370e80d69d27da6e9e86dc8c98758d613111811afe5ce4a3344de591",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_RECORDS_BEFORE_ASYMPTOTIC))
+def test_verify_all_keeps_its_records_and_appends_the_asymptotic_suite(capsys, seed):
+    code, out = run_cli(["verify", "--suite", "all", "--seed", str(seed)], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    asymptotic = verify.run_suite("asymptotic", seed=seed)
+    records = report["identities"]
+    assert len(asymptotic) == 4 and records[-4:] == asymptotic
+    text = json.dumps(records[:-4], sort_keys=True, indent=2, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == _RECORDS_BEFORE_ASYMPTOTIC[seed]
 
 
 def _broken_orthogonality(fam):
@@ -569,9 +592,11 @@ def test_a_disagreeing_route_fails_its_row_at_the_first_index(monkeypatch, capsy
 
 
 def test_verify_all_runs_leakage_at_the_given_shape():
+    # leakage is the last code-reading suite; the asymptotic suite follows it
     records = verify.run_suite("all", p=5, m=4, n=3)
     leakage = verify.run_suite("leakage", p=5, m=4, n=3)
-    assert records[-len(leakage):] == leakage
+    asymptotic = verify.run_suite("asymptotic")
+    assert records[-len(leakage) - len(asymptotic):] == leakage + asymptotic
     shaped = [r for r in leakage if "p" in r["instance"]]
     assert shaped and all(r["instance"]["p"] == 5 for r in shaped)
 

@@ -203,10 +203,14 @@ def test_verify_contract(argv):
     (["verify", "--suite", "kravchuk", "--p", "7"], "--p"),
     (["verify", "--suite", "kravchuk", "--m", "6"], "--m"),
     (["verify", "--suite", "kravchuk", "--n", "3"], "--n"),
+    (["verify", "--suite", "asymptotic", "--p", "7"], "--p"),
+    (["verify", "--suite", "asymptotic", "--m", "6"], "--m"),
+    (["verify", "--suite", "asymptotic", "--n", "3"], "--n"),
 ])
 def test_a_flag_the_figure_or_suite_never_reads_exits_two_naming_it(argv, flag):
     # figures 1 and 2 are at rho = 1/2 and over a density grid; the kravchuk
-    # suite reads no code.  Each used to drop the flag and exit 0.
+    # and asymptotic suites read no code.  The figures and the kravchuk suite
+    # used to drop the flag and exit 0.
     with tempfile.TemporaryDirectory() as tmp:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from opilab import rates
+from opilab import rates, verify
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.rates import (
     FEAS_MARGIN,
@@ -570,10 +570,32 @@ def test_delta_free_builder_matches_the_whole_sum_bit_for_bit(kind, rho):
                         == [_outcome(_reference_delta_max, mu, rho, k) for k in kinds]), (mu, kinds)
 
 
-def test_delta_max_runs_the_whole_scan_check(monkeypatch):
+@pytest.mark.parametrize("figure, grid, rho", [
+    *((1, grid, 0.5) for grid in (1, 2, 7, 40)),
+    *((3, 40, rho) for rho in (0.05, 0.3, 0.45, 0.5 + 1e-6, 0.6, 0.8)),
+])
+def test_delta_maxes_match_the_whole_scan_on_the_figure_axes(figure, grid, rho):
+    # the binary search against the range-checked whole scan, bit for bit, in
+    # both kind orders; below rho = 1/2 the biased delta passes 1/2 - mu
+    kinds = _FIGURE_1_KINDS if figure == 1 else ("biased",)
+    for two_mu in rates._grid(0.0, 1.0, grid - 1) if grid > 1 else [0.5]:
+        mu = two_mu / 2.0
+        want = {kind: _outcome(_reference_delta_max, mu, rho, kind) for kind in kinds}
+        for order in dict.fromkeys((kinds, kinds[::-1])):
+            try:
+                got = _bits(_delta_maxes(mu, rho, order))
+            except DomainError as exc:
+                got = [(type(exc), str(exc))] * len(order)
+            assert got == [want[kind] for kind in order], (mu, order)
+
+
+def test_the_monotone_scan_route_runs_the_whole_scan_check(monkeypatch):
     # feasible below cap / 2, infeasible above it, and feasible again at the
-    # last scan point alone: only a check of all 257 points sees the flip
-    def non_interval(mu, rho, kind):
+    # last scan point alone: only a check of all 257 points sees the flip.
+    # delta_max binary-searches the scan, as the exponent increases in delta,
+    # so it reads only the two ends here and returns the cap; the whole scan
+    # runs in verify's delta_monotone_scan row, which names the flip.
+    def non_interval(mu, rho, kind, tau=0.0):
         cap = delta_cap(mu, rho, kind)
         return lambda d: -1.0 if d < cap / 2 or d == cap else 1.0, 0.0
 
@@ -581,13 +603,14 @@ def test_delta_max_runs_the_whole_scan_check(monkeypatch):
     for mu, rho, kinds in ((0.36, 0.5, ("avg",)), (0.33, 0.4, ("biased",)),
                            (0.36, 0.5, ("best", "green", "avg"))):
         with pytest.raises(IdentityViolationError) as err:
-            if len(kinds) == 1:
-                delta_max(mu, rho, kinds[0])
-            else:
-                _delta_maxes(mu, rho, kinds)
+            verify._scanned_delta_maxes(mu, rho, kinds)
         message = str(err.value)
         for part in (f"mu={mu}", f"rho={rho}", f"kind={kinds[0]}", "scan index 256"):
             assert part in message, message
+        assert _delta_maxes(mu, rho, kinds) == [delta_cap(mu, rho, kinds[0])] * len(kinds)
+    records = [r for r in verify.run_suite("asymptotic") if r["identity"] == "delta_monotone_scan"]
+    assert [r["status"] for r in records] == ["fail"] * 2
+    assert all("scan index 256" in r["error"] for r in records)
 
 
 def test_delta_max_checks_kind_and_density_even_with_nothing_to_scan():
@@ -794,32 +817,48 @@ def test_figure_1_shared_row_matches_the_per_kind_loop_bit_for_bit(grid):
 
 
 def test_figure_1_evaluates_one_pair_count_row_per_rate(monkeypatch):
-    # 257 scan points per rate with cap > 0, plus the bisection points, which
-    # each kind evaluates through its own exponent
-    real_row, real_bisect = rates._pair_count_in_delta, rates._bisect
-    row_calls, bisect_calls = [], []
+    # the kinds read one row, lazily and each scan point at most once: each
+    # kind probes index 0, index 256 and at most log2(256) = 8 indices between
+    # them, then bisects through its own exponent
+    real_row, real_biased, real_bisect = (rates._pair_count_in_delta,
+                                          rates.pair_count_exponent_biased, rates._bisect)
+    scan_calls, bisect_calls, in_bisect = [], [], []
+
+    def count(delta):
+        (bisect_calls if in_bisect else scan_calls).append(delta)
 
     def counted_row(*args):
         pair_count = real_row(*args)
 
         def counted(delta):
-            row_calls.append(delta)
+            count(delta)
             return pair_count(delta)
         return counted
 
+    def counted_biased(mu, delta, tau, rho):
+        count(delta)
+        return real_biased(mu, delta, tau, rho)
+
     def counted_bisect(pred, a, b, tol):
-        def counted(x):
-            bisect_calls.append(x)
-            return pred(x)
-        return real_bisect(counted, a, b, tol)
+        in_bisect.append(True)
+        try:
+            return real_bisect(pred, a, b, tol)
+        finally:
+            in_bisect.pop()
 
     monkeypatch.setattr(rates, "_pair_count_in_delta", counted_row)
+    monkeypatch.setattr(rates, "pair_count_exponent_biased", counted_biased)
     monkeypatch.setattr(rates, "_bisect", counted_bisect)
-    _, rows = curve_series(1, 9)
-    with_cap = sum(1 for row in rows if delta_cap(row[0] / 2.0, 0.5, "green") > 0.0)
-    assert with_cap == 8
-    assert bisect_calls
-    assert len(row_calls) == 257 * with_cap + len(bisect_calls)
+    searched = 0
+    for rho, kinds in ((0.5, _FIGURE_1_KINDS), (0.3, ("biased",)), (0.6, ("biased",))):
+        for two_mu in rates._grid(0.0, 1.0, 20):
+            scan_calls.clear()
+            bisect_calls.clear()
+            if two_mu / 2.0 < min(0.5, 1.0 - rho):
+                _delta_maxes(two_mu / 2.0, rho, kinds)
+            assert len(scan_calls) == len(set(scan_calls)) <= len(kinds) * (2 + 8), (rho, two_mu)
+            searched += bool(bisect_calls)
+    assert searched >= 3
 
 
 def test_improvement_scans_match_their_hand_written_routes_bit_for_bit():
