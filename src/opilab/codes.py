@@ -495,11 +495,6 @@ def binomial_numerators(m: int, rho: Fraction) -> list[int]:
     return [math.comb(m, t) * p**t * (q - p) ** (m - t) for t in range(m + 1)]
 
 
-def binomial_weights(m: int, rho: Fraction) -> list[Fraction]:
-    q_m = Fraction(rho).denominator ** m
-    return [Fraction(w, q_m) for w in binomial_numerators(m, rho)]
-
-
 def _moments(numerators, denominator: int, order: int) -> list[Fraction]:
     """E[X^j], j = 0..order, for P(X = t) = numerators[t] / denominator,
     summed on integers."""

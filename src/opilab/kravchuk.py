@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codes import binomial_moments, binomial_numerators, binomial_weights, profile_moments
+from .codes import binomial_moments, binomial_numerators, profile_moments
 from .errors import DomainError, IdentityViolationError
 
 Poly = tuple[Fraction, ...]  # ascending powers
@@ -84,10 +84,11 @@ class KravchukFamily:
 
 
 def inner_product(m: int, rho: Fraction, a: Poly, b: Poly) -> Fraction:
-    return sum(
-        w * poly_eval(a, x) * poly_eval(b, x)
-        for x, w in enumerate(binomial_weights(m, rho))
-    )
+    """sum_x Bin(m, rho)(x) a(x) b(x): the weights' integer numerators
+    summed first, then one division by Q^m."""
+    q_m = Fraction(rho).denominator ** m
+    return sum(w * poly_eval(a, x) * poly_eval(b, x)
+               for x, w in enumerate(binomial_numerators(m, rho))) / q_m
 
 
 def closed_form_value(m: int, rho: Fraction, ell: int, x: int) -> Fraction:

@@ -5,7 +5,9 @@ dual-code sum.
 The character sums F_i(y) = sum_{v in S_i} omega^(y v), omega = e(1/p), lie
 in Z[omega]; summed over the dual code (closed under F_p^* scaling, which
 permutes their conjugates) their products are integers, computed exactly by
-CRT (`codes.dual_weight_sums`).  Only the interval extremal check is complex.
+CRT (`codes.dual_weight_sums`).  Only the interval extremal check is complex:
+it reads every set's DFT from one float table, `indicator_spectra`, built in
+blocks of rows.
 The finite-m llr rate threshold bisects mu but computes its exponent once
 per even n (and lam_hi) within a call.
 """
@@ -26,34 +28,30 @@ from .codes import (InputLists, MdsCode, dual_weight_sums,
 from .errors import BudgetExceededError, DomainError
 from .rates import _bisect, binary_entropy, scan_max
 
-_BLOCK = 1 << 16  # exponents gathered per block of a character table
+# exponents gathered per block of a character table, and complex entries
+# per block of indicator spectra in the interval extremal check
+_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class IndicatorSpectrum:
-    """DFT of a subset indicator: coeffs[z] = (1/p) sum_{x in S} e(xz/p)."""
-
-    p: int
-    coeffs: np.ndarray
-
-    def magnitude(self, z: int) -> float:
-        return abs(self.coeffs[z % self.p])
-
-
-def indicator_spectrum(subset, p: int) -> IndicatorSpectrum:
-    s = tuple(sorted(set(int(v) for v in subset)))
-    if s and (s[0] < 0 or s[-1] >= p):
-        raise DomainError("subset element outside [0, p)")
-    indicator = np.zeros(p)
-    indicator[list(s)] = 1.0
-    coeffs = np.fft.ifft(indicator)  # (1/p) sum_x 1_S(x) e(xz/p)
-    spec = IndicatorSpectrum(p, coeffs)
-    rho = len(s) / p
-    if abs(spec.coeffs[0] - rho) > 1e-12:
+def indicator_spectra(sets, p: int) -> np.ndarray:
+    """T[i, z] = (1/p) sum_{x in sets[i]} e(xz/p): one row per set, all
+    from one inverse FFT of the stacked 0/1 indicators (complex doubles),
+    with every row's zero coefficient and Parseval mass checked."""
+    indicator = np.zeros((len(sets), p))
+    for row, s in zip(indicator, sets):
+        s = np.fromiter(s, dtype=np.int64)
+        if s.size and (s.min() < 0 or s.max() >= p):
+            raise DomainError("subset element outside [0, p)")
+        row[s] = 1.0
+    rho = indicator.sum(axis=1) / p
+    if len(set(rho.tolist())) > 1:
+        raise DomainError("indicator spectra need sets of equal size")
+    table = np.fft.ifft(indicator, axis=1)  # (1/p) sum_x 1_S(x) e(xz/p)
+    if (np.abs(table[:, 0] - rho) > 1e-12).any():
         raise DomainError("zero coefficient must equal the density")
-    if abs((np.abs(coeffs) ** 2).sum() - rho) > 1e-10:
+    if (np.abs((np.abs(table) ** 2).sum(axis=1) - rho) > 1e-10).any():
         raise DomainError("Parseval mass mismatch")
-    return spec
+    return table
 
 
 def arc_bound(rho: Fraction, p: int) -> float:
@@ -69,23 +67,20 @@ def arc_bound(rho: Fraction, p: int) -> float:
 def arc_extremal_check(p: int, rho: Fraction, trials: int = 1000, seed: int = 0) -> dict:
     """Every sampled set's off-zero spectrum peak stays below the interval
     value; records the constant in the 1/p^2 correction against the
-    asymptotic form sin(rho pi)/pi."""
-    rho = Fraction(rho)
-    s = rho * p
-    if s.denominator != 1:
-        raise DomainError("rho * p must be an integer")
-    size = int(s)
-    starts = range(0, p, max(1, p // 16)) if p <= 512 else (0,)
-    spectra = [indicator_spectrum([(start + i) % p for i in range(size)], p) for start in starts]
-    interval_peak = max(spec.magnitude(z) for spec in spectra for z in range(1, p))
+    asymptotic form sin(rho pi)/pi.  One interval, range(size), stands
+    for every shift of it: a shift multiplies each coefficient by a
+    phase, so no magnitude moves.  The trials are transformed in blocks
+    of max(1, _BLOCK // p) sets: O(max(p, _BLOCK)) memory."""
     bound = arc_bound(rho, p)
+    rho = Fraction(rho)
+    size = int(rho * p)
+    interval_peak = float(np.abs(indicator_spectra([range(size)], p)[:, 1:]).max())
     rng = random.Random(seed)
+    rows = max(1, _BLOCK // p)
     random_peak = 0.0
-    for _ in range(trials):
-        subset = rng.sample(range(p), size)
-        spec = indicator_spectrum(subset, p)
-        mags = np.abs(spec.coeffs[1:])
-        random_peak = max(random_peak, float(mags.max()))
+    for done in range(0, trials, rows):
+        block = [rng.sample(range(p), size) for _ in range(min(rows, trials - done))]
+        random_peak = max(random_peak, float(np.abs(indicator_spectra(block, p)[:, 1:]).max()))
     peak = max(interval_peak, random_peak)
     # 1e-12 for float rounding: the interval attains the exact bound
     excess = (random_peak - interval_peak - 1e-12, peak - bound - 1e-12)
@@ -148,10 +143,9 @@ def coverage_count(m: int, n: int, lam: float) -> int:
     lam*m coordinates: sum_{k >= lam m} C(2n-m, k) C(2(m-n), n+1-k)."""
     b = 2 * n - m
     lo = math.ceil(lam * m - 1e-9)
-    return sum(
-        math.comb(b, k) * (math.comb(2 * (m - n), n + 1 - k) if 0 <= n + 1 - k <= 2 * (m - n) else 0)
-        for k in range(max(lo, 0), b + 1)
-    )
+    # n <= m and k <= b give n + 1 - k >= m - n + 1 >= 1; comb is 0 past the top
+    return sum(math.comb(b, k) * math.comb(2 * (m - n), n + 1 - k)
+               for k in range(max(lo, 0), b + 1))
 
 
 def certify_buckets(buckets, m: int, t: int, target: int,
@@ -190,14 +184,14 @@ def make_buckets(kind: str, m: int, n: int, lambda_target: float | None = None,
     if b <= 0:
         raise DomainError("buckets need 2n > m")
     d_perp = n + 1
-    if kind == "single":
-        buckets = (frozenset(range(b)),)
-        lam = max(0, d_perp + b - m) / m
-        cert = certify_buckets(buckets, m, d_perp, max(0, d_perp + b - m), budget, seed=seed)
-    elif kind == "cyclic":
-        buckets = tuple(frozenset((j + i) % m for i in range(b)) for j in range(m))
-        lam = math.ceil(d_perp * b / m) / m
-        cert = certify_buckets(buckets, m, d_perp, math.ceil(d_perp * b / m), budget, seed=seed)
+    if kind in ("single", "cyclic"):
+        if kind == "single":
+            buckets, target = (frozenset(range(b)),), max(0, d_perp + b - m)
+        else:
+            buckets = tuple(frozenset((j + i) % m for i in range(b)) for j in range(m))
+            target = math.ceil(d_perp * b / m)
+        lam = target / m
+        cert = certify_buckets(buckets, m, d_perp, target, budget, seed=seed)
     elif kind == "random":
         if lambda_target is None:
             raise DomainError("random buckets need a lambda target")

@@ -22,7 +22,7 @@ from opilab.leakage import (
     character_tables,
     coverage_count,
     dual_character_sums,
-    indicator_spectrum,
+    indicator_spectra,
     llr_rate_threshold,
     make_buckets,
     parseval_split_identity,
@@ -33,27 +33,40 @@ from opilab.rates import scan_max
 
 
 def test_spectrum_full_set_and_singleton():
-    spec = indicator_spectrum(range(7), 7)
-    assert abs(spec.coeffs[0] - 1.0) < 1e-12
-    assert all(abs(spec.coeffs[z]) < 1e-12 for z in range(1, 7))
-    point = indicator_spectrum([0], 7)
-    assert np.allclose(np.abs(point.coeffs), 1 / 7)
+    full, point = indicator_spectra([range(7)], 7)[0], indicator_spectra([[0]], 7)[0]
+    assert abs(full[0] - 1.0) < 1e-12
+    assert all(abs(full[z]) < 1e-12 for z in range(1, 7))
+    assert np.allclose(np.abs(point), 1 / 7)
 
 
 def test_spectrum_interval_magnitudes():
     p, s = 23, 9
-    spec = indicator_spectrum(range(s), p)
+    row = indicator_spectra([range(s)], p)[0]
     for z in range(1, p):
         want = abs(math.sin(math.pi * s * z / p)) / (p * math.sin(math.pi * z / p))
-        assert abs(spec.magnitude(z) - want) < 1e-12
-    assert spec.magnitude(1) == pytest.approx(arc_bound(Fraction(s, p), p), abs=1e-12)
+        assert abs(abs(row[z]) - want) < 1e-12
+    assert abs(row[1]) == pytest.approx(arc_bound(Fraction(s, p), p), abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [53, 101, 211])
 def test_spectrum_matches_the_direct_character_sum(p):
-    subset = random.Random(p).sample(range(p), p // 3)
-    direct = [sum(np.exp(2j * np.pi * x * z / p) for x in subset) / p for z in range(p)]
-    assert np.max(np.abs(indicator_spectrum(subset, p).coeffs - direct)) < 1e-12
+    # several sets in one call: row i is the spectrum of sets[i]
+    rng = random.Random(p)
+    sets = [rng.sample(range(p), p // 3) for _ in range(3)]
+    table = indicator_spectra(sets, p)
+    assert table.shape == (3, p)
+    for row, subset in zip(table, sets):
+        direct = [sum(np.exp(2j * np.pi * x * z / p) for x in subset) / p for z in range(p)]
+        assert np.max(np.abs(row - direct)) < 1e-12
+
+
+def test_indicator_spectra_refuse_unequal_sizes_and_elements_outside_the_field():
+    with pytest.raises(DomainError, match="equal size"):
+        indicator_spectra([[0, 1], [2]], 7)
+    with pytest.raises(DomainError, match="outside"):
+        indicator_spectra([[0, 7]], 7)
+    with pytest.raises(DomainError, match="outside"):
+        indicator_spectra([[1, 2], [-1, 3]], 7)
 
 
 def test_arc_bound_limit():
@@ -72,20 +85,20 @@ def test_arc_extremal_check():
 
 
 def _reference_arc_extremal_check(p, rho, trials, seed):
-    """arc_extremal_check with one interval spectrum per (start, z)."""
+    """arc_extremal_check one set at a time: one 1-D inverse FFT per set."""
     size = int(rho * p)
-    starts = range(0, p, max(1, p // 16)) if p <= 512 else (0,)
-    interval_peak = max(
-        indicator_spectrum([(start + i) % p for i in range(size)], p).magnitude(z)
-        for start in starts
-        for z in range(1, p)
-    )
+
+    def off_zero_peak(subset):
+        indicator = np.zeros(p)
+        indicator[list(subset)] = 1.0
+        return float(np.abs(np.fft.ifft(indicator)[1:]).max())
+
+    interval_peak = off_zero_peak(range(size))
     bound = arc_bound(rho, p)
     rng = random.Random(seed)
     random_peak = 0.0
     for _ in range(trials):
-        spec = indicator_spectrum(rng.sample(range(p), size), p)
-        random_peak = max(random_peak, float(np.abs(spec.coeffs[1:]).max()))
+        random_peak = max(random_peak, off_zero_peak(rng.sample(range(p), size)))
     peak = max(interval_peak, random_peak)
     excess = (random_peak - interval_peak - 1e-12, peak - bound - 1e-12)
     asym = abs(math.sin(float(rho) * math.pi)) / math.pi
@@ -102,23 +115,52 @@ def _reference_arc_extremal_check(p, rho, trials, seed):
     }
 
 
-@pytest.mark.parametrize("p, size", [(53, 20), (101, 50)])
-def test_arc_extremal_check_matches_the_per_start_and_z_route(p, size):
+@pytest.mark.parametrize("p, size", [(53, 20), (101, 50), (5, 2)])
+def test_arc_extremal_check_matches_the_one_set_at_a_time_route(p, size, monkeypatch):
+    # a block of 2^8 entries holds 4, 2 and 51 rows: the 40 trials take 10, 20 and 1 calls
+    monkeypatch.setattr(leakage, "_BLOCK", 1 << 8)
     rho = Fraction(size, p)
     assert arc_extremal_check(p, rho, trials=40, seed=3) == \
         _reference_arc_extremal_check(p, rho, trials=40, seed=3)
 
 
-def test_arc_extremal_check_builds_one_spectrum_per_start_and_trial(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("p, size", [(11, 5), (53, 20), (101, 50), (211, 70)])
+def test_one_interval_stands_for_all_of_its_shifts(p, size):
+    # 16 shifts of one interval: a shift only multiplies each coefficient
+    # by a phase, so their peak is the one interval the check transforms
+    shifts = [[(start + i) % p for i in range(size)] for start in range(0, p, max(1, p // 16))]
+    peak = float(np.abs(indicator_spectra(shifts, p)[:, 1:]).max())
+    assert abs(peak - arc_extremal_check(p, Fraction(size, p), trials=0)["interval_peak"]) <= 1e-15
 
-    def counting(subset, p):
-        calls.append(p)
-        return indicator_spectrum(subset, p)
 
-    monkeypatch.setattr(leakage, "indicator_spectrum", counting)
-    arc_extremal_check(101, Fraction(50, 101), trials=30, seed=1)
-    assert len(calls) == len(range(0, 101, 101 // 16)) + 30
+@pytest.mark.parametrize("p, trials", [(101, 30), (101, 648), (4099, 40), (65537, 3)])
+def test_arc_extremal_check_reads_spectra_in_blocks_of_rows(p, trials, monkeypatch):
+    # one interval, then ceil(trials / rows) blocks of at most 2^16 // p rows
+    rows_per_call = []
+
+    def counting(sets, q):
+        rows_per_call.append(len(sets))
+        return indicator_spectra(sets, q)
+
+    monkeypatch.setattr(leakage, "indicator_spectra", counting)
+    arc_extremal_check(p, Fraction(p // 2, p), trials=trials, seed=1)
+    rows = max(1, 2**16 // p)
+    assert len(rows_per_call) == -(-trials // rows) + 1
+    assert max(rows_per_call) <= rows and sum(rows_per_call) == trials + 1
+
+
+def test_arc_extremal_check_holds_one_block_at_a_time():
+    # at p = 65537 a block is one row (under 3 MB with its indicator and
+    # magnitudes); 8 trials in one block would hold about 21 MB.  Sets of
+    # 64 keep the traced samples cheap: the table's size is set by p alone
+    tracemalloc.start()
+    try:
+        rep = arc_extremal_check(65537, Fraction(64, 65537), trials=8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert rep["interval_attains_max"] and rep["within_exact_bound"]
+    assert peak <= 8
 
 
 def test_bucket_preconditions():
@@ -305,7 +347,7 @@ def test_a_dual_pass_holds_one_small_chunk_at_a_time():
 def _complex_transcript_sums(code, lists):
     """The transcript sums in complex doubles: the indicator spectra's
     products over every dual codeword, summed by weight."""
-    table = np.array([indicator_spectrum(s, code.p).coeffs for s in lists.sets])
+    table = indicator_spectra(lists.sets, code.p)
     out = np.zeros(code.m + 1, dtype=np.complex128)
     for S in dual_codewords(code):
         Y = S % code.p
