@@ -237,7 +237,12 @@ def _pair_count_exponent_biased_scan(mu: float, delta: float, tau: float, rho: f
 
 def _biased_exponent(mu: float, delta: float, tau: float, rho: float, argmax):
     """(value, gamma_star, at_endpoint) with gamma_star = argmax(objective,
-    slope, gamma_lo, gamma_hi) on a non-pinned bracket."""
+    slope, gamma_lo, gamma_hi) on a non-pinned bracket.
+
+    At delta = tau the bracket is [0, 0] and the objective there is
+    a H(0) + w H(0) = 0 exactly, so the value is the closed form
+    2(mu+tau) log 2 - H(mu+delta), with gamma_star = 0 at the endpoint.
+    """
     if not 0.0 < rho < 1.0:
         raise DomainError("rho outside (0, 1)")
     if tau < -_EDGE_EPS or tau > delta + _EDGE_EPS:
@@ -247,6 +252,8 @@ def _biased_exponent(mu: float, delta: float, tau: float, rho: float, argmax):
     if w <= 0.0:
         raise DomainError("need mu + tau < 1/2")
     base = 2.0 * (mu + tau) * LOG2 - binary_entropy(mu + delta)
+    if delta == tau:
+        return base, 0.0, True
     beta_abs = _beta_abs(rho)
     log_half_beta = math.log(beta_abs / 2.0) if beta_abs > 0.0 else -math.inf
     a, d = 2.0 * (mu + tau), delta - tau

@@ -30,7 +30,7 @@ from functools import cache, partial
 from itertools import combinations
 from types import SimpleNamespace
 
-from . import codes, discrepancy, kravchuk, leakage, quadext, rates
+from . import SUITES, codes, discrepancy, kravchuk, leakage, quadext, rates
 from .errors import BudgetExceededError, DomainError, IdentityViolationError
 
 Row = namedtuple("Row", "identity suite kind mode check")
@@ -148,16 +148,16 @@ def _asymptotic_instances(code, seed, precision):
             SimpleNamespace, mu=mu, rho=rho, kinds=kinds)
 
 
-# suite -> (default (p, m, n) of its code, or None when it reads none; source)
-_SOURCES = {
-    "kravchuk": (None, _kravchuk_instances),
-    "moments": ((7, 6, 3), _moments_instances),
-    "discrepancy": ((7, 6, 3), _discrepancy_instances),
-    "fourier": ((7, 6, 3), _fourier_instances),
-    "leakage": ((11, 8, 6), _leakage_instances),
-    "asymptotic": (None, _asymptotic_instances),
-}
-SUITES = (*_SOURCES, "all")
+# suite -> (default (p, m, n) of its code, or None when it reads none; source),
+# in the order of SUITES, whose last name is "all"
+_SOURCES = dict(zip(SUITES[:-1], (
+    (None, _kravchuk_instances),
+    ((7, 6, 3), _moments_instances),
+    ((7, 6, 3), _discrepancy_instances),
+    ((7, 6, 3), _fourier_instances),
+    ((11, 8, 6), _leakage_instances),
+    (None, _asymptotic_instances),
+), strict=True))
 
 
 # ---------- kravchuk ----------

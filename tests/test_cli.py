@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from opilab import codes, leakage, verify
-from opilab.cli import main
+from opilab.cli import build_parser, main
 from opilab.errors import IdentityViolationError
 from opilab.quadext import QuadExt
 
@@ -337,6 +337,69 @@ def test_verify_discrepancy_never_imports_mpmath():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"]
     assert proc.stderr.splitlines()[-1] == "0 False"
+
+
+def test_thresholds_and_curves_never_import_numpy(tmp_path):
+    # they read only the pure-Python rates; numpy comes in with the kernels,
+    # which stay registered in sys.modules for tools that walk it
+    script = ("import sys\n"
+              "from opilab.cli import main\n"
+              "codes = [main(argv) for argv in (\n"
+              "    ['thresholds', '--rho', '0.5', '--bound', 'best'],\n"
+              f"    ['curve', '--figure', '1', '--grid', '5', '--out', {str(tmp_path / '1.csv')!r}],\n"
+              f"    ['curve', '--figure', '4', '--grid', '5', '--out', {str(tmp_path / '4.csv')!r}])]\n"
+              "kernels = all(f'opilab.{m}' in sys.modules\n"
+              "              for m in ('codes', 'discrepancy', 'leakage', 'verify'))\n"
+              "print(codes, sorted({'numpy', 'mpmath'} & set(sys.modules)), kernels,\n"
+              "      file=sys.stderr)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, PYTHONPATH="src"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0] [] True"
+
+
+def test_the_cached_parser_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def written(run):
+        """run()'s result and the files it wrote under `out`."""
+        for path in out.iterdir():
+            path.unlink()
+        return run(), {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opilab.cli", *argv], capture_output=True, text=True,
+            cwd=Path(__file__).resolve().parent.parent,
+            env=dict(os.environ, PYTHONPATH="src"),
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    thresholds = ["thresholds", "--rho", "0.3", "--bound", "biased"]
+    calls = [
+        ["thresholds", "--rho", "0.3"],  # no --bound: a usage error, SystemExit 2
+        [*thresholds, "--out", str(out / "t.json")],
+        thresholds,
+        ["verify", "--suite", "kravchuk"],
+        ["curve", "--figure", "4", "--grid", "5", "--out", str(out / "f4.csv")],
+    ]
+    for argv in calls:
+        assert written(lambda: in_process(argv)) == written(lambda: fresh(argv)), argv
 
 
 def test_verify_budget_limit_is_usage_error(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from opilab import rates, verify
 from opilab.errors import DomainError, IdentityViolationError
 from opilab.rates import (
     FEAS_MARGIN,
+    ThresholdResult,
     _delta_maxes,
     _exponent_in_delta,
     _pair_count_exponent_biased_scan,
@@ -144,6 +145,84 @@ def test_biased_pair_count_endpoint_at_tau_delta():
     assert endpoint and gamma == 0.0
     want = 2 * 0.4 * math.log(2) - binary_entropy(0.4)
     assert value == pytest.approx(want, abs=1e-12)
+
+
+def _delta_at_tau_points(count, seed):
+    """Seeded (mu, tau, rho) with mu + tau < 1/2: a fifth at rho = 1/2, a
+    fifth at tau = 0, the rest at tau > 0 and any density."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        mu = rng.uniform(0.0, 0.499)
+        tau = 0.0 if i % 5 == 1 else rng.uniform(0.0, 0.4999 - mu)
+        points.append((mu, tau, 0.5 if i % 5 == 0 else rng.uniform(1e-3, 1 - 1e-3)))
+    return points
+
+
+def test_biased_pair_count_at_delta_tau_is_the_closed_form():
+    # the gamma bracket is [0, 0] and the objective there a H(0) + w H(0) = 0
+    points = _delta_at_tau_points(100_000, 34)
+    assert sum(rho == 0.5 for _, _, rho in points) >= 10_000
+    assert sum(tau > 0.0 for _, tau, _ in points) >= 50_000
+    for mu, tau, rho in points:
+        want = 2.0 * (mu + tau) * math.log(2.0) - binary_entropy(mu + tau)
+        got = pair_count_exponent_biased(mu, tau, tau, rho)
+        assert _bits(got) == _bits((want, 0.0, True)), (mu, tau, rho)
+
+
+def test_biased_pair_count_just_past_delta_tau_meets_the_closed_form():
+    worst = 0.0
+    for mu, tau, rho in _delta_at_tau_points(20_000, 35):
+        closed = pair_count_exponent_biased(mu, tau, tau, rho)[0]
+        worst = max(worst, abs(pair_count_exponent_biased(mu, tau + 1e-9, tau, rho)[0] - closed))
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("mu, delta, tau, rho, message", [
+    (0.2, 0.1, 0.1, 0.0, "rho outside (0, 1)"),
+    (0.2, 0.1, 0.1, 1.0, "rho outside (0, 1)"),
+    (0.2, -1e-6, -1e-6, 0.4, "need 0 <= tau <= delta"),
+    (0.2, 0.1, 0.1 + 1e-6, 0.4, "need 0 <= tau <= delta"),
+    (0.3, 0.2, 0.2, 0.4, "need mu + tau < 1/2"),
+    (0.1, 0.45, 0.45, 0.5, "need mu + tau < 1/2"),
+])
+def test_biased_pair_count_at_delta_tau_keeps_its_domain_errors(mu, delta, tau, rho, message):
+    with pytest.raises(DomainError) as err:
+        pair_count_exponent_biased(mu, delta, tau, rho)
+    assert str(err.value) == message
+
+
+# thresholds(rho, "biased") on figure 2's 16-density axis, as recorded before
+# the delta = tau closed form: (rho, two_mu0, two_mu1, witness delta, gamma)
+_FIGURE_2_BIASED = [
+    (0.05, 0.6285395249023438, 0.998655231933594, 0.450672384033203, 0.8987897086286392),
+    (0.1, 0.6206660212402344, 0.9930400200195313, 0.4034799899902344, 0.7944320156213619),
+    (0.15000000000000002, 0.6154170187988282, 0.98144338671875, 0.359278306640625,
+     0.6870103703928426),
+    (0.2, 0.6117549240722656, 0.9630718781738281, 0.318464060913086, 0.5778431275555763),
+    (0.25, 0.6096187021484375, 0.9378034245605469, 0.28109828771972656, 0.46890171228027344),
+    (0.3, 0.6090083530273438, 0.9065535495605469, 0.2467232252197265, 0.3626214177046468),
+    (0.35, 0.6101680163574219, 0.8707260561523438, 0.21463697192382813, 0.26121781893962925),
+    (0.39999999999999997, 0.6133418317871094, 0.832029921875, 0.18398503906250008,
+     0.16640598112120022),
+    (0.45, 0.6187129040527344, 0.7921741242675782, 0.15391293786621096, 0.07921741039143997),
+    (0.5, 0.6264033029785155, 0.7525014313964844, 0.1237492843017578, 0.0),
+    (0.55, 0.6361625026855469, 0.7738205822753905, 0.0630897088623047, 0.03676705961894338),
+    (0.6000000000000001, 0.6473620444335937, 0.7462873310546874, 0.02685633447265623,
+     0.031341376905094434),
+    (0.65, 0.6590680581054688, 0.6905131909179688, 0.004743404541015572, 0.008513163876253449),
+]
+
+
+def test_biased_thresholds_on_the_figure_2_axis_are_pinned():
+    axis = [0.05 + (0.80 - 0.05) * i / 15 for i in range(16)]
+    results = [thresholds(rho, "biased") for rho in axis]
+    want = [ThresholdResult("biased", rho, mu0, mu1,
+                            {"delta": delta, "lambda": 0.0, "gamma": gamma}, "ok")
+            for rho, mu0, mu1, delta, gamma in _FIGURE_2_BIASED]
+    want += [ThresholdResult("biased", rho, None, None, {}, "no finite threshold")
+             for rho in axis[len(want):]]
+    assert [repr(r) for r in results] == [repr(r) for r in want]
 
 
 def test_biased_pair_count_stationarity():
