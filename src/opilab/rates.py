@@ -10,7 +10,9 @@ forms pair_count(delta) + dual.  delta_max reads one pair-count row per
 (mu, rho) for every requested bound.  The exponent sum increases in delta
 (an envelope identity, stated at _delta_maxes), so each bound binary-searches
 its feasibility flags on the row's 256-step scan; the whole scan and its
-flip-back check run in `verify --suite asymptotic`.
+flip-back check run in `verify --suite asymptotic`.  The biased saturation
+exponent at rho < 1/2 has a closed form (biased_saturation_slope), which
+thresholds' saturation scan reads.
 """
 
 from __future__ import annotations
@@ -325,9 +327,19 @@ def stationarity_residual(mu: float, delta: float, tau: float, rho: float, gamma
     pair_count_exponent_biased drives to zero, so the residual vanishes at
     its interior gamma_star: the check on that solver's root.  x/(1-x) is
     read as free/filled, as that solver's slope reads it; forming 1 - x by
-    subtraction loses digits when x is near 1."""
+    subtraction loses digits when x is near 1.
+
+    Defined for 0 < gamma < 2(mu+tau), free >= 0 and filled > 0 (at
+    filled = 0 the subtracted term is infinite); elsewhere a DomainError."""
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho={rho} outside (0, 1)")
     w = 1.0 - 2.0 * mu - 2.0 * tau
     free, filled = delta - tau - gamma / 2.0, w - (delta - tau) + gamma / 2.0
+    if not 0.0 < gamma < 2.0 * (mu + tau):
+        raise DomainError(f"gamma={gamma} outside (0, 2(mu+tau))")
+    if not (free >= 0.0 and filled > 0.0):
+        raise DomainError(f"gamma={gamma} leaves free={free}, filled={filled}: "
+                          "need free >= 0 and filled > 0")
     y = gamma / (2.0 * (mu + tau))
     return 1.0 - (_beta_abs(rho) / 2.0) * ((1.0 - y) / y) * math.sqrt(free / filled)
 
@@ -479,25 +491,52 @@ def _mu_cap(rho: float, bound_kind: str) -> float:
     return 0.5
 
 
+def biased_saturation_slope(rho: float) -> float:
+    """K(rho) = log 2 - H(rho) + H(2rho) + (1-2rho) log(|beta|/2), for rho < 1/2.
+
+    At tau = 0 and delta at the biased cap 1 - rho - mu, the inner argmax of
+    pair_count_exponent_biased is gamma* = 2mu(1-2rho) exactly: there
+    (a-g)/g = 2rho/(1-2rho) and free/filled = (1-rho)/rho, so its
+    stationarity condition holds.  The pair-count rate at the cap is then
+    linear in mu, 2mu K(rho)."""
+    if not 0.0 < rho < 0.5:
+        raise DomainError(f"rho={rho} outside (0, 1/2)")
+    return (LOG2 - binary_entropy(rho) + binary_entropy(2.0 * rho)
+            + (1.0 - 2.0 * rho) * math.log(_beta_abs(rho) / 2.0))
+
+
+def _saturation_exponent(rho: float, bound_kind: str):
+    """mu -> the bound's exponent sum at delta = cap.  For "biased" at
+    rho < 1/2 that is 2mu K(rho) + dual_sum_exponent_biased(mu, 0, rho),
+    with K taken once; every other kind and density solves the inner
+    maximum at the cap."""
+    if bound_kind == "biased" and rho < 0.5:
+        k = biased_saturation_slope(rho)
+        return lambda mu: 2.0 * mu * k + dual_sum_exponent_biased(mu, 0.0, rho)
+    return lambda mu: _exponent_at(mu, rho, bound_kind, delta_cap(mu, rho, bound_kind))
+
+
 def thresholds(rho: float, bound_kind: str) -> ThresholdResult:
     """Improvement threshold (smallest rate with a feasible delta > 0) and
     saturation threshold (smallest rate feasible at delta = cap), as rates
     2*mu, each located to 1e-4 by bisection after a 128-step scan.  Every
-    point's delta lies in [0, cap], so only the kind and rho are checked."""
+    point's delta lies in [0, cap], so only the kind and rho are checked.
+    The biased saturation scan at rho < 1/2 reads the closed form
+    2mu K(rho) + dual (biased_saturation_slope); the inner Newton solve at
+    the cap is its second route, in `verify --suite asymptotic`."""
     _check_kind(rho, bound_kind)
     lo = 1e-6
     hi = _mu_cap(rho, bound_kind) - 1e-6  # stay off the degenerate mu = cap endpoint
     mus = _grid(lo, hi, 128)
 
-    def threshold(delta_at) -> float | None:
-        bracket = scan_first_true(
-            lambda mu: _exponent_at(mu, rho, bound_kind, delta_at(mu)) < -FEAS_MARGIN,
-            mus, 5e-5)
+    def threshold(exponent) -> float | None:
+        bracket = scan_first_true(lambda mu: exponent(mu) < -FEAS_MARGIN, mus, 5e-5)
         return None if bracket is None else bracket[1]
 
     mu0 = mu1 = None  # 1 - rho < 2e-6 leaves no mu to scan
     if lo <= hi:
-        mu0, mu1 = threshold(lambda mu: 0.0), threshold(lambda mu: delta_cap(mu, rho, bound_kind))
+        mu0 = threshold(lambda mu: _exponent_at(mu, rho, bound_kind, 0.0))
+        mu1 = threshold(_saturation_exponent(rho, bound_kind))
     if mu0 is None and mu1 is None:
         return ThresholdResult(bound_kind, rho, None, None, {}, "no finite threshold")
     witness = {}

@@ -10,11 +10,12 @@ A check returns (residual, ok), or a string: the reason the shape cannot
 run it, recorded as "skipped".  The residual is the number the check
 compared against its bound.  An exact equality returns 0 when it holds and
 otherwise raises IdentityViolationError naming the first failing index; a
-float comparison returns its relative difference (the split bound its
-largest ratio to the bound); an inequality returns its violation, clipped
-at 0.  An IdentityViolationError raised by a build or a check is a "fail"
-record, with a null residual and the message, of every row that needed
-the instance.  Domain and budget errors propagate.
+float comparison returns its relative difference (the split bound and
+the saturation quadratic their largest ratio to a bound); an inequality
+returns its violation, clipped at 0.  An IdentityViolationError raised by
+a build or a check is a "fail" record, with a null residual and the
+message, of every row that needed the instance.  Domain and budget
+errors propagate.
 
 Records are {identity, instance, mode, max_abs_residual, status} plus an
 "error" or a "reason"; a suite passes when no record fails.
@@ -146,6 +147,12 @@ def _asymptotic_instances(code, seed, precision):
     for mu, rho, kinds in points:
         yield "rate", {"mu": mu, "rho": rho, "kinds": list(kinds)}, partial(
             SimpleNamespace, mu=mu, rho=rho, kinds=kinds)
+    # a biased rate at the cap below density 1/2, kept off rho, mu -> 1/2,
+    # where the Newton root drifts up to 61 ulp from 2mu(1-2rho), and with
+    # filled = rho(1-2mu) >= 0.02: the rounding of the cap and of gamma reach
+    # the stationarity residual scaled by 1/filled (1.5e-14 at filled = 0.005)
+    rho, mu = rng.uniform(0.1, 0.45), rng.uniform(0.01, 0.4)
+    yield "saturation", {"mu": mu, "rho": rho}, partial(SimpleNamespace, mu=mu, rho=rho)
 
 
 # suite -> (default (p, m, n) of its code, or None when it reads none; source),
@@ -422,6 +429,55 @@ def _delta_envelope_derivative(inst):
     return worst, worst <= _ENVELOPE_TOL
 
 
+# the Newton root's distance from 2mu(1-2rho) in ulp (at most 10 over
+# 100,000 draws of the instance's range); the rate and the stationarity
+# residual at 2mu(1-2rho) differ from their closed forms by rounding only
+# (at most 5.6e-16 and 4.0e-15 there)
+_GAMMA_ULPS = 16
+_SATURATION_TOL = 1e-14
+
+
+def _saturation_root(rho):
+    """mu1: where the biased saturation exponent at rho < 1/2,
+    8L mu^2 + (2K + 2 log rho + log(rho/(1-rho)) - 2L) mu - log rho with
+    L = log|sinc(pi rho)|, equals -FEAS_MARGIN.  The leading coefficient is
+    negative and the constant positive, so the one positive root is the
+    smallest in (0, 1/2) when any lies there."""
+    lsinc = math.log(abs(math.sin(math.pi * rho) / (math.pi * rho)))
+    a = 8.0 * lsinc
+    b = (2.0 * rates.biased_saturation_slope(rho) + 2.0 * math.log(rho)
+         + math.log(rho / (1.0 - rho)) - 2.0 * lsinc)
+    c = -math.log(rho) + rates.FEAS_MARGIN
+    q = -(b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b)) / 2.0
+    return max(q / a, c / q)
+
+
+def _biased_saturation_quadratic(inst):
+    # at tau = 0 and delta at the cap 1 - rho - mu: the Newton gamma* against
+    # 2mu(1-2rho), its pair-count rate against 2mu K(rho), the stationarity
+    # residual at 2mu(1-2rho), and thresholds' saturation rate against the
+    # quadratic's root; a check outside [0, bound] fails the row by name, and
+    # the residual is the largest ratio of a check to its bound
+    mu, rho = inst.mu, inst.rho
+    cap, gamma = 1.0 - rho - mu, 2.0 * mu * (1.0 - 2.0 * rho)
+    value, solved, _ = rates.pair_count_exponent_biased(mu, cap, 0.0, rho)
+    two_mu1, root = rates.thresholds(rho, "biased").two_mu1, 2.0 * _saturation_root(rho)
+    checks = (
+        ("gamma* - 2mu(1-2rho) in ulp", abs(solved - gamma) / math.ulp(gamma), _GAMMA_ULPS),
+        ("rate - 2mu K(rho)", abs(value - 2.0 * mu * rates.biased_saturation_slope(rho)),
+         _SATURATION_TOL),
+        ("stationarity residual at 2mu(1-2rho)",
+         abs(rates.stationarity_residual(mu, cap, 0.0, rho, gamma)), _SATURATION_TOL),
+        ("thresholds' two_mu1 - 2mu1", math.inf if two_mu1 is None else two_mu1 - root, 1e-4),
+    )
+    for name, got, bound in checks:
+        if not 0.0 <= got <= bound:
+            raise IdentityViolationError(
+                f"{name} is {got!r}, outside [0, {bound!r}], at mu={mu!r} rho={rho!r} "
+                f"(two_mu1={two_mu1!r}, 2mu1={root!r})")
+    return max(got / bound for _, got, bound in checks), True
+
+
 ROWS = (
     Row("generating_function_expansion", "kravchuk", "m", "exact", _generating_function),
     Row("orthogonality", "kravchuk", "m", "exact", _orthogonality),
@@ -454,6 +510,8 @@ ROWS = (
     Row("coverage_count_formula", "leakage", "coverage", "exact", _coverage),
     Row("delta_monotone_scan", "asymptotic", "rate", "exact", _delta_monotone_scan),
     Row("delta_envelope_derivative", "asymptotic", "rate", "float", _delta_envelope_derivative),
+    Row("biased_saturation_quadratic", "asymptotic", "saturation", "float",
+        _biased_saturation_quadratic),
 )
 
 

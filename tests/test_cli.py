@@ -565,7 +565,7 @@ def test_verify_all_yields_a_record_for_every_row(capsys):
     code, out = run_cli(["verify", "--suite", "all"], capsys)
     report = json.loads(out)
     assert code == 0 and report["passed"]
-    assert report["checks"] == 59
+    assert report["checks"] == 60
     assert {r["identity"] for r in report["identities"]} == {row.identity for row in verify.ROWS}
     fourier = [(r["mode"], r["max_abs_residual"]) for r in report["identities"]
                if r["identity"] in ("dual_sum_vs_enumeration", "transcript_scaling",
@@ -590,8 +590,8 @@ def test_verify_all_keeps_its_records_and_appends_the_asymptotic_suite(capsys, s
     assert code == 0 and report["passed"]
     asymptotic = verify.run_suite("asymptotic", seed=seed)
     records = report["identities"]
-    assert len(asymptotic) == 4 and records[-4:] == asymptotic
-    text = json.dumps(records[:-4], sort_keys=True, indent=2, allow_nan=False)
+    assert len(asymptotic) == 5 and records[-5:] == asymptotic
+    text = json.dumps(records[:-5], sort_keys=True, indent=2, allow_nan=False)
     assert hashlib.sha256(text.encode()).hexdigest() == _RECORDS_BEFORE_ASYMPTOTIC[seed]
 
 

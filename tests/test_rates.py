@@ -239,6 +239,84 @@ def test_stationarity_residual_is_sharp_where_x_is_near_one():
     assert abs(stationarity_residual(*point, gamma)) < 1e-8
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.1, 0.7, 0.75, 0.5, math.nan])
+def test_stationarity_residual_rejects_gamma_outside_its_domain(gamma):
+    # (0, 2(mu+tau)) = (0, 0.7); free = d - gamma/2 < 0 past gamma = 0.4
+    with pytest.raises(DomainError, match=f"gamma={gamma}"):
+        stationarity_residual(0.35, 0.2, 0.0, 0.4, gamma)
+
+
+def test_stationarity_residual_rejects_empty_filled_and_a_density_outside_one():
+    # filled = w - d + gamma/2 = 0.3 - 0.4 + 0.05 < 0
+    with pytest.raises(DomainError, match="filled="):
+        stationarity_residual(0.35, 0.4, 0.0, 0.2, 0.1)
+    for rho in (0.0, 1.0, 1.4):
+        with pytest.raises(DomainError, match=f"rho={rho} outside"):
+            stationarity_residual(0.35, 0.2, 0.0, rho, 0.3)
+
+
+def test_biased_saturation_closed_form_matches_the_newton_route():
+    # at rho < 1/2 the saturation scan reads 2mu K(rho) + dual; the inner
+    # Newton solve at the cap 1 - rho - mu is its second route
+    rng = random.Random(35)
+    for _ in range(20000):
+        rho, mu = rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)
+        if rho == 0.0 or mu == 0.0:
+            continue
+        closed = rates._saturation_exponent(rho, "biased")(mu)
+        newton = rates._exponent_at(mu, rho, "biased", delta_cap(mu, rho, "biased"))
+        assert abs(closed - newton) <= 1e-14, (mu, rho, closed, newton)
+
+
+def test_biased_saturation_slope_is_for_densities_below_half():
+    assert rates.biased_saturation_slope(0.25) == pytest.approx(
+        math.log(2) - binary_entropy(0.25) + binary_entropy(0.5)
+        + 0.5 * math.log(0.5 / math.sqrt(0.25 * 0.75) / 2), abs=1e-15)
+    for rho in (0.0, 0.5, 0.6, -0.1):
+        with pytest.raises(DomainError, match=r"outside \(0, 1/2\)"):
+            rates.biased_saturation_slope(rho)
+
+
+def test_biased_thresholds_solve_the_inner_maximum_only_above_half(monkeypatch):
+    # below 1/2 the saturation scan reads the closed form: no call with
+    # delta > 0 (the improvement scan's delta = 0 calls are pinned at
+    # gamma = 0); above it every saturation scan point solves at the cap
+    real, positive = pair_count_exponent_biased, []
+
+    def counted(mu, delta, tau, rho):
+        if delta > 0.0:
+            positive.append(delta)
+        return real(mu, delta, tau, rho)
+
+    monkeypatch.setattr(rates, "pair_count_exponent_biased", counted)
+    assert thresholds(0.3, "biased").two_mu1 is not None
+    assert positive == []
+    assert thresholds(0.6, "biased").two_mu1 is not None
+    assert len(positive) >= 129
+
+
+def _saturation_records(seed=0):
+    return [r for r in verify.run_suite("asymptotic", seed=seed)
+            if r["identity"] == "biased_saturation_quadratic"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_the_saturation_quadratic_row_passes_on_its_drawn_rate(seed):
+    (record,) = _saturation_records(seed)
+    assert record["status"] == "pass" and 0.0 <= record["max_abs_residual"] <= 1.0
+    rho = record["instance"]["rho"]
+    mu1 = verify._saturation_root(rho)
+    assert rates._saturation_exponent(rho, "biased")(mu1) == pytest.approx(-FEAS_MARGIN, abs=1e-14)
+
+
+def test_the_saturation_quadratic_row_fails_on_a_wrong_slope(monkeypatch):
+    # K without its (1 - 2rho) log(|beta|/2) term
+    monkeypatch.setattr(rates, "biased_saturation_slope", lambda rho: (
+        math.log(2) - binary_entropy(rho) + binary_entropy(2.0 * rho)))
+    (record,) = _saturation_records()
+    assert record["status"] == "fail" and record["error"].startswith("rate - 2mu K(rho) is ")
+
+
 def _biased_inner_points():
     """Seeded (mu, delta, tau, rho) points in the domain the thresholds and
     figures evaluate (0 <= delta <= 1 - rho - mu, 0 <= tau <= delta,
@@ -858,6 +936,9 @@ _ASYMPTOTIC_DENSITIES = [round(0.05 + (0.80 - 0.05) * i / 15, 6) for i in range(
 
 @pytest.mark.parametrize("rho, kind", [(rho, "biased") for rho in _ASYMPTOTIC_DENSITIES]
                          + [(1e-300, "biased"), (0.9999999, "biased"),
+                            # the closed-form saturation scan below 1/2, to its ends
+                            *((rho, "biased") for rho in (5e-324, 1e-9, 1 / 3, 0.4999999999,
+                                                          0.49999999999999994)),
                             (0.5, "green"), (0.5, "avg"), (0.5, "best")])
 def test_thresholds_match_the_feasible_route_bit_for_bit(rho, kind):
     res = thresholds(rho, kind)
@@ -867,6 +948,7 @@ def test_thresholds_match_the_feasible_route_bit_for_bit(rho, kind):
 
 @pytest.mark.parametrize("figure, grid, rho", [
     *((figure, grid, None) for figure in (1, 2) for grid in (1, 2, 7)),
+    (2, 16, None),
     *((3, grid, rho) for rho in (0.6, 0.3) for grid in (1, 2, 7)),
     (4, 200, None), (4, 200, 0.3),
 ])

@@ -14,8 +14,8 @@ NO_SRC_READER = {
     "llr_rate_threshold", "moments_match_check",
     # read by the benchmark (perfbench/)
     "largest_root",
-    # reference routes the tests compare the package's own routes against
-    "feasible", "stationarity_residual",
+    # a reference route the tests compare the package's own routes against
+    "feasible",
 }
 
 
