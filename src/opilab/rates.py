@@ -12,7 +12,12 @@ forms pair_count(delta) + dual.  delta_max reads one pair-count row per
 its feasibility flags on the row's 256-step scan; the whole scan and its
 flip-back check run in `verify --suite asymptotic`.  The biased saturation
 exponent at rho < 1/2 has a closed form (biased_saturation_slope), which
-thresholds' saturation scan reads.
+thresholds' saturation scan reads.  The printed biased argmaxes (thresholds'
+witness gamma, figure 3's gamma_star) come from a 256-step scan of the
+strictly concave inner objective, binary-searched (_concave_scan_max), and
+figure 3's tau_star = 0 is certified by an envelope bound on dE/dtau
+(tau_slope_bound), not scanned; `verify --suite asymptotic` runs the whole
+gamma scan and the former tau scan as second routes.
 """
 
 from __future__ import annotations
@@ -174,18 +179,47 @@ def _bisect(pred, a: float, b: float, tol: float) -> tuple[float, float]:
 
 
 def scan_max(f, xs, tol: float = 1e-10):
-    """(x, f(x)) maximizing f: the best of the sorted scan points xs, refined
-    by golden section between its neighbours; the scan point is kept when
-    golden section ends below it.  Minimizers pass -f."""
+    """(x, f(x)) maximizing f: the best of the sorted scan points xs (the
+    first, on ties), refined by _refined.  Minimizers pass -f."""
     best_i, best_v = 0, f(xs[0])
     for i in range(1, len(xs)):
         v = f(xs[i])
         if v > best_v:
             best_i, best_v = i, v
-    x, v = golden_section_max(f, xs[max(best_i - 1, 0)], xs[min(best_i + 1, len(xs) - 1)], tol)
-    if v < best_v:
-        return xs[best_i], best_v
-    return x, v
+    return _refined(f, xs, best_i, best_v, tol)
+
+
+def _concave_scan_max(f, xs, tol: float = 1e-10):
+    """scan_max for f strictly concave on the sorted points xs, from about
+    2 log2(len(xs)) of its scan values.  On such a scan the values rise to
+    the first maximum and do not rise after it, so scan_max's best index is
+    the first one whose right neighbour is not larger, which a binary search
+    finds; `verify --suite asymptotic` runs the whole scan beside it."""
+    values = {}
+
+    def at(i: int) -> float:
+        if i not in values:
+            values[i] = f(xs[i])
+        return values[i]
+
+    lo, hi = 0, len(xs) - 1  # the first index whose right neighbour is not larger
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at(mid + 1) <= at(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return _refined(f, xs, lo, at(lo), tol)
+
+
+def _refined(f, xs, i: int, v: float, tol: float):
+    """(x, f(x)) from golden section between the neighbours of the scan
+    point xs[i], whose value is v; (xs[i], v) when golden section ends
+    below it."""
+    x, fx = golden_section_max(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol)
+    if fx < v:
+        return xs[i], v
+    return x, fx
 
 
 def scan_first_true(pred, xs, tol: float):
@@ -233,7 +267,9 @@ def _pair_count_exponent_biased_scan(mu: float, delta: float, tau: float, rho: f
     """pair_count_exponent_biased with gamma_star from a 256-step scan refined
     by golden section: the independent second route of the inner solve, and
     the route of the printed argmaxes (thresholds' witness gamma, figure 3's
-    gamma_star), whose committed values it reproduces bit for bit."""
+    gamma_star), whose committed values it reproduces bit for bit.  The
+    objective is strictly concave, so the scan is binary-searched
+    (_concave_scan_max)."""
     return _biased_exponent(mu, delta, tau, rho, _scanned_gamma)
 
 
@@ -311,7 +347,7 @@ def _stationary_gamma(objective, slope, lo: float, hi: float) -> float:
 
 
 def _scanned_gamma(objective, slope, lo: float, hi: float) -> float:
-    return scan_max(objective, _grid(lo, hi, 256))[0]
+    return _concave_scan_max(objective, _grid(lo, hi, 256))[0]
 
 
 def _beta_abs(rho: float) -> float:
@@ -365,7 +401,8 @@ def _exponent_in_delta(mu: float, rho: float, bound_kind: str, tau: float = 0.0)
     one pair-count rate; "best" at mu <= 1/4 is +inf, a dual of +inf over a
     pair_count that evaluates nothing.  The kind and rho are taken as
     checked (see _check_kind).  Only "biased" reads tau; its default 0 is
-    tau_star throughout the regime where that bound is nonvacuous."""
+    tau_star throughout the regime where that bound is nonvacuous
+    (tau_slope_bound)."""
     if bound_kind == "biased":
         return (lambda delta: pair_count_exponent_biased(mu, delta, tau, rho)[0],
                 dual_sum_exponent_biased(mu, tau, rho))
@@ -585,6 +622,27 @@ def x_cap(rho: float, mu: float) -> float:
     return (1.0 - rho - mu) / (1.0 - 2.0 * mu)
 
 
+def tau_slope_bound(mu: float, rho: float) -> float:
+    """An upper bound on dE/dtau, E the biased exponent sum at (mu, delta,
+    tau, rho), for every 0 <= tau <= delta <= 1 - rho - mu with mu + tau < 1/2.
+
+    By the envelope theorem at the inner argmax gamma*, with the
+    stationarity relation, dE/dtau = 2(4mu-1) L + log f_rho(x*), where
+    L = log|sinc(pi rho)| < 0, x* = (delta - tau - gamma*/2)/(1 - 2mu - 2tau)
+    and f_rho is tau_derivative_factor.  At rho <= 1/2, f_rho <= 1 (its
+    maximum, at x = 1 - rho), so the bound is 2(4mu-1) L, negative exactly
+    when mu > 1/4.  At rho > 1/2, f_rho increases on (0, rho) and
+    x* <= x_cap(rho, mu) < rho, so the bound adds log f_rho(x_cap(rho, mu)).
+    Formed as a sum of logs, as dual_sum_exponent_biased forms its sinc
+    term, and not as f_bar's power of sinc times f_rho."""
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho={rho} outside (0, 1)")
+    bound = 2.0 * (4.0 * mu - 1.0) * math.log(abs(math.sin(rho * math.pi) / (rho * math.pi)))
+    if rho > 0.5:
+        bound += math.log(tau_derivative_factor(rho, x_cap(rho, mu)))
+    return bound
+
+
 def f_bar(rho: float) -> float:
     """|sin(rho pi)/(rho pi)|^(2(4 mu_bar - 1)) f_rho(x_cap(rho, mu_bar))."""
     mb = biased_mu_floor(rho)
@@ -666,13 +724,19 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
         for two_mu in axis(0.0, 1.0, 0.5):
             mu = two_mu / 2.0
             dm = delta_max(mu, rho, "biased") if mu < _mu_cap(rho, "biased") else 0.0
-            tau_s, gamma_s = 0.0, 0.0
+            gamma_s = 0.0
             if dm > 0.0:
-                tau_s = _tau_argmax(mu, dm, rho)
-                _, gamma_s, _ = _pair_count_exponent_biased_scan(mu, dm, tau_s, rho)
+                # tau* = 0 where tau_slope_bound proves dE/dtau < 0; at
+                # rho <= 1/2 that is mu > 1/4 exactly, with no float margin,
+                # since the bound shrinks like rho^2 as rho -> 0
+                if not (mu > 0.25 if rho <= 0.5 else tau_slope_bound(mu, rho) < -FEAS_MARGIN):
+                    raise IdentityViolationError(
+                        f"tau* = 0 is not certified at rho={rho!r} mu={mu!r}: "
+                        f"tau_slope_bound is {tau_slope_bound(mu, rho)!r}")
+                _, gamma_s, _ = _pair_count_exponent_biased_scan(mu, dm, 0.0, rho)
             rows.append([
                 rho, two_mu, semicircle_law(rho, mu),
-                semicircle_law(rho, mu + dm), dm, tau_s, gamma_s,
+                semicircle_law(rho, mu + dm), dm, 0.0, gamma_s,
             ])
         return header, rows
     if figure_id == 4:
@@ -686,12 +750,3 @@ def curve_series(figure_id: int, grid_size: int, rho: float | None = None):
         header = ["x_or_rho", "f_bar"]
         return header, [[r, f_bar(r)] for r in axis(0.5, 0.67, 0.56)]
     raise DomainError(f"unknown figure id {figure_id}")
-
-
-def _tau_argmax(mu: float, delta: float, rho: float) -> float:
-    hi = min(delta, (1.0 - 2.0 * mu) / 2.0 - 1e-9)
-    if hi <= 0.0:
-        return 0.0
-    t_star, _ = scan_max(lambda tau: _exponent_at(mu, rho, "biased", delta, tau),
-                         _grid(0.0, hi, 64))
-    return t_star

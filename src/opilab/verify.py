@@ -4,14 +4,16 @@ Each row of `ROWS` names an identity, its suite, the kind of instance it
 reads, its mode and its check.  Each suite has one instance source: it
 draws every instance from one `random.Random(seed)` in a fixed order and
 yields (kind, description, build).  `run_suite` builds each instance once
-and runs the suite's rows of that kind on it, in table order.
+and runs the suite's rows of that kind on it, in table order.  An identity
+checked on instances of more than one kind has one row per kind.
 
 A check returns (residual, ok), or a string: the reason the shape cannot
 run it, recorded as "skipped".  The residual is the number the check
 compared against its bound.  An exact equality returns 0 when it holds and
 otherwise raises IdentityViolationError naming the first failing index; a
 float comparison returns its relative difference (the split bound and
-the saturation quadratic their largest ratio to a bound); an inequality
+the saturation quadratic their largest ratio to a bound, the lambda_star
+stationarity its largest central difference); an inequality
 returns its violation, clipped at 0.  An IdentityViolationError raised by
 a build or a check is a "fail" record, with a null residual and the
 message, of every row that needed the instance.  Domain and budget
@@ -152,7 +154,19 @@ def _asymptotic_instances(code, seed, precision):
     # filled = rho(1-2mu) >= 0.02: the rounding of the cap and of gamma reach
     # the stationarity residual scaled by 1/filled (1.5e-14 at filled = 0.005)
     rho, mu = rng.uniform(0.1, 0.45), rng.uniform(0.01, 0.4)
-    yield "saturation", {"mu": mu, "rho": rho}, partial(SimpleNamespace, mu=mu, rho=rho)
+    yield "saturation", {"mu": mu, "rho": rho}, partial(SimpleNamespace, mu=mu, rho=rho,
+                                                        delta=1.0 - rho - mu)
+    # tau* = 0 at the biased rate above, where the gamma scan is checked too,
+    # and at a rate above density 1/2, drawn last so that every earlier draw
+    # keeps its value; there mu >= 0.32 keeps tau_slope_bound at or below
+    # -0.047 for every rho in [0.55, 0.65].  delta is half the tau range,
+    # min(cap, 1/2 - mu)
+    above_half = rng.uniform(0.32, 0.345), rng.uniform(0.55, 0.65)
+    for kind, (mu, rho) in (("tau", points[1][:2]), ("tau_above_half", above_half)):
+        delta = min(rates.delta_cap(mu, rho, "biased"), 0.5 - mu) / 2.0
+        yield kind, {"mu": mu, "rho": rho, "delta": delta}, partial(
+            SimpleNamespace, mu=mu, rho=rho, delta=delta)
+    yield "lambda", {"mu": list(_LAMBDA_MUS)}, SimpleNamespace
 
 
 # suite -> (default (p, m, n) of its code, or None when it reads none; source),
@@ -478,6 +492,90 @@ def _biased_saturation_quadratic(inst):
     return max(got / bound for _, got, bound in checks), True
 
 
+def _whole_gamma_scan(objective, slope, lo, hi):
+    """The printed argmax's gamma by the whole 257-point scan_max."""
+    return rates.scan_max(objective, rates._grid(lo, hi, 256))[0]
+
+
+def _gamma_concave_scan(inst):
+    # the binary search over the concave gamma scan against the whole scan,
+    # (value, gamma*, at_endpoint) bit for bit, at tau = 0
+    mu, delta, rho = inst.mu, inst.delta, inst.rho
+    searched = rates._pair_count_exponent_biased_scan(mu, delta, 0.0, rho)
+    whole = rates._biased_exponent(mu, delta, 0.0, rho, _whole_gamma_scan)
+    return _exact("mu delta rho", [((mu, delta, rho), searched == whole)])
+
+
+def _scanned_tau_star(mu, delta, rho):
+    """Figure 3's tau* by its former route: the 65-point scan of the biased
+    exponent sum over tau in [0, min(delta, 1/2 - mu - 1e-9)], refined by
+    golden section."""
+    hi = min(delta, (1.0 - 2.0 * mu) / 2.0 - 1e-9)
+    if hi <= 0.0:
+        return 0.0
+    return rates.scan_max(lambda tau: rates._exponent_at(mu, rho, "biased", delta, tau),
+                          rates._grid(0.0, hi, 64))[0]
+
+
+def _tau_derivative(mu, delta, tau, rho):
+    """dE/dtau of the biased exponent sum in closed form, by the envelope
+    theorem at the solver's interior inner argmax gamma*: 2(4mu-1) L +
+    log f_rho(x*), with L = log|sinc(pi rho)| and
+    x* = (delta - tau - gamma*/2)/(1 - 2mu - 2tau)."""
+    gamma = rates.pair_count_exponent_biased(mu, delta, tau, rho)[1]
+    x = (delta - tau - gamma / 2.0) / (1.0 - 2.0 * mu - 2.0 * tau)
+    lsinc = math.log(abs(math.sin(math.pi * rho) / (math.pi * rho)))
+    return 2.0 * (4.0 * mu - 1.0) * lsinc + math.log(rates.tau_derivative_factor(rho, x))
+
+
+def _tau_envelope_derivative(inst):
+    # at taus (2j + 1) delta / 8: the closed-form dE/dtau lies at or below
+    # tau_slope_bound and matches a central difference of the exponent sum,
+    # whose step scales with the distance to the ends of [0, delta]
+    # (x* -> 0 as tau -> delta)
+    mu, delta, rho = inst.mu, inst.delta, inst.rho
+    bound, worst = rates.tau_slope_bound(mu, rho), 0.0
+    for j in range(4):
+        tau = delta * (2 * j + 1) / 8
+        slope = _tau_derivative(mu, delta, tau, rho)
+        if not slope <= bound:
+            raise IdentityViolationError(
+                f"dE/dtau = {slope!r} exceeds tau_slope_bound {bound!r} at tau={tau!r}")
+        h = 1e-4 * min(tau, delta - tau)
+        central = (rates._exponent_at(mu, rho, "biased", delta, tau + h)
+                   - rates._exponent_at(mu, rho, "biased", delta, tau - h)) / (2.0 * h)
+        worst = max(worst, abs(central - slope) / abs(slope))
+    return worst, worst <= _ENVELOPE_TOL
+
+
+def _tau_scan_zero(inst):
+    # the former tau scan returns tau* = 0 where tau_slope_bound is negative
+    mu, delta, rho = inst.mu, inst.delta, inst.rho
+    tau, bound = _scanned_tau_star(mu, delta, rho), rates.tau_slope_bound(mu, rho)
+    if not (tau == 0.0 and bound < 0.0):
+        raise IdentityViolationError(
+            f"the tau scan returns {tau!r} and tau_slope_bound is {bound!r} at mu={mu!r} "
+            f"delta={delta!r} rho={rho!r}")
+    return 0.0, True
+
+
+# the rates at which lambda_star_stationary differentiates; a central
+# difference with step 1e-6 reads at most 1.4e-10 at lambda_star there
+_LAMBDA_MUS = (0.3, 0.35, 0.4, 0.45)
+_STATIONARY_TOL = 1e-8
+
+
+def _lambda_star_stationary(inst):
+    # the lam-derivative of dual_sum_exponent_best vanishes at lambda_star(mu)
+    h, worst = 1e-6, 0.0
+    for mu in _LAMBDA_MUS:
+        lam = rates.lambda_star(mu)
+        slope = (rates.dual_sum_exponent_best(mu, lam + h)
+                 - rates.dual_sum_exponent_best(mu, lam - h)) / (2.0 * h)
+        worst = max(worst, abs(slope))
+    return worst, worst <= _STATIONARY_TOL
+
+
 ROWS = (
     Row("generating_function_expansion", "kravchuk", "m", "exact", _generating_function),
     Row("orthogonality", "kravchuk", "m", "exact", _orthogonality),
@@ -512,6 +610,14 @@ ROWS = (
     Row("delta_envelope_derivative", "asymptotic", "rate", "float", _delta_envelope_derivative),
     Row("biased_saturation_quadratic", "asymptotic", "saturation", "float",
         _biased_saturation_quadratic),
+    Row("gamma_concave_scan", "asymptotic", "saturation", "exact", _gamma_concave_scan),
+    Row("gamma_concave_scan", "asymptotic", "tau", "exact", _gamma_concave_scan),
+    Row("tau_envelope_derivative", "asymptotic", "tau", "float", _tau_envelope_derivative),
+    Row("tau_scan_zero", "asymptotic", "tau", "exact", _tau_scan_zero),
+    Row("tau_envelope_derivative", "asymptotic", "tau_above_half", "float",
+        _tau_envelope_derivative),
+    Row("tau_scan_zero", "asymptotic", "tau_above_half", "exact", _tau_scan_zero),
+    Row("lambda_star_stationary", "asymptotic", "lambda", "float", _lambda_star_stationary),
 )
 
 

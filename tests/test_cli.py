@@ -565,7 +565,7 @@ def test_verify_all_yields_a_record_for_every_row(capsys):
     code, out = run_cli(["verify", "--suite", "all"], capsys)
     report = json.loads(out)
     assert code == 0 and report["passed"]
-    assert report["checks"] == 60
+    assert report["checks"] == 67
     assert {r["identity"] for r in report["identities"]} == {row.identity for row in verify.ROWS}
     fourier = [(r["mode"], r["max_abs_residual"]) for r in report["identities"]
                if r["identity"] in ("dual_sum_vs_enumeration", "transcript_scaling",
@@ -583,6 +583,20 @@ _RECORDS_BEFORE_ASYMPTOTIC = {
 }
 
 
+# sha256 of the asymptotic suite's first five records, serialized the same
+# way, before the gamma scan, tau and lambda_star rows were appended
+_ASYMPTOTIC_RECORDS_BEFORE_TAU = {
+    0: "e48033d1c59b7051eab448104e1e22cc643fb7c6f4f0c8772f9a548b17023ea3",
+    1: "d0d5d2c94cdc7d46167388f8d6ebad1e5dbadb7a455fb4164648d43eef3c3f56",
+    42: "fe025887bfb1bc2f2921b02aca3cebd82cf47de465af350d40be3cb9f2c00118",
+}
+
+
+def _sha256(records):
+    text = json.dumps(records, sort_keys=True, indent=2, allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", sorted(_RECORDS_BEFORE_ASYMPTOTIC))
 def test_verify_all_keeps_its_records_and_appends_the_asymptotic_suite(capsys, seed):
     code, out = run_cli(["verify", "--suite", "all", "--seed", str(seed)], capsys)
@@ -590,9 +604,9 @@ def test_verify_all_keeps_its_records_and_appends_the_asymptotic_suite(capsys, s
     assert code == 0 and report["passed"]
     asymptotic = verify.run_suite("asymptotic", seed=seed)
     records = report["identities"]
-    assert len(asymptotic) == 5 and records[-5:] == asymptotic
-    text = json.dumps(records[:-5], sort_keys=True, indent=2, allow_nan=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == _RECORDS_BEFORE_ASYMPTOTIC[seed]
+    assert len(asymptotic) == 12 and records[-12:] == asymptotic
+    assert _sha256(records[:-12]) == _RECORDS_BEFORE_ASYMPTOTIC[seed]
+    assert _sha256(asymptotic[:5]) == _ASYMPTOTIC_RECORDS_BEFORE_TAU[seed]
 
 
 def _broken_orthogonality(fam):

@@ -348,6 +348,37 @@ def _biased_inner_points():
     return points
 
 
+def _whole_scan_biased(mu, delta, tau, rho):
+    """_pair_count_exponent_biased_scan by the whole 257-point scan_max over
+    gamma: every scan value, then golden section around the best."""
+    def argmax(objective, slope, lo, hi):
+        return scan_max(objective, [lo + (hi - lo) * i / 256 for i in range(257)])[0]
+
+    return rates._biased_exponent(mu, delta, tau, rho, argmax)
+
+
+def test_binary_searched_gamma_scan_matches_the_whole_scan_bit_for_bit():
+    # the printed argmaxes' route binary-searches the concave gamma scan;
+    # seeded in-domain points, half with delta = cap * 10^U(-9, 0), a quarter
+    # with tau > 0, and one in ten at rho = 1/2, where gamma is pinned
+    rng = random.Random(36)
+    for k in range(10_000):
+        rho = 0.5 if k % 10 == 0 else rng.uniform(0.01, 0.99)
+        mu = rng.uniform(0.0, min(0.5, 1.0 - rho))
+        cap = 1.0 - rho - mu
+        delta = cap * (rng.random() if k % 2 else 10 ** rng.uniform(-9, 0))
+        tau = rng.uniform(0.0, max(0.0, min(delta, 0.5 - mu - 1e-9))) if k % 4 == 3 else 0.0
+        got = _pair_count_exponent_biased_scan(mu, delta, tau, rho)
+        assert _bits(got) == _bits(_whole_scan_biased(mu, delta, tau, rho)), (mu, delta, tau, rho)
+
+
+def test_concave_scan_max_keeps_scan_max_on_ties_and_ends():
+    xs = [i / 16 for i in range(17)]
+    for f in (lambda t: -(t - 0.53125) ** 2,  # xs[8] and xs[9] tie
+              lambda t: -(t - 0.3137) ** 2, lambda t: -t, lambda t: t):
+        assert _bits(rates._concave_scan_max(f, xs)) == _bits(scan_max(f, xs))
+
+
 def test_biased_inner_solver_matches_scan_route():
     interior = 0
     for mu, delta, tau, rho in _biased_inner_points():
@@ -833,7 +864,7 @@ def _reference_thresholds(rho, kind):
         witness = {
             "delta": delta_cap(mu1, rho, kind),
             "lambda": lambda_star(mu1) if kind == "best" and mu1 > 0.25 else 0.0,
-            "gamma": (_pair_count_exponent_biased_scan(mu1, delta_cap(mu1, rho, kind), 0.0, rho)[1]
+            "gamma": (_whole_scan_biased(mu1, delta_cap(mu1, rho, kind), 0.0, rho)[1]
                       if kind == "biased" else 0.0),
         }
     return [None if mu0 is None else 2.0 * mu0, None if mu1 is None else 2.0 * mu1,
@@ -880,7 +911,7 @@ def _reference_curve_series(figure_id, grid_size, rho=None):
             tau_s, gamma_s = 0.0, 0.0
             if dm > 0.0:
                 tau_s = _reference_tau_argmax(mu, dm, rho)
-                _, gamma_s, _ = _pair_count_exponent_biased_scan(mu, dm, tau_s, rho)
+                _, gamma_s, _ = _whole_scan_biased(mu, dm, tau_s, rho)
             rows.append([rho, two_mu, semicircle_law(rho, mu), semicircle_law(rho, mu + dm),
                          dm, tau_s, gamma_s])
         return rows
@@ -949,12 +980,55 @@ def test_thresholds_match_the_feasible_route_bit_for_bit(rho, kind):
 @pytest.mark.parametrize("figure, grid, rho", [
     *((figure, grid, None) for figure in (1, 2) for grid in (1, 2, 7)),
     (2, 16, None),
-    *((3, grid, rho) for rho in (0.6, 0.3) for grid in (1, 2, 7)),
+    *((3, grid, rho) for rho in (0.6, 0.3, 0.05, 0.45, 0.55, 0.65) for grid in (1, 2, 7)),
     (4, 200, None), (4, 200, 0.3),
 ])
 def test_curve_series_matches_the_hand_written_grids_bit_for_bit(figure, grid, rho):
     _, rows = curve_series(figure, grid, rho=rho)
     assert _bits(rows) == _bits(_reference_curve_series(figure, grid, rho))
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.45, 0.55, 0.65])
+def test_figure_3_certifies_tau_star_zero_on_every_improved_rate(rho):
+    # the certificate holds wherever delta_max > 0, so the violation branch
+    # is never reached: mu > 1/4 at rho <= 1/2, tau_slope_bound < -FEAS_MARGIN
+    # above it
+    _, rows = curve_series(3, 200, rho=rho)
+    improved = [row[1] / 2.0 for row in rows if row[4] > 0.0]
+    assert improved and all(row[5] == 0.0 for row in rows)
+    for mu in improved:
+        assert mu > 0.25 if rho <= 0.5 else rates.tau_slope_bound(mu, rho) < -FEAS_MARGIN
+
+
+def test_figure_3_raises_where_tau_star_zero_is_not_certified(monkeypatch):
+    monkeypatch.setattr(rates, "tau_slope_bound", lambda mu, rho: 0.0)
+    with pytest.raises(IdentityViolationError, match=r"rho=0\.6 mu=0\.35"):
+        curve_series(3, 11, rho=0.6)
+
+
+def test_tau_slope_bound_bounds_the_envelope_derivative():
+    # seeded interior points (0 < tau < delta <= cap, mu + tau < 1/2): the
+    # closed-form dE/dtau lies at or below the bound; at rho <= 1/2 the bound
+    # is 2(4mu-1) log|sinc(pi rho)|, and it stays finite as rho -> 1
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(600):
+        rho = rng.uniform(0.01, 0.99)
+        mu = rng.uniform(0.0, min(0.5, 1.0 - rho))
+        delta = rng.uniform(0.0, 1.0 - rho - mu)
+        tau = rng.uniform(0.0, min(delta, 0.5 - mu - 1e-9))
+        if pair_count_exponent_biased(mu, delta, tau, rho)[2]:
+            continue  # the envelope form needs an interior gamma*
+        checked += 1
+        bound = rates.tau_slope_bound(mu, rho)
+        assert verify._tau_derivative(mu, delta, tau, rho) <= bound + 1e-12, (mu, delta, tau, rho)
+        if rho <= 0.5:
+            lsinc = math.log(math.sin(math.pi * rho) / (math.pi * rho))
+            assert bound == 2.0 * (4.0 * mu - 1.0) * lsinc
+    assert checked >= 500
+    assert math.isfinite(rates.tau_slope_bound(1e-13, 1.0 - 1e-12))
+    with pytest.raises(DomainError):
+        rates.tau_slope_bound(0.3, 1.0)
 
 
 _FIGURE_1_KINDS = ("green", "avg", "best")
